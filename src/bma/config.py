@@ -12,7 +12,7 @@ from .errors import BmaError
 from .estimator import DEFAULT_V_MIN_MODEL, EstimatorConfig
 from .geometry import RingSpec
 from .harness import ML_TO_M3, MM_TO_M, SimScript, SimStep
-from .material import DEFAULT_QUAD_REL_TOL, YeohCoeffs
+from .material import YeohCoeffs
 
 
 class ConfigError(BmaError):
@@ -79,7 +79,6 @@ def load_config(path, require_fit: bool = True) -> EstimatorConfig:
         fit=fit,
         v_min_model=float(est.get("v_min_model_ml",
                                   DEFAULT_V_MIN_MODEL / ML_TO_M3)) * ML_TO_M3,
-        quad_rel_tol=float(est.get("quad_rel_tol", DEFAULT_QUAD_REL_TOL)),
         inner_iterations=int(est.get("inner_iterations", 1)),
         pressure_filter_tau=float(est.get("pressure_filter_tau_s", 0.0)),
     )

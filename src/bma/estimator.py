@@ -28,7 +28,6 @@ from .geometry import (
     unindented_shape,
 )
 from .material import (
-    DEFAULT_QUAD_REL_TOL,
     StretchState,
     YeohCoeffs,
     free_membrane_volume,
@@ -49,7 +48,6 @@ class EstimatorConfig:
     coeffs: YeohCoeffs
     fit: HeightFit
     v_min_model: float = DEFAULT_V_MIN_MODEL   # minimum modeled injected volume [m3]
-    quad_rel_tol: float = DEFAULT_QUAD_REL_TOL
     inner_iterations: int = 1     # indentation updates per sensor sample
     pressure_filter_tau: float = 0.0   # first-order low-pass on p [s]; 0 disables
 
@@ -68,7 +66,12 @@ class EstimatorState:
 
 @dataclass(frozen=True)
 class StateEstimate:
-    """Per-sample estimator output; NaN fields mark a null (skipped) sample."""
+    """Per-sample estimator output; NaN fields mark a null (skipped) sample.
+
+    Holds floats and the flag set only, no per-sample shape objects: a kept
+    estimate is two objects for the garbage collector, so a long trace's
+    estimates trigger few collection passes.
+    """
 
     h1: float
     h2: float
@@ -77,9 +80,6 @@ class StateEstimate:
     force: float        # external planar force F [N]
     p_hat: float        # pressure predicted from the free-inflation balance [Pa]
     stretch: float
-    shape: UnindentedShape | None = None
-    deformed: DeformedShape | None = None
-    kinematics: StretchState | None = None
     flags: frozenset = field(default_factory=frozenset)
 
     @property
@@ -125,7 +125,7 @@ def _reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> _Reconstru
     deformed = DeformedShape(a_d=d_ell.a, c_d=d_ell.c, h3=h3, c_c=c_c, k=k)
 
     theta1 = integration_angle(cfg.ring.r, h3, d_ell.c)
-    arc = perimeter(d_ell.a, d_ell.c, h3, theta1, cfg.quad_rel_tol)
+    arc = perimeter(d_ell.a, d_ell.c, h3, theta1)
     lam = stretch(arc, cfg.ring)
     i1 = invariant_i1(lam)
     t_m = inflated_thickness(cfg.ring, arc)
@@ -167,26 +167,30 @@ def slice_indentation(a: float, c: float, p: float, force: float) -> float:
     """
     if p <= 0:
         raise ValueError(f"pressure must be positive, got {p}")
-    disc = math.pi ** 2 * a ** 2 * p ** 2 - math.pi * force * p
-    if disc < 0:
-        raise NegativeDiscriminant(
-            f"force {force} exceeds pressurized cross-section bound {math.pi * a * a * p}"
-        )
-    return -(c * math.sqrt(disc) - math.pi * a * c * p) / (math.pi * a * p)
+    try:
+        disc = math.pi ** 2 * a ** 2 * p ** 2 - math.pi * force * p
+        if disc < 0:
+            raise NegativeDiscriminant(
+                f"force {force} exceeds pressurized cross-section bound {math.pi * a * a * p}"
+            )
+        return -(c * math.sqrt(disc) - math.pi * a * c * p) / (math.pi * a * p)
+    except ArithmeticError as exc:   # p^2 overflows, or pi a p underflows to 0
+        raise DegenerateGeometry(f"pressure {p} is outside the float range") from exc
 
 
 def step(state: EstimatorState, v_f: float, p: float,
          cfg: EstimatorConfig) -> tuple[StateEstimate, EstimatorState]:
     """One estimator update for a sensor sample (v_f [m3], p [Pa]).
 
-    Samples below the modeled volume range emit a null estimate and leave
-    the indentation state untouched.  Geometry errors propagate and leave
-    the state unchanged.
+    Non-finite samples and samples below the modeled volume range emit a
+    null estimate and leave the indentation state untouched.  Geometry
+    errors propagate and leave the state unchanged.
     """
-    if v_f < cfg.v_min_model:
-        est = null_estimate({"below_model_range"})
-        return est, EstimatorState(h2_prev=state.h2_prev,
-                                   step_index=state.step_index + 1)
+    skip = ("nonfinite_input" if not (math.isfinite(v_f) and math.isfinite(p))
+            else "below_model_range" if v_f < cfg.v_min_model else None)
+    if skip:
+        return null_estimate({skip}), EstimatorState(h2_prev=state.h2_prev,
+                                                     step_index=state.step_index + 1)
 
     flags = set()
     h2_prev = state.h2_prev
@@ -215,9 +219,7 @@ def step(state: EstimatorState, v_f: float, p: float,
 
     p_hat = g.v_fm * g.kinematics.energy_density / v_f
     est = StateEstimate(h1=g.shape.h1, h2=h2, h3=g.h3, h4=h4, force=force,
-                        p_hat=p_hat, stretch=g.kinematics.stretch,
-                        shape=g.shape, deformed=g.deformed,
-                        kinematics=g.kinematics, flags=frozenset(flags))
+                        p_hat=p_hat, stretch=g.kinematics.stretch, flags=frozenset(flags))
     new_state = EstimatorState(h2_prev=h2, step_index=state.step_index + 1)
     return est, new_state
 

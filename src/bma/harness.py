@@ -92,6 +92,8 @@ def ingest_trace(path) -> list[TraceRecord]:
                 p = float(row["pressure_pa"])
             except (TypeError, ValueError) as exc:
                 raise ParseError(str(exc), line=i) from exc
+            if not (math.isfinite(t) and math.isfinite(v_ml)):
+                raise ParseError(f"non-finite time {t} or volume {v_ml}", line=i)
             if v_ml < 0:
                 raise ParseError(f"negative volume {v_ml}", line=i)
             if prev_t is not None and t <= prev_t:
@@ -141,7 +143,8 @@ def run_trace(records, cfg: EstimatorConfig,
 
     Applies the optional first-order pressure low-pass, and converts any
     per-sample model error into a flagged null estimate so adversarial
-    inputs cannot kill the run.
+    inputs cannot kill the run.  A non-finite (filtered) pressure is passed
+    on for `step` to flag but never enters the low-pass state.
     """
     if state is None:
         state = EstimatorState()
@@ -154,8 +157,8 @@ def run_trace(records, cfg: EstimatorConfig,
             dt = rec.t - prev_t
             alpha = dt / (cfg.pressure_filter_tau + dt)
             p = p_filt + alpha * (p - p_filt)
-        p_filt = p
-        prev_t = rec.t
+        if math.isfinite(p):
+            p_filt, prev_t = p, rec.t
         try:
             est, state = step(state, rec.v_f, p, cfg)
         except BmaError as exc:

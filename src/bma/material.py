@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
+from scipy.special import ellipeinc
 
 from .geometry import RingSpec
-
-DEFAULT_QUAD_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -66,25 +64,21 @@ def integration_angle(r: float, h3: float, c_d: float) -> float:
     return math.atan(r / gap)
 
 
-def perimeter(a_d: float, c_d: float, h3: float, theta1: float,
-              rel_tol: float = DEFAULT_QUAD_REL_TOL) -> float:
+def perimeter(a_d: float, c_d: float, h3: float, theta1: float) -> float:
     """Meridian arc length of the deformed ellipse [m].
 
-    Integrates M(t) = sqrt(a_d^2 sin^2 t + c_d^2 cos^2 t) from 0 to
-    pi - theta1 when the apex sits above the ellipsoid center (h3 > c_d),
-    otherwise from 0 to theta1.  Adaptive Gauss-Kronrod quadrature.
+    Integral of M(t) = sqrt(a_d^2 sin^2 t + c_d^2 cos^2 t) from 0 to
+    phi = pi - theta1 when the apex sits above the ellipsoid center
+    (h3 > c_d), otherwise phi = theta1.  Closed form c_d E(phi | m), the
+    incomplete elliptic integral of the second kind with
+    m = 1 - a_d^2/c_d^2; valid also for m < 0 (oblate shapes).
     """
     if not (a_d > 0 and c_d > 0):
         raise ValueError("deformed semi-axes must be positive")
     if not (0 <= theta1 <= math.pi / 2):
         raise ValueError("theta1 must lie in [0, pi/2]")
     upper = math.pi - theta1 if h3 > c_d else theta1
-
-    def integrand(t):
-        return math.sqrt(a_d ** 2 * math.sin(t) ** 2 + c_d ** 2 * math.cos(t) ** 2)
-
-    value, _ = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=rel_tol, limit=200)
-    return value
+    return c_d * float(ellipeinc(upper, 1.0 - (a_d / c_d) ** 2))
 
 
 def stretch(arc_length: float, ring: RingSpec) -> float:

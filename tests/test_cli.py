@@ -1,5 +1,8 @@
 import csv
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -117,3 +120,11 @@ class TestExitCodes:
         assert run(["estimate", workdir / "calibration.csv",
                     "--config", workdir / "config.yaml",
                     "--out", workdir / "x.csv"]) == 1
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # a fresh interpreter, since other test modules import scipy.integrate
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    code = ("import sys, bma, bma.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

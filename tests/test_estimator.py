@@ -21,6 +21,7 @@ from bma import (
     unindented_shape,
     actuator_volume,
 )
+from bma.estimator import _reconstruct
 from bma.material import integration_angle, perimeter, stretch, yeoh_energy_density
 
 
@@ -113,6 +114,13 @@ class TestStep:
         assert "below_model_range" in est.flags
         assert state.h2_prev == 1e-3
 
+    def test_nonfinite_input_null(self, cfg):
+        for v_f, p in ((0.4e-6, math.nan), (0.4e-6, math.inf), (math.nan, 12000.0)):
+            est, state = step(EstimatorState(h2_prev=1e-3), v_f, p, cfg)
+            assert est.is_null
+            assert est.flags == {"nonfinite_input"}
+            assert state.h2_prev == 1e-3
+
     def test_pressure_spike_clamped(self, cfg):
         # near-full indentation plus a pressure spike drives the raw update
         # past h1; the filter must clamp and flag
@@ -143,7 +151,13 @@ class TestStep:
         h2_prev = 1.5e-3
         est, _ = step(EstimatorState(h2_prev=h2_prev), 0.5e-6, 12000.0, cfg)
         assert est.h3 == pytest.approx(est.h1 - h2_prev, rel=1e-12)
-        assert est.deformed.c_c == pytest.approx(est.shape.c - est.deformed.c_d, rel=1e-12)
+        g = _reconstruct(0.5e-6, h2_prev, cfg)
+        assert g.deformed.c_c == pytest.approx(g.shape.c - g.deformed.c_d, rel=1e-12)
+
+    def test_estimate_holds_no_shape_objects(self, cfg):
+        # each nested object a kept estimate holds adds garbage-collector work
+        est, _ = step(EstimatorState(h2_prev=1.5e-3), 0.5e-6, 12000.0, cfg)
+        assert {type(v) for k, v in vars(est).items() if k != "flags"} == {float}
 
     def test_state_replay(self, cfg):
         # replaying from any recorded h2_prev reproduces the suffix exactly

@@ -1,5 +1,10 @@
+import math
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bma import (
     MissingGroundTruth,
@@ -13,8 +18,10 @@ from bma import (
     predict_pressure,
     run_trace,
     simulate_trace,
+    step,
     write_trace,
 )
+from bma import harness
 
 
 def basic_script(noise=0.0):
@@ -43,16 +50,24 @@ class TestIngest:
 
     def test_negative_volume(self, tmp_path):
         path = tmp_path / "trace.csv"
-        path.write_text("t_s,volume_ml,pressure_pa\n0.0,0.3,11000\n0.01,-1,11050\n")
-        with pytest.raises(ParseError) as exc_info:
-            ingest_trace(path)
-        assert exc_info.value.line == 3
+        for bad in ("-1", "nan", "inf", "-inf"):
+            path.write_text(f"t_s,volume_ml,pressure_pa\n0.0,0.3,11000\n0.01,{bad},11050\n")
+            with pytest.raises(ParseError) as exc_info:
+                ingest_trace(path)
+            assert exc_info.value.line == 3
 
     def test_non_monotone_time(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("t_s,volume_ml,pressure_pa\n0.0,0.3,11000\n0.0,0.3,11000\n")
         with pytest.raises(NonMonotoneTime):
             ingest_trace(path)
+        # a non-finite timestamp would defeat the monotone check
+        for bad in ("nan", "inf"):
+            path.write_text(
+                f"t_s,volume_ml,pressure_pa\n0,0.3,11000\n{bad},0.3,11000\n0,0.3,11000\n")
+            with pytest.raises(ParseError) as exc_info:
+                ingest_trace(path)
+            assert exc_info.value.line == 3
 
     def test_truth_columns(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -132,8 +147,36 @@ class TestRunTrace:
             if not est.is_null:
                 assert 0.0 <= est.h2 <= est.h1
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        samples=st.lists(
+            st.tuples(
+                st.one_of(st.floats(), st.floats(0.02e-6, 1.05e-6)),
+                st.one_of(st.floats(), st.floats(-5e4, 5e4),
+                          st.sampled_from([5e-324, 1e154, 1e200, 1.7e308, -1.7e308])),
+            ),
+            max_size=25,
+        ),
+        tau=st.sampled_from([0.0, 0.05]),
+    )
+    def test_arbitrary_floats_never_abort(self, cfg, samples, tau):
+        records = [TraceRecord(t=0.01 * i, v_f=v, p=p) for i, (v, p) in enumerate(samples)]
+        carried = []
+
+        def recording_step(state, v_f, p, cfg):
+            est, state = step(state, v_f, p, cfg)
+            carried.append(state.h2_prev)
+            return est, state
+
+        with mock.patch.object(harness, "step", recording_step):
+            estimates = run_trace(records, replace(cfg, pressure_filter_tau=tau))
+        assert len(estimates) == len(records)
+        for est in estimates:
+            if not est.is_null:
+                assert 0.0 <= est.h2 <= est.h1
+        assert all(math.isfinite(h2) and h2 >= 0.0 for h2 in carried)
+
     def test_pressure_filter(self, cfg):
-        from dataclasses import replace
         filtered_cfg = replace(cfg, pressure_filter_tau=0.1)
         records = [TraceRecord(t=0.01 * i, v_f=0.4e-6, p=11000.0 + (5000.0 if i == 10 else 0.0))
                    for i in range(20)]
@@ -141,6 +184,11 @@ class TestRunTrace:
         smooth = run_trace(records, filtered_cfg)
         # the spike's effect on the estimate is attenuated by the low-pass
         assert abs(smooth[10].force) < abs(raw[10].force)
+        # a NaN sample is flagged and does not poison the low-pass state
+        records[5] = replace(records[5], p=math.nan)
+        smooth = run_trace(records, filtered_cfg)
+        assert smooth[5].flags == {"nonfinite_input"}
+        assert not any(est.is_null for i, est in enumerate(smooth) if i != 5)
 
 
 class TestEvaluate:

@@ -19,10 +19,15 @@ from bma import (
 
 
 def perimeter_oracle(a_d, c_d, upper):
-    """High-precision independent quadrature of the ellipse arc integrand."""
+    """High-precision independent quadrature of the ellipse arc integrand.
+
+    The interval is split at pi/2, where the integrand of a strongly
+    prolate arc has its sharp minimum.
+    """
     mpmath.mp.dps = 30
     f = lambda t: mpmath.sqrt(a_d ** 2 * mpmath.sin(t) ** 2 + c_d ** 2 * mpmath.cos(t) ** 2)
-    return float(mpmath.quad(f, [0, upper]))
+    points = [0, mpmath.pi / 2, upper] if upper > math.pi / 2 else [0, upper]
+    return float(mpmath.quad(f, points))
 
 
 class TestIntegrationAngle:
@@ -60,14 +65,19 @@ class TestPerimeter:
         assert L == pytest.approx(3 * math.pi * R / 4, rel=1e-10)
 
     def test_oracle_grid_both_branches(self):
-        for a_d in (0.5, 1.0, 2.0):
-            for c_d in (0.3, 1.0, 1.7):
-                for theta1 in (0.2, 0.9, math.pi / 2):
-                    for h3 in (0.5 * c_d, 1.5 * c_d):
-                        upper = math.pi - theta1 if h3 > c_d else theta1
-                        got = perimeter(a_d, c_d, h3, theta1)
-                        assert got == pytest.approx(
-                            perimeter_oracle(a_d, c_d, upper), rel=1e-8)
+        cases = [(a_d, c_d, h3_ratio * c_d, theta1)
+                 for a_d in (0.5, 1.0, 2.0)
+                 for c_d in (0.3, 1.0, 1.7)
+                 for theta1 in (0.2, 0.9, math.pi / 2)
+                 for h3_ratio in (0.5, 1.5)]
+        # extreme prolate (a_d/c_d = 0.02, upper close to pi) and strongly
+        # oblate (a_d/c_d = 50) shapes
+        cases += [(0.02, 1.0, 1.5, theta1) for theta1 in (1e-4, 0.01, 0.9)]
+        cases += [(50.0, 1.0, h3, theta1) for h3 in (0.5, 1.5) for theta1 in (0.05, 1.2)]
+        for a_d, c_d, h3, theta1 in cases:
+            upper = math.pi - theta1 if h3 > c_d else theta1
+            got = perimeter(a_d, c_d, h3, theta1)
+            assert got == pytest.approx(perimeter_oracle(a_d, c_d, upper), rel=1e-8)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
