@@ -51,7 +51,6 @@ from .harness import (
     write_trace,
 )
 from .material import (
-    StretchState,
     YeohCoeffs,
     free_membrane_volume,
     inflated_thickness,

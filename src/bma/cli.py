@@ -16,18 +16,9 @@ import sys
 
 from . import config as cfgmod
 from .calibration import DEFAULT_DEGREE, fit_height_poly, evaluate_height
-from .errors import BmaError, ParseError
-from .estimator import EstimatorState, predict_pressure, step
-from .geometry import (
-    DeformedShape,
-    actuator_volume,
-    center_shift,
-    contact_radius,
-    profile_polyline,
-    solve_axes,
-    sphere_baseline,
-    unindented_shape,
-)
+from .errors import BmaError, DegenerateGeometry, ParseError
+from .estimator import predict_pressure, reconstruct
+from .geometry import profile_polyline, sphere_profile
 from .harness import (
     ML_TO_M3,
     MM_TO_M,
@@ -186,26 +177,19 @@ def _svg(polyline_mm, sphere_mm, ring_mm, slice_mm, path):
 def cmd_export_shape(args) -> int:
     cfg = cfgmod.load_config(_config_path(args))
     v_f = args.volume_ml * ML_TO_M3
+    h2 = (args.indent_mm or 0.0) * MM_TO_M
     h1 = evaluate_height(cfg.fit, v_f)
-    v_bma = actuator_volume(v_f, cfg.ring)
-    shape = unindented_shape(v_bma, h1, cfg.ring)
+    # reconstruct clamps an indentation at or past the apex; refuse it here
+    if not 0.0 <= h2 < h1:
+        raise DegenerateGeometry(
+            f"indentation {h2 / MM_TO_M:.6g} mm outside [0, {h1 / MM_TO_M:.6g}) mm "
+            f"at {args.volume_ml:.6g} ml"
+        )
+    g = reconstruct(v_f, h2, cfg)
+    k, h3 = g.deformed.k, g.deformed.h3
+    slice_mm = [(-k / MM_TO_M, h3 / MM_TO_M), (k / MM_TO_M, h3 / MM_TO_M)] if k > 0 else None
 
-    slice_mm = None
-    if args.indent_mm is not None and args.indent_mm > 0:
-        h2 = args.indent_mm * MM_TO_M
-        h3 = h1 - h2
-        d_ell = solve_axes(v_bma, h3, cfg.ring)
-        c_c = center_shift(shape.c, d_ell.c)
-        k = contact_radius(shape, h2, c_c)
-        target = DeformedShape(a_d=d_ell.a, c_d=d_ell.c, h3=h3, c_c=c_c, k=k)
-        if k > 0:
-            z_mm = h3 / MM_TO_M
-            slice_mm = [(-k / MM_TO_M, z_mm), (k / MM_TO_M, z_mm)]
-    else:
-        target = shape
-
-    pts = profile_polyline(target, args.points)
-    pts_mm = [(x / MM_TO_M, z / MM_TO_M) for x, z in pts]
+    pts_mm = [(x / MM_TO_M, z / MM_TO_M) for x, z in profile_polyline(g.deformed, args.points)]
 
     if args.out.lower().endswith(".csv"):
         with open(args.out, "w", newline="") as fh:
@@ -214,15 +198,8 @@ def cmd_export_shape(args) -> int:
             for x, z in pts_mm:
                 writer.writerow([f"{x:.6f}", f"{z:.6f}"])
     else:
-        radius, cap_h = sphere_baseline(v_bma, cfg.ring)
-        import numpy as np
-        zc = cap_h - radius   # sphere center height above the ring plane
-        t_max = math.acos(max(-1.0, min(1.0, -zc / radius)))
-        t = np.linspace(-t_max, t_max, args.points)
-        sphere_mm = [
-            (radius * math.sin(ti) / MM_TO_M, (zc + radius * math.cos(ti)) / MM_TO_M)
-            for ti in t
-        ]
+        sphere = sphere_profile(g.shape.v_bma, cfg.ring, args.points)
+        sphere_mm = [(x / MM_TO_M, z / MM_TO_M) for x, z in sphere]
         r_mm = cfg.ring.r / MM_TO_M
         ring_mm = [(-1.5 * r_mm, 0.0), (1.5 * r_mm, 0.0)]
         _svg(pts_mm, sphere_mm, ring_mm, slice_mm, args.out)

@@ -19,6 +19,9 @@ class ConfigError(BmaError):
     """Missing or malformed configuration."""
 
 
+ESTIMATOR_KEYS = frozenset({"v_min_model_ml", "pressure_filter_tau_s"})
+
+
 def load_raw(path) -> dict:
     with open(path) as fh:
         data = yaml.safe_load(fh)
@@ -72,16 +75,22 @@ def load_config(path, require_fit: bool = True) -> EstimatorConfig:
     elif require_fit:
         raise ConfigError("config has no height_fit; run `calibrate` first")
 
-    est = data.get("estimator", {})
-    return EstimatorConfig(
-        ring=ring,
-        coeffs=coeffs,
-        fit=fit,
-        v_min_model=float(est.get("v_min_model_ml",
-                                  DEFAULT_V_MIN_MODEL / ML_TO_M3)) * ML_TO_M3,
-        inner_iterations=int(est.get("inner_iterations", 1)),
-        pressure_filter_tau=float(est.get("pressure_filter_tau_s", 0.0)),
-    )
+    est = data.get("estimator") or {}
+    unknown = sorted(set(est) - ESTIMATOR_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown estimator key(s) {unknown}; "
+                          f"expected a subset of {sorted(ESTIMATOR_KEYS)}")
+    try:
+        return EstimatorConfig(
+            ring=ring,
+            coeffs=coeffs,
+            fit=fit,
+            v_min_model=float(est.get("v_min_model_ml",
+                                      DEFAULT_V_MIN_MODEL / ML_TO_M3)) * ML_TO_M3,
+            pressure_filter_tau=float(est.get("pressure_filter_tau_s", 0.0)),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"estimator: {exc}") from exc
 
 
 def load_script(path) -> SimScript:

@@ -28,12 +28,10 @@ from .geometry import (
     unindented_shape,
 )
 from .material import (
-    StretchState,
     YeohCoeffs,
     free_membrane_volume,
     inflated_thickness,
     integration_angle,
-    invariant_i1,
     perimeter,
     stretch,
     yeoh_energy_density,
@@ -48,14 +46,13 @@ class EstimatorConfig:
     coeffs: YeohCoeffs
     fit: HeightFit
     v_min_model: float = DEFAULT_V_MIN_MODEL   # minimum modeled injected volume [m3]
-    inner_iterations: int = 1     # indentation updates per sensor sample
     pressure_filter_tau: float = 0.0   # first-order low-pass on p [s]; 0 disables
 
     def __post_init__(self):
-        if self.v_min_model < 0:
-            raise ValueError("v_min_model must be nonnegative")
-        if self.inner_iterations < 1:
-            raise ValueError("inner_iterations must be at least 1")
+        for name in ("v_min_model", "pressure_filter_tau"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -94,52 +91,48 @@ def null_estimate(flags) -> StateEstimate:
 
 
 @dataclass(frozen=True)
-class _Reconstruction:
-    """All per-sample geometry/material quantities at a given h2_prev."""
+class Reconstruction:
+    """Per-sample shape and material chain at one carried indentation."""
 
     shape: UnindentedShape
     deformed: DeformedShape
-    kinematics: StretchState
-    v_bma: float
-    v_m: float
-    v_fm: float
-    h3: float
+    stretch: float      # principal stretch lambda [-]
+    w: float            # Yeoh energy term W [Pa]
+    v_fm: float         # membrane volume in the free-inflation region [m3]
     flags: frozenset
 
 
-def _reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> _Reconstruction:
+def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruction:
+    """Height fit -> unindented and deformed spheroids -> stretch -> W and V_fm."""
     flags = set()
     h1 = evaluate_height(cfg.fit, v_f)
-    h2_eff = h2_prev
     # h1 can shrink between samples; keep the carried indentation inside it
-    if h2_eff >= h1:
-        h2_eff = h1 * (1.0 - 1e-9)
+    if h2_prev >= h1:
+        h2_prev = h1 * (1.0 - 1e-9)
         flags.add("h2_prev_clamped")
 
     v_bma = actuator_volume(v_f, cfg.ring)
     shape = unindented_shape(v_bma, h1, cfg.ring)
-    h3 = h1 - h2_eff
+    h3 = h1 - h2_prev
     d_ell = solve_axes(v_bma, h3, cfg.ring)
     c_c = center_shift(shape.c, d_ell.c)
-    k = contact_radius(shape, h2_eff, c_c)
-    deformed = DeformedShape(a_d=d_ell.a, c_d=d_ell.c, h3=h3, c_c=c_c, k=k)
+    deformed = DeformedShape(a_d=d_ell.a, c_d=d_ell.c, h3=h3, c_c=c_c,
+                             k=contact_radius(shape, h2_prev, c_c))
 
-    theta1 = integration_angle(cfg.ring.r, h3, d_ell.c)
-    arc = perimeter(d_ell.a, d_ell.c, h3, theta1)
+    arc = perimeter(d_ell.a, d_ell.c, h3, integration_angle(cfg.ring.r, h3, d_ell.c))
     lam = stretch(arc, cfg.ring)
-    i1 = invariant_i1(lam)
-    t_m = inflated_thickness(cfg.ring, arc)
     w = yeoh_energy_density(lam, cfg.coeffs)
-    kin = StretchState(theta1=theta1, arc_length=arc, stretch=lam,
-                       invariant=i1, thickness=t_m, energy_density=w)
-
-    v_m = membrane_volume(cfg.ring)
-    v_fm, clamped = free_membrane_volume(v_m, k, t_m)
+    v_fm, clamped = free_membrane_volume(membrane_volume(cfg.ring), deformed.k,
+                                         inflated_thickness(cfg.ring, arc))
     if clamped:
         flags.add("v_fm_clamped")
-    return _Reconstruction(shape=shape, deformed=deformed, kinematics=kin,
-                           v_bma=v_bma, v_m=v_m, v_fm=v_fm, h3=h3,
-                           flags=frozenset(flags))
+    return Reconstruction(shape=shape, deformed=deformed, stretch=lam, w=w,
+                          v_fm=v_fm, flags=frozenset(flags))
+
+
+def balance_pressure(g: Reconstruction, v_f: float, force: float = 0.0) -> float:
+    """Energy-balance pressure (V_fm W + F h3) / V_f at a reconstruction [Pa]."""
+    return (g.v_fm * g.w + force * g.deformed.h3) / v_f
 
 
 def predict_pressure(v_f: float, cfg: EstimatorConfig) -> float:
@@ -148,8 +141,7 @@ def predict_pressure(v_f: float, cfg: EstimatorConfig) -> float:
         raise DegenerateGeometry(
             f"volume {v_f} below modeled minimum {cfg.v_min_model}"
         )
-    g = _reconstruct(v_f, 0.0, cfg)
-    return g.v_fm * g.kinematics.energy_density / v_f
+    return balance_pressure(reconstruct(v_f, 0.0, cfg), v_f)
 
 
 def estimate_force(v_f: float, p: float, v_fm: float, w: float, h3: float) -> float:
@@ -192,34 +184,26 @@ def step(state: EstimatorState, v_f: float, p: float,
         return null_estimate({skip}), EstimatorState(h2_prev=state.h2_prev,
                                                      step_index=state.step_index + 1)
 
-    flags = set()
-    h2_prev = state.h2_prev
-    g = _reconstruct(v_f, h2_prev, cfg)
-    force = h4 = h2 = 0.0
-    for it in range(cfg.inner_iterations):
-        flags |= g.flags
-        force = estimate_force(v_f, p, g.v_fm, g.kinematics.energy_density, g.h3)
-        a, c = g.shape.a, g.shape.c
-        if p <= 0:
-            h4 = 0.0
-            flags.add("nonpositive_pressure")
-        else:
-            try:
-                h4 = slice_indentation(a, c, p, force)
-            except NegativeDiscriminant:
-                h4 = c
-                flags.add("force_exceeds_bound")
-        h2_raw = h4 + g.deformed.c_c
-        h1 = g.shape.h1
-        h2 = min(max(h2_raw, 0.0), h1)
-        if h2 != h2_raw:
-            flags.add("h2_clamped")
-        if it + 1 < cfg.inner_iterations:
-            g = _reconstruct(v_f, h2, cfg)
+    g = reconstruct(v_f, state.h2_prev, cfg)
+    flags = set(g.flags)
+    force = estimate_force(v_f, p, g.v_fm, g.w, g.deformed.h3)
+    if p <= 0:
+        h4 = 0.0
+        flags.add("nonpositive_pressure")
+    else:
+        try:
+            h4 = slice_indentation(g.shape.a, g.shape.c, p, force)
+        except NegativeDiscriminant:
+            h4 = g.shape.c
+            flags.add("force_exceeds_bound")
+    h2_raw = h4 + g.deformed.c_c
+    h2 = min(max(h2_raw, 0.0), g.shape.h1)
+    if h2 != h2_raw:
+        flags.add("h2_clamped")
 
-    p_hat = g.v_fm * g.kinematics.energy_density / v_f
-    est = StateEstimate(h1=g.shape.h1, h2=h2, h3=g.h3, h4=h4, force=force,
-                        p_hat=p_hat, stretch=g.kinematics.stretch, flags=frozenset(flags))
+    est = StateEstimate(h1=g.shape.h1, h2=h2, h3=g.deformed.h3, h4=h4, force=force,
+                        p_hat=balance_pressure(g, v_f), stretch=g.stretch,
+                        flags=frozenset(flags))
     new_state = EstimatorState(h2_prev=h2, step_index=state.step_index + 1)
     return est, new_state
 

@@ -196,6 +196,15 @@ def sphere_baseline(v_bma: float, ring: RingSpec) -> tuple[float, float]:
     return radius, h
 
 
+def sphere_profile(v_bma: float, ring: RingSpec, n_points: int) -> np.ndarray:
+    """Cross-section polyline of the sphere_baseline cap, (n, 2) points (x, z) [m]."""
+    radius, cap_h = sphere_baseline(v_bma, ring)
+    zc = cap_h - radius   # sphere center height above the ring plane
+    t_max = math.acos(max(-1.0, min(1.0, -zc / radius)))
+    t = np.linspace(-t_max, t_max, n_points)
+    return np.column_stack([radius * np.sin(t), zc + radius * np.cos(t)])
+
+
 def profile_polyline(shape, n_points: int) -> np.ndarray:
     """Cross-section polyline of the visible membrane arc above the ring plane.
 

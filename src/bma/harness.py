@@ -25,8 +25,9 @@ from .estimator import (
     EstimatorConfig,
     EstimatorState,
     StateEstimate,
-    _reconstruct,
+    balance_pressure,
     null_estimate,
+    reconstruct,
     rmse,
     step,
 )
@@ -167,20 +168,13 @@ def run_trace(records, cfg: EstimatorConfig,
     return estimates
 
 
-def _forward_pressure(v_f: float, force: float, h2_prev: float,
-                      cfg: EstimatorConfig) -> float:
-    """Pressure consistent with the energy balance at the given state [Pa]."""
-    g = _reconstruct(v_f, h2_prev, cfg)
-    return (g.v_fm * g.kinematics.energy_density + force * g.h3) / v_f
-
-
 def _check_fixed_point(v_f: float, force: float, h2_start: float,
                        cfg: EstimatorConfig) -> None:
     """Verify the indentation update contracts to a fixed point for (v_f, F)."""
     state = EstimatorState(h2_prev=h2_start)
     h2 = h2_start
     for _ in range(SIM_FIXED_POINT_CAP):
-        p = _forward_pressure(v_f, force, state.h2_prev, cfg)
+        p = balance_pressure(reconstruct(v_f, state.h2_prev, cfg), v_f, force)
         est, state = step(state, v_f, p, cfg)
         if abs(state.h2_prev - h2) <= SIM_FIXED_POINT_TOL:
             return
@@ -215,7 +209,7 @@ def simulate_trace(script: SimScript, cfg: EstimatorConfig,
     for s in script.steps:
         n = max(1, round(s.hold / script.sample_period))
         for _ in range(n):
-            p_clean = _forward_pressure(s.v_f, s.force, state.h2_prev, cfg)
+            p_clean = balance_pressure(reconstruct(s.v_f, state.h2_prev, cfg), s.v_f, s.force)
             est, state = step(state, s.v_f, p_clean, cfg)
             p_out = p_clean
             if script.noise_pa > 0:

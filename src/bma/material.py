@@ -38,18 +38,6 @@ class YeohCoeffs:
         return YeohCoeffs(*(s * c for c in self.as_tuple()))
 
 
-@dataclass(frozen=True)
-class StretchState:
-    """Kinematic and material quantities at one reconstructed shape."""
-
-    theta1: float   # integration bound [rad]
-    arc_length: float   # meridian arc length L [m]
-    stretch: float      # principal stretch lambda [-]
-    invariant: float    # first Cauchy-Green invariant I1 [-]
-    thickness: float    # inflated membrane thickness t_m [m]
-    energy_density: float  # Yeoh energy term W [Pa]
-
-
 def integration_angle(r: float, h3: float, c_d: float) -> float:
     """Integral boundary theta1 = arctan(r / |h3 - c_d|) [rad].
 

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import shutil
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from bma.cli import main
+from bma.config import load_config
+from bma.estimator import reconstruct
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLE_CONFIG = REPO / "configs" / "sample.yaml"
@@ -87,6 +90,37 @@ class TestExportShape:
         body = out.read_text()
         assert body.startswith("<svg")
         assert body.count("<path") == 4  # ring, sphere fit, profile, slice
+
+    def test_indented_csv_flat_contact_segment(self, workdir):
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        out = workdir / "shape.csv"
+        assert run(["export-shape", "--volume-ml", 0.5, "--indent-mm", 3.0,
+                    "--config", cfg, "--out", out]) == 0
+        with open(out) as fh:
+            pts = [(float(r["x_mm"]), float(r["z_mm"])) for r in csv.DictReader(fh)]
+        d = reconstruct(0.5e-6, 3e-3, load_config(cfg)).deformed
+        assert d.k > 0
+        z_top = max(z for _, z in pts)
+        flat = [x for x, z in pts if z == z_top]
+        assert len(flat) > 2
+        assert min(flat) == pytest.approx(-d.k * 1e3, abs=2e-6)
+        assert max(flat) == pytest.approx(d.k * 1e3, abs=2e-6)
+        # the profile clips the deformed ellipse where it is 2k wide, which
+        # lies below its apex h3 (where the SVG draws the indenter slice)
+        z_k = d.h3 - d.c_d * (1 - math.sqrt(1 - (d.k / d.a_d) ** 2))
+        assert z_top == pytest.approx(z_k * 1e3, abs=2e-6)
+        assert z_top < d.h3 * 1e3
+
+    @pytest.mark.parametrize("indent_mm", [9.0, -1.0])
+    def test_indent_outside_apex_height_rejected(self, workdir, indent_mm):
+        # h1 is about 7.7 mm at 0.5 ml; the reconstruction would clamp 9 mm
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        out = workdir / "shape.csv"
+        assert run(["export-shape", "--volume-ml", 0.5, "--indent-mm", indent_mm,
+                    "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -1,0 +1,74 @@
+import math
+import shutil
+from pathlib import Path
+
+import pytest
+
+from bma.cli import main
+from bma.config import ConfigError, load_config, load_raw, save_raw
+
+REPO = Path(__file__).resolve().parent.parent
+SAMPLE_CONFIG = REPO / "configs" / "sample.yaml"
+SAMPLE_CALIBRATION = REPO / "data" / "sample_calibration.csv"
+
+
+def config_with_estimator(tmp_path, estimator):
+    data = load_raw(SAMPLE_CONFIG)
+    data["estimator"] = estimator
+    path = tmp_path / "config.yaml"
+    save_raw(path, data)
+    return path
+
+
+def test_sample_config_loads():
+    cfg = load_config(SAMPLE_CONFIG, require_fit=False)
+    assert cfg.ring.r == pytest.approx(5e-3, rel=1e-12)
+    assert cfg.ring.t_i == pytest.approx(0.5e-3, rel=1e-12)
+    assert cfg.coeffs.c1 == 30000.0
+    assert cfg.v_min_model == pytest.approx(0.1e-6, rel=1e-12)
+    assert cfg.pressure_filter_tau == 0.0
+    assert cfg.fit is None
+
+
+def test_empty_estimator_section_takes_defaults(tmp_path):
+    cfg = load_config(config_with_estimator(tmp_path, None), require_fit=False)
+    assert cfg.v_min_model == pytest.approx(0.1e-6, rel=1e-12)
+    assert cfg.pressure_filter_tau == 0.0
+
+
+@pytest.mark.parametrize("key", [
+    "pressure_filter_tau",    # misspelt: the unit suffix is missing
+    "quad_rel_tol",           # removed with the closed-form arc length
+    "inner_iterations",       # removed with the single reconstruction path
+])
+def test_unknown_estimator_key_rejected(tmp_path, key):
+    path = config_with_estimator(tmp_path, {"v_min_model_ml": 0.1, key: 0.5})
+    with pytest.raises(ConfigError, match=key):
+        load_config(path, require_fit=False)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pressure_filter_tau_s", math.nan),
+    ("pressure_filter_tau_s", -1.0),
+    ("pressure_filter_tau_s", math.inf),
+    ("v_min_model_ml", math.nan),
+    ("v_min_model_ml", math.inf),
+])
+def test_invalid_estimator_value_rejected(tmp_path, key, value):
+    path = config_with_estimator(tmp_path, {key: value})
+    with pytest.raises(ConfigError, match="finite and nonnegative"):
+        load_config(path, require_fit=False)
+
+
+def test_estimate_exits_1_on_unknown_key(tmp_path):
+    cfg = tmp_path / "config.yaml"
+    shutil.copy(SAMPLE_CONFIG, cfg)
+    assert main(["calibrate", str(SAMPLE_CALIBRATION), "--config", str(cfg)]) == 0
+    data = load_raw(cfg)
+    data["estimator"]["pressure_filter_tau"] = 0.5
+    save_raw(cfg, data)
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t_s,volume_ml,pressure_pa\n0.0,0.4,9000\n")
+    out = tmp_path / "estimates.csv"
+    assert main(["estimate", str(trace), "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()

@@ -21,7 +21,7 @@ from bma import (
     unindented_shape,
     actuator_volume,
 )
-from bma.estimator import _reconstruct
+from bma.estimator import balance_pressure, reconstruct
 from bma.material import integration_angle, perimeter, stretch, yeoh_energy_density
 
 
@@ -107,6 +107,8 @@ class TestStep:
             est, _ = step(EstimatorState(), v_f, p, cfg)
             assert abs(est.force) <= 1e-9
             assert 0.0 <= est.h2 <= 1e-9
+            # p_hat and predict_pressure share one energy balance
+            assert est.p_hat == predict_pressure(v_f, cfg)
 
     def test_below_range_null(self, cfg):
         est, state = step(EstimatorState(h2_prev=1e-3), 0.05e-6, 500.0, cfg)
@@ -151,7 +153,7 @@ class TestStep:
         h2_prev = 1.5e-3
         est, _ = step(EstimatorState(h2_prev=h2_prev), 0.5e-6, 12000.0, cfg)
         assert est.h3 == pytest.approx(est.h1 - h2_prev, rel=1e-12)
-        g = _reconstruct(0.5e-6, h2_prev, cfg)
+        g = reconstruct(0.5e-6, h2_prev, cfg)
         assert g.deformed.c_c == pytest.approx(g.shape.c - g.deformed.c_d, rel=1e-12)
 
     def test_estimate_holds_no_shape_objects(self, cfg):
@@ -176,22 +178,23 @@ class TestStep:
             est2, state2 = step(state2, vols[i], pressures[i], cfg)
             assert est2 == trail[i][0]
 
-    def test_inner_iterations_converge(self, cfg):
-        # many inner iterations reach the per-sample fixed point in one step
-        deep = replace(cfg, inner_iterations=60)
+    def test_fixed_point_is_stationary(self, cfg):
+        # repeated steps at the self-consistent pressure reach a fixed point
         v_f, force = 0.5e-6, 0.3
-        from bma.harness import _forward_pressure
-        # self-consistent pressure at the fixed point
+
+        def pressure(h2):
+            return balance_pressure(reconstruct(v_f, h2, cfg), v_f, force)
+
         h2 = 0.0
         for _ in range(200):
-            p = _forward_pressure(v_f, force, h2, cfg)
-            est, _ = step(EstimatorState(h2_prev=h2), v_f, p, cfg)
+            est, _ = step(EstimatorState(h2_prev=h2), v_f, pressure(h2), cfg)
             if abs(est.h2 - h2) < 1e-14:
                 break
             h2 = est.h2
-        p = _forward_pressure(v_f, force, h2, cfg)
-        est, _ = step(EstimatorState(), v_f, p, deep)
+        # a step started at the fixed point stays there and recovers the force
+        est, state = step(EstimatorState(h2_prev=h2), v_f, pressure(h2), cfg)
         assert est.h2 == pytest.approx(h2, abs=1e-9)
+        assert state.h2_prev == est.h2
         assert est.force == pytest.approx(force, rel=1e-6)
 
 
