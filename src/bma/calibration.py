@@ -120,7 +120,12 @@ def evaluate_height(fit: HeightFit, v_f: float) -> float:
         raise OutOfRange(
             f"volume {v_f} outside calibrated range [{fit.v_min}, {fit.v_max}]"
         )
-    h = float(np.polynomial.polynomial.polyval(v_f / fit.v_scale, fit.coeffs))
+    # Horner's rule in the order polyval uses, without its array set-up
+    x = v_f / fit.v_scale
+    h = 0.0
+    for c in reversed(fit.coeffs):
+        h = h * x + c
+    h = float(h)
     if h <= 0:
         raise OutOfRange(f"fitted height non-positive ({h}) at volume {v_f}")
     return h

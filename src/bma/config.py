@@ -111,3 +111,5 @@ def load_script(path) -> SimScript:
         )
     except KeyError as exc:
         raise ConfigError(f"script missing key {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"script: {exc}") from exc

@@ -106,9 +106,10 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
     """Height fit -> unindented and deformed spheroids -> stretch -> W and V_fm."""
     flags = set()
     h1 = evaluate_height(cfg.fit, v_f)
-    # h1 can shrink between samples; keep the carried indentation inside it
+    # h1 can shrink between samples: a carried indentation that reaches the
+    # ring plane means contact was lost, so restart from the free shape
     if h2_prev >= h1:
-        h2_prev = h1 * (1.0 - 1e-9)
+        h2_prev = 0.0
         flags.add("h2_prev_clamped")
 
     v_bma = actuator_volume(v_f, cfg.ring)
@@ -183,8 +184,18 @@ def step(state: EstimatorState, v_f: float, p: float,
     if skip:
         return null_estimate({skip}), EstimatorState(h2_prev=state.h2_prev,
                                                      step_index=state.step_index + 1)
+    return update(reconstruct(v_f, state.h2_prev, cfg), state, v_f, p)
 
-    g = reconstruct(v_f, state.h2_prev, cfg)
+
+def update(g: Reconstruction, state: EstimatorState, v_f: float,
+           p: float) -> tuple[StateEstimate, EstimatorState]:
+    """Indentation update from a reconstruction at state.h2_prev.
+
+    The part of `step` after its input guards: force from the energy
+    balance, slice depth, the h2 clamp, the flags and p_hat.  A caller that
+    already holds `reconstruct(v_f, state.h2_prev, cfg)` passes it here
+    instead of rebuilding it; v_f and p must be finite and v_f in range.
+    """
     flags = set(g.flags)
     force = estimate_force(v_f, p, g.v_fm, g.w, g.deformed.h3)
     if p <= 0:

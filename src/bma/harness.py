@@ -30,6 +30,7 @@ from .estimator import (
     reconstruct,
     rmse,
     step,
+    update,
 )
 
 ML_TO_M3 = 1e-6
@@ -66,6 +67,12 @@ class SimScript:
     noise_pa: float = 0.0      # Gaussian pressure noise amplitude [Pa]
 
     def __post_init__(self):
+        named = [("sample_period", self.sample_period), ("noise_pa", self.noise_pa)]
+        named += [(f"step {i} {k}", v) for i, s in enumerate(self.steps)
+                  for k, v in vars(s).items()]
+        for name, value in named:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.sample_period <= 0:
             raise ValueError("sample period must be positive")
         if self.noise_pa < 0:
@@ -174,8 +181,8 @@ def _check_fixed_point(v_f: float, force: float, h2_start: float,
     state = EstimatorState(h2_prev=h2_start)
     h2 = h2_start
     for _ in range(SIM_FIXED_POINT_CAP):
-        p = balance_pressure(reconstruct(v_f, state.h2_prev, cfg), v_f, force)
-        est, state = step(state, v_f, p, cfg)
+        g = reconstruct(v_f, state.h2_prev, cfg)
+        _, state = update(g, state, v_f, balance_pressure(g, v_f, force))
         if abs(state.h2_prev - h2) <= SIM_FIXED_POINT_TOL:
             return
         h2 = state.h2_prev
@@ -188,12 +195,14 @@ def simulate_trace(script: SimScript, cfg: EstimatorConfig,
                    seed: int) -> list[TraceRecord]:
     """Generate a synthetic trace by running the model forward.
 
-    For each sample the energy balance is inverted at the scripted
-    (volume, force) to produce the pressure, then the estimator's own
-    indentation update advances the state; the resulting h2 and the
-    scripted force are recorded as ground truth.  This closes the loop
-    with the model itself, so a noise-free replay through the estimator is
-    an internal-consistency check, not a physical validation.
+    For each sample the shape is reconstructed once at the carried
+    indentation; the energy balance is inverted on it at the scripted
+    (volume, force) to produce the pressure, and the estimator's own
+    indentation update (`estimator.update`) advances the state from the
+    same reconstruction; the resulting h2 and the scripted force are
+    recorded as ground truth.  This closes the loop with the model itself,
+    so a noise-free replay through the estimator is an internal-consistency
+    check, not a physical validation.
     """
     for s in script.steps:
         if s.v_f < cfg.v_min_model:
@@ -209,8 +218,9 @@ def simulate_trace(script: SimScript, cfg: EstimatorConfig,
     for s in script.steps:
         n = max(1, round(s.hold / script.sample_period))
         for _ in range(n):
-            p_clean = balance_pressure(reconstruct(s.v_f, state.h2_prev, cfg), s.v_f, s.force)
-            est, state = step(state, s.v_f, p_clean, cfg)
+            g = reconstruct(s.v_f, state.h2_prev, cfg)
+            p_clean = balance_pressure(g, s.v_f, s.force)
+            est, state = update(g, state, s.v_f, p_clean)
             p_out = p_clean
             if script.noise_pa > 0:
                 p_out += rng.normal(0.0, script.noise_pa)

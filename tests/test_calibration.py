@@ -102,6 +102,16 @@ class TestEvaluate:
         with pytest.raises(OutOfRange):
             evaluate_height(fit, 1.5e-6)
 
+    def test_matches_polyval_bitwise(self, fit):
+        # Horner's rule in pure Python does polyval's float operations in
+        # polyval's order, so the results are identical, not just close
+        for f in (fit, fit_height_poly(make_samples(), degree=7)):
+            vols = np.linspace(f.v_min, f.v_max, 10_001)
+            assert vols[0] == f.v_min and vols[-1] == f.v_max
+            for v in vols.tolist():
+                want = float(np.polynomial.polynomial.polyval(v / f.v_scale, f.coeffs))
+                assert evaluate_height(f, v) == want
+
     def test_range_endpoints_allowed(self):
         fit = fit_height_poly(make_samples(), degree=7)
         evaluate_height(fit, fit.v_min)

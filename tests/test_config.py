@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from bma.cli import main
-from bma.config import ConfigError, load_config, load_raw, save_raw
+from bma.config import ConfigError, load_config, load_raw, load_script, save_raw
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLE_CONFIG = REPO / "configs" / "sample.yaml"
@@ -72,3 +72,18 @@ def test_estimate_exits_1_on_unknown_key(tmp_path):
     out = tmp_path / "estimates.csv"
     assert main(["estimate", str(trace), "--config", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize("key", ["volume_ml", "force_n", "hold_s",
+                                 "sample_period_s", "pressure_noise_pa"])
+def test_nonfinite_script_value_rejected(tmp_path, key, bad):
+    step = {"volume_ml": 0.4, "force_n": 0.1, "hold_s": 0.1}
+    top = {"sample_period_s": 0.01, "pressure_noise_pa": 0.0}
+    lines = [f"{k}: {bad if k == key else v}" for k, v in top.items()]
+    lines += ["steps:", "  - {" + ", ".join(
+        f"{k}: {bad if k == key else v}" for k, v in step.items()) + "}"]
+    path = tmp_path / "script.yaml"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="must be finite"):
+        load_script(path)

@@ -10,18 +10,20 @@ from bma import (
     EstimatorState,
     LengthMismatch,
     NegativeDiscriminant,
+    TraceRecord,
     YeohCoeffs,
     estimate_force,
     evaluate_height,
     membrane_volume,
     predict_pressure,
     rmse,
+    run_trace,
     slice_indentation,
     step,
     unindented_shape,
     actuator_volume,
 )
-from bma.estimator import balance_pressure, reconstruct
+from bma.estimator import balance_pressure, reconstruct, update
 from bma.material import integration_angle, perimeter, stretch, yeoh_energy_density
 
 
@@ -196,6 +198,47 @@ class TestStep:
         assert est.h2 == pytest.approx(h2, abs=1e-9)
         assert state.h2_prev == est.h2
         assert est.force == pytest.approx(force, rel=1e-6)
+
+
+class TestUpdate:
+    def test_step_is_update_of_reconstruct(self, cfg):
+        # step = input guards + update(reconstruct(...)), exactly, over free,
+        # contact, saturated, clamped and nonpositive-pressure samples
+        seen = set()
+        for v_f in (0.15e-6, 0.3e-6, 0.5e-6, 0.8e-6):
+            p_free = predict_pressure(v_f, cfg)
+            h1 = evaluate_height(cfg.fit, v_f)
+            for h2_prev in (0.0, 1e-3, 3e-3, 0.9 * h1, h1, 1.2 * h1):
+                for p in (p_free, 1.02 * p_free, 0.98 * p_free, 1e9, 0.0, -500.0):
+                    state = EstimatorState(h2_prev=h2_prev, step_index=7)
+                    try:
+                        got = step(state, v_f, p, cfg)
+                    except DegenerateGeometry:
+                        with pytest.raises(DegenerateGeometry):
+                            update(reconstruct(v_f, h2_prev, cfg), state, v_f, p)
+                        continue
+                    assert got == update(reconstruct(v_f, h2_prev, cfg), state, v_f, p)
+                    est = got[0]
+                    seen |= est.flags
+                    seen.add("contact" if est.force > 1e-6 else "free")
+        assert seen >= {"free", "contact", "force_exceeds_bound", "h2_clamped",
+                        "nonpositive_pressure", "h2_prev_clamped"}
+
+    def test_carried_indentation_past_h1_restarts_free(self, cfg):
+        # h1 at 0.3 ml is about 5.9 mm, below the carried 6.5 mm: contact is
+        # lost, so the update restarts from the free shape instead of failing
+        v_f, carried = 0.3e-6, EstimatorState(h2_prev=6.5e-3)
+        p = predict_pressure(v_f, cfg)
+        for h2_prev in (evaluate_height(cfg.fit, v_f), carried.h2_prev):
+            est, _ = step(EstimatorState(h2_prev=h2_prev), v_f, p, cfg)
+            assert "h2_prev_clamped" in est.flags
+            assert 0.0 <= est.h2 <= est.h1 <= h2_prev
+            assert est.h3 == est.h1
+        records = [TraceRecord(t=0.01 * i, v_f=v_f, p=p) for i in range(5)]
+        estimates = run_trace(records, cfg, carried)
+        assert not any("step_error" in est.flags for est in estimates)
+        assert "h2_prev_clamped" in estimates[0].flags
+        assert all(0.0 <= est.h2 <= est.h1 for est in estimates)
 
 
 class TestRmse:

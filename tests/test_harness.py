@@ -21,7 +21,8 @@ from bma import (
     step,
     write_trace,
 )
-from bma import harness
+from bma import EstimatorState, harness
+from bma.estimator import balance_pressure, reconstruct, update
 
 
 def basic_script(noise=0.0):
@@ -131,6 +132,64 @@ class TestSimulate:
             simulate_trace(script, cfg, seed=0)
 
 
+def contact_script():
+    return SimScript(
+        steps=(
+            SimStep(0.6e-6, 0.1, 0.2),
+            SimStep(0.6e-6, 0.6, 0.2),
+            SimStep(0.35e-6, 0.25, 0.2),
+            SimStep(0.9e-6, 0.4, 0.2),
+        ),
+        sample_period=0.01,
+        noise_pa=20.0,
+    )
+
+
+def reference_simulate(script, cfg, seed):
+    # the simulator loop composed as balance_pressure(reconstruct(...)) + step
+    rng = np.random.default_rng(seed)
+    records, state, t = [], EstimatorState(), 0.0
+    for s in script.steps:
+        for _ in range(max(1, round(s.hold / script.sample_period))):
+            p = balance_pressure(reconstruct(s.v_f, state.h2_prev, cfg), s.v_f, s.force)
+            est, state = step(state, s.v_f, p, cfg)
+            if script.noise_pa > 0:
+                p += rng.normal(0.0, script.noise_pa)
+            records.append(TraceRecord(t=t, v_f=s.v_f, p=p, f_true=s.force, h2_true=est.h2))
+            t += script.sample_period
+    return records
+
+
+class TestSimulateReconstructsOnce:
+    @pytest.mark.parametrize("script", [basic_script(noise=50.0), contact_script()])
+    def test_matches_step_composition(self, cfg, script):
+        assert repr(simulate_trace(script, cfg, seed=4)) == repr(
+            reference_simulate(script, cfg, seed=4))
+
+    def test_one_reconstruction_per_update(self, cfg, monkeypatch):
+        built, handed = [], []
+
+        def counting_reconstruct(*args):
+            built.append(reconstruct(*args))
+            return built[-1]
+
+        def recording_update(g, *args):
+            handed.append(g)
+            return update(g, *args)
+
+        def no_step(*args):
+            raise AssertionError("the simulator rebuilds through step")
+
+        monkeypatch.setattr(harness, "reconstruct", counting_reconstruct)
+        monkeypatch.setattr(harness, "update", recording_update)
+        monkeypatch.setattr(harness, "step", no_step)
+        records = simulate_trace(contact_script(), cfg, seed=0)
+        # every emitted sample and every fixed-point iteration builds one
+        # reconstruction and hands that same object to the update
+        assert len(built) == len(handed) > len(records)
+        assert all(a is b for a, b in zip(built, handed))
+
+
 class TestRunTrace:
     def test_adversarial_never_aborts(self, cfg):
         rng = np.random.default_rng(9)
@@ -229,3 +288,13 @@ class TestScriptValidation:
     def test_empty(self):
         with pytest.raises(ValueError):
             SimScript(steps=(), sample_period=0.01)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["v_f", "force", "hold", "sample_period", "noise_pa"])
+    def test_nonfinite_rejected(self, field, bad):
+        step_values = {"v_f": 0.4e-6, "force": 0.1, "hold": 0.1}
+        script_values = {"sample_period": 0.01, "noise_pa": 0.0}
+        (step_values if field in step_values else script_values)[field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SimScript(steps=(SimStep(0.3e-6, 0.0, 0.1), SimStep(**step_values)),
+                      **script_values)
