@@ -25,10 +25,8 @@ from .estimator import (
     step,
 )
 from .geometry import (
-    DeformedShape,
     Ellipsoid,
     RingSpec,
-    UnindentedShape,
     actuator_volume,
     cap_volume,
     center_shift,
@@ -37,7 +35,6 @@ from .geometry import (
     profile_polyline,
     solve_axes,
     sphere_baseline,
-    unindented_shape,
 )
 from .harness import (
     EvalReport,

@@ -18,7 +18,7 @@ from . import config as cfgmod
 from .calibration import DEFAULT_DEGREE, fit_height_poly, evaluate_height
 from .errors import BmaError, DegenerateGeometry, ParseError
 from .estimator import predict_pressure, reconstruct
-from .geometry import profile_polyline, sphere_profile
+from .geometry import actuator_volume, profile_polyline, sphere_profile
 from .harness import (
     ML_TO_M3,
     MM_TO_M,
@@ -186,10 +186,11 @@ def cmd_export_shape(args) -> int:
             f"at {args.volume_ml:.6g} ml"
         )
     g = reconstruct(v_f, h2, cfg)
-    k, h3 = g.deformed.k, g.deformed.h3
+    k, h3 = g.k, g.h3
     slice_mm = [(-k / MM_TO_M, h3 / MM_TO_M), (k / MM_TO_M, h3 / MM_TO_M)] if k > 0 else None
 
-    pts_mm = [(x / MM_TO_M, z / MM_TO_M) for x, z in profile_polyline(g.deformed, args.points)]
+    pts_mm = [(x / MM_TO_M, z / MM_TO_M)
+              for x, z in profile_polyline(g.a_d, g.c_d, g.h3, g.k, args.points)]
 
     if args.out.lower().endswith(".csv"):
         with open(args.out, "w", newline="") as fh:
@@ -198,7 +199,7 @@ def cmd_export_shape(args) -> int:
             for x, z in pts_mm:
                 writer.writerow([f"{x:.6f}", f"{z:.6f}"])
     else:
-        sphere = sphere_profile(g.shape.v_bma, cfg.ring, args.points)
+        sphere = sphere_profile(actuator_volume(v_f, cfg.ring), cfg.ring, args.points)
         sphere_mm = [(x / MM_TO_M, z / MM_TO_M) for x, z in sphere]
         r_mm = cfg.ring.r / MM_TO_M
         ring_mm = [(-1.5 * r_mm, 0.0), (1.5 * r_mm, 0.0)]

@@ -17,15 +17,12 @@ import numpy as np
 from .calibration import HeightFit, evaluate_height
 from .errors import DegenerateGeometry, LengthMismatch, NegativeDiscriminant
 from .geometry import (
-    DeformedShape,
     RingSpec,
-    UnindentedShape,
     actuator_volume,
     center_shift,
     contact_radius,
     membrane_volume,
     solve_axes,
-    unindented_shape,
 )
 from .material import (
     YeohCoeffs,
@@ -92,10 +89,20 @@ def null_estimate(flags) -> StateEstimate:
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """Per-sample shape and material chain at one carried indentation."""
+    """Per-sample shape and material chain at one carried indentation.
 
-    shape: UnindentedShape
-    deformed: DeformedShape
+    Floats only, apart from the flag set: the unindented spheroid, the
+    contact-deformed one, then the membrane's stretch and energy terms.
+    """
+
+    h1: float           # unindented apex height [m]
+    a: float            # unindented equatorial semi-axis [m]
+    c: float            # unindented polar semi-axis [m]
+    h3: float           # deformed apex height h1 - h2_prev [m]
+    a_d: float          # deformed equatorial semi-axis [m]
+    c_d: float          # deformed polar semi-axis [m]
+    c_c: float          # center shift of the polar axis, c - c_d [m]
+    k: float            # contact-patch radius [m]
     stretch: float      # principal stretch lambda [-]
     w: float            # Yeoh energy term W [Pa]
     v_fm: float         # membrane volume in the free-inflation region [m3]
@@ -113,27 +120,28 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
         flags.add("h2_prev_clamped")
 
     v_bma = actuator_volume(v_f, cfg.ring)
-    shape = unindented_shape(v_bma, h1, cfg.ring)
+    free = solve_axes(v_bma, h1, cfg.ring)
+    if h1 > 2 * free.c:
+        raise DegenerateGeometry(f"apex height {h1} exceeds ellipsoid extent {2 * free.c}")
     h3 = h1 - h2_prev
-    d_ell = solve_axes(v_bma, h3, cfg.ring)
-    c_c = center_shift(shape.c, d_ell.c)
-    deformed = DeformedShape(a_d=d_ell.a, c_d=d_ell.c, h3=h3, c_c=c_c,
-                             k=contact_radius(shape, h2_prev, c_c))
+    d = solve_axes(v_bma, h3, cfg.ring)
+    c_c = center_shift(free.c, d.c)
+    k = contact_radius(free, h2_prev, c_c)
 
-    arc = perimeter(d_ell.a, d_ell.c, h3, integration_angle(cfg.ring.r, h3, d_ell.c))
+    arc = perimeter(d.a, d.c, h3, integration_angle(cfg.ring.r, h3, d.c))
     lam = stretch(arc, cfg.ring)
     w = yeoh_energy_density(lam, cfg.coeffs)
-    v_fm, clamped = free_membrane_volume(membrane_volume(cfg.ring), deformed.k,
+    v_fm, clamped = free_membrane_volume(membrane_volume(cfg.ring), k,
                                          inflated_thickness(cfg.ring, arc))
     if clamped:
         flags.add("v_fm_clamped")
-    return Reconstruction(shape=shape, deformed=deformed, stretch=lam, w=w,
-                          v_fm=v_fm, flags=frozenset(flags))
+    return Reconstruction(h1=h1, a=free.a, c=free.c, h3=h3, a_d=d.a, c_d=d.c, c_c=c_c,
+                          k=k, stretch=lam, w=w, v_fm=v_fm, flags=frozenset(flags))
 
 
 def balance_pressure(g: Reconstruction, v_f: float, force: float = 0.0) -> float:
     """Energy-balance pressure (V_fm W + F h3) / V_f at a reconstruction [Pa]."""
-    return (g.v_fm * g.w + force * g.deformed.h3) / v_f
+    return (g.v_fm * g.w + force * g.h3) / v_f
 
 
 def predict_pressure(v_f: float, cfg: EstimatorConfig) -> float:
@@ -197,22 +205,22 @@ def update(g: Reconstruction, state: EstimatorState, v_f: float,
     instead of rebuilding it; v_f and p must be finite and v_f in range.
     """
     flags = set(g.flags)
-    force = estimate_force(v_f, p, g.v_fm, g.w, g.deformed.h3)
+    force = estimate_force(v_f, p, g.v_fm, g.w, g.h3)
     if p <= 0:
         h4 = 0.0
         flags.add("nonpositive_pressure")
     else:
         try:
-            h4 = slice_indentation(g.shape.a, g.shape.c, p, force)
+            h4 = slice_indentation(g.a, g.c, p, force)
         except NegativeDiscriminant:
-            h4 = g.shape.c
+            h4 = g.c
             flags.add("force_exceeds_bound")
-    h2_raw = h4 + g.deformed.c_c
-    h2 = min(max(h2_raw, 0.0), g.shape.h1)
+    h2_raw = h4 + g.c_c
+    h2 = min(max(h2_raw, 0.0), g.h1)
     if h2 != h2_raw:
         flags.add("h2_clamped")
 
-    est = StateEstimate(h1=g.shape.h1, h2=h2, h3=g.deformed.h3, h4=h4, force=force,
+    est = StateEstimate(h1=g.h1, h2=h2, h3=g.h3, h4=h4, force=force,
                         p_hat=balance_pressure(g, v_f), stretch=g.stretch,
                         flags=frozenset(flags))
     new_state = EstimatorState(h2_prev=h2, step_index=state.step_index + 1)

@@ -4,8 +4,11 @@ All quantities are strict SI (m, m3).  The membrane clamped in a retainer
 ring of inner radius ``r`` balloons into an axisymmetric ellipsoid whose
 portion below the ring plane is a virtual cap; the visible actuator volume
 is the full ellipsoid minus that cap.  Both the unindented and the
-contact-deformed shapes are recovered from (volume, apex height) via the
-same closed forms.
+contact-deformed shapes are recovered from (volume, apex height) by the
+same closed form, `solve_axes`, which returns a bare `Ellipsoid`; the
+per-sample record of both shapes is the flat `estimator.Reconstruction`
+of floats, and `profile_polyline` draws a shape from its floats
+(a, c, h, k).
 """
 
 from __future__ import annotations
@@ -56,35 +59,6 @@ class Ellipsoid:
     def __post_init__(self):
         if not (self.a > 0 and self.c > 0):
             raise ValueError("semi-axes must be positive")
-
-
-@dataclass(frozen=True)
-class UnindentedShape:
-    """Reconstructed free (no-contact) membrane shape at one volume."""
-
-    ellipsoid: Ellipsoid
-    h1: float      # apex height above the ring plane [m]
-    h_b: float     # virtual cap height below the ring plane [m]
-    v_bma: float   # actuator volume (liquid + membrane) [m3]
-
-    @property
-    def a(self) -> float:
-        return self.ellipsoid.a
-
-    @property
-    def c(self) -> float:
-        return self.ellipsoid.c
-
-
-@dataclass(frozen=True)
-class DeformedShape:
-    """Contact-phase shape: deformed axes, apex height, center shift, contact radius."""
-
-    a_d: float   # deformed equatorial semi-axis [m]
-    c_d: float   # deformed polar semi-axis [m]
-    h3: float    # deformed apex height [m]
-    c_c: float   # center shift of the polar axis [m]
-    k: float     # contact-patch radius [m]
 
 
 def membrane_volume(ring: RingSpec) -> float:
@@ -148,14 +122,6 @@ def solve_axes(v_bma: float, h: float, ring: RingSpec) -> Ellipsoid:
     return Ellipsoid(a=a, c=c)
 
 
-def unindented_shape(v_bma: float, h1: float, ring: RingSpec) -> UnindentedShape:
-    """Full unindented reconstruction with virtual-cap bookkeeping."""
-    e = solve_axes(v_bma, h1, ring)
-    if h1 > 2 * e.c:
-        raise DegenerateGeometry(f"apex height {h1} exceeds ellipsoid extent {2 * e.c}")
-    return UnindentedShape(ellipsoid=e, h1=h1, h_b=2 * e.c - h1, v_bma=v_bma)
-
-
 def center_shift(c: float, c_d: float) -> float:
     """Shift of the polar axis between unindented and deformed shapes [m].
 
@@ -164,8 +130,8 @@ def center_shift(c: float, c_d: float) -> float:
     return c - c_d
 
 
-def contact_radius(u: UnindentedShape, h2_prev: float, c_c: float) -> float:
-    """Contact-patch radius from slicing the unindented ellipsoid [m].
+def contact_radius(e: Ellipsoid, h2_prev: float, c_c: float) -> float:
+    """Contact-patch radius from slicing the unindented ellipsoid e [m].
 
     Slice depth is d = h2_prev - c_c below the apex; d <= 0 means no slice
     contact yet and returns 0.
@@ -173,7 +139,7 @@ def contact_radius(u: UnindentedShape, h2_prev: float, c_c: float) -> float:
     d = h2_prev - c_c
     if d <= 0:
         return 0.0
-    a, c = u.a, u.c
+    a, c = e.a, e.c
     if d > 2 * c:
         raise DegenerateGeometry(f"slice depth {d} below the entire ellipsoid (2c={2 * c})")
     k = a * math.sqrt(2 * c * d - d * d) / c
@@ -205,24 +171,17 @@ def sphere_profile(v_bma: float, ring: RingSpec, n_points: int) -> np.ndarray:
     return np.column_stack([radius * np.sin(t), zc + radius * np.cos(t)])
 
 
-def profile_polyline(shape, n_points: int) -> np.ndarray:
+def profile_polyline(a: float, c: float, h: float, k: float,
+                     n_points: int) -> np.ndarray:
     """Cross-section polyline of the visible membrane arc above the ring plane.
 
-    Returns an (n, 2) array of (x, z) points in meters ordered from (-r, 0)
-    over the apex to (+r, 0).  For a DeformedShape with contact radius
-    k > 0 the apex is clipped to a flat segment of half-width k.
+    (a, c) are the spheroid's semi-axes and h its apex height [m].  Returns
+    an (n, 2) array of (x, z) points in meters ordered from (-r, 0) over the
+    apex to (+r, 0).  A contact radius k > 0 clips the apex to a flat
+    segment of half-width k.
     """
     if n_points < 2:
         raise ValueError("need at least 2 points")
-
-    if isinstance(shape, UnindentedShape):
-        a, c, h = shape.a, shape.c, shape.h1
-        k = 0.0
-    elif isinstance(shape, DeformedShape):
-        a, c, h = shape.a_d, shape.c_d, shape.h3
-        k = shape.k
-    else:
-        raise TypeError(f"unsupported shape type {type(shape).__name__}")
 
     z0 = h - c  # ellipsoid center height above the ring plane
     # parameter t measured from the apex: x = a sin t, z = z0 + c cos t

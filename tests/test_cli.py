@@ -99,7 +99,7 @@ class TestExportShape:
                     "--config", cfg, "--out", out]) == 0
         with open(out) as fh:
             pts = [(float(r["x_mm"]), float(r["z_mm"])) for r in csv.DictReader(fh)]
-        d = reconstruct(0.5e-6, 3e-3, load_config(cfg)).deformed
+        d = reconstruct(0.5e-6, 3e-3, load_config(cfg))
         assert d.k > 0
         z_top = max(z for _, z in pts)
         flat = [x for x, z in pts if z == z_top]

@@ -19,8 +19,8 @@ from bma import (
     rmse,
     run_trace,
     slice_indentation,
+    solve_axes,
     step,
-    unindented_shape,
     actuator_volume,
 )
 from bma.estimator import balance_pressure, reconstruct, update
@@ -92,7 +92,7 @@ class TestPredictPressure:
         v_f = 0.4e-6
         h1 = evaluate_height(cfg.fit, v_f)
         v_bma = actuator_volume(v_f, ring)
-        u = unindented_shape(v_bma, h1, ring)
+        u = solve_axes(v_bma, h1, ring)
         theta1 = integration_angle(ring.r, h1, u.c)
         arc = perimeter(u.a, u.c, h1, theta1)
         lam = stretch(arc, ring)
@@ -156,7 +156,13 @@ class TestStep:
         est, _ = step(EstimatorState(h2_prev=h2_prev), 0.5e-6, 12000.0, cfg)
         assert est.h3 == pytest.approx(est.h1 - h2_prev, rel=1e-12)
         g = reconstruct(0.5e-6, h2_prev, cfg)
-        assert g.deformed.c_c == pytest.approx(g.shape.c - g.deformed.c_d, rel=1e-12)
+        assert g.c_c == pytest.approx(g.c - g.c_d, rel=1e-12)
+
+    def test_reconstruction_is_flat_floats(self, cfg):
+        # no nested shape records: plain float fields, ready to become arrays
+        g = reconstruct(0.5e-6, 3e-3, cfg)
+        assert g.k > 0
+        assert {type(v) for k, v in vars(g).items() if k != "flags"} == {float}
 
     def test_estimate_holds_no_shape_objects(self, cfg):
         # each nested object a kept estimate holds adds garbage-collector work

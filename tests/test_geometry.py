@@ -6,7 +6,6 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from bma import (
-    DeformedShape,
     DegenerateGeometry,
     Ellipsoid,
     RingSpec,
@@ -19,7 +18,6 @@ from bma import (
     profile_polyline,
     solve_axes,
     sphere_baseline,
-    unindented_shape,
 )
 from bma.geometry import ellipsoid_volume_above_ring
 
@@ -138,17 +136,18 @@ class TestSolveAxes:
 
     def test_unindented_shape_invariants(self):
         ring = RingSpec(r=5e-3, t_i=0.5e-3)
-        u = unindented_shape(400e-9, 8e-3, ring)
-        assert u.h_b == 2 * u.c - u.h1
-        assert 0 < u.h1 <= 2 * u.c
-        v_back = ellipsoid_volume_above_ring(u.ellipsoid, u.h1)
-        assert abs(v_back - u.v_bma) / u.v_bma <= 1e-9
+        v_bma, h1 = 400e-9, 8e-3
+        e = solve_axes(v_bma, h1, ring)
+        assert 0 < h1 <= 2 * e.c
+        v_back = ellipsoid_volume_above_ring(e, h1)
+        assert abs(v_back - v_bma) / v_bma <= 1e-9
 
     def test_cap_additivity(self):
         ring = RingSpec(r=5e-3, t_i=0.5e-3)
-        u = unindented_shape(400e-9, 8e-3, ring)
-        full = 4 / 3 * math.pi * u.a ** 2 * u.c
-        total = cap_volume(u.ellipsoid, u.h_b) + ellipsoid_volume_above_ring(u.ellipsoid, u.h1)
+        h1 = 8e-3
+        e = solve_axes(400e-9, h1, ring)
+        full = 4 / 3 * math.pi * e.a ** 2 * e.c
+        total = cap_volume(e, 2 * e.c - h1) + ellipsoid_volume_above_ring(e, h1)
         assert total == pytest.approx(full, rel=1e-9)
 
     def test_monotone_volume_chain(self, ring, cfg):
@@ -157,8 +156,8 @@ class TestSolveAxes:
         enclosed = []
         for v_f in vols:
             h1 = evaluate_height(cfg.fit, v_f)
-            u = unindented_shape(actuator_volume(v_f, ring), h1, ring)
-            enclosed.append(ellipsoid_volume_above_ring(u.ellipsoid, u.h1))
+            e = solve_axes(actuator_volume(v_f, ring), h1, ring)
+            enclosed.append(ellipsoid_volume_above_ring(e, h1))
         assert all(b >= a for a, b in zip(enclosed, enclosed[1:]))
 
 
@@ -175,29 +174,29 @@ class TestCenterShift:
 
 class TestContactRadius:
     def test_zero_depth(self, ring):
-        u = unindented_shape(400e-9, 8e-3, ring)
-        assert contact_radius(u, 1e-3, 1e-3) == 0.0
-        assert contact_radius(u, 0.5e-3, 1e-3) == 0.0  # transient c_c > h2_prev
+        e = solve_axes(400e-9, 8e-3, ring)
+        assert contact_radius(e, 1e-3, 1e-3) == 0.0
+        assert contact_radius(e, 0.5e-3, 1e-3) == 0.0  # transient c_c > h2_prev
 
     def test_sphere_equatorial(self, ring):
         # hemisphere: a = c = R; slice at depth R hits the equator
-        u = unindented_shape(2 * math.pi * ring.r ** 3 / 3, ring.r, ring)
-        k = contact_radius(u, ring.r, 0.0)
+        e = solve_axes(2 * math.pi * ring.r ** 3 / 3, ring.r, ring)
+        k = contact_radius(e, ring.r, 0.0)
         assert k == pytest.approx(ring.r, rel=1e-9)
 
     def test_independent_root(self, ring):
         # ellipse cross-section x^2/a^2 + z^2/c^2 = 1 at z = c - d,
         # root found independently by bracketing
-        u = unindented_shape(400e-9, 8e-3, ring)
-        a, c, d = u.a, u.c, 1e-3
+        e = solve_axes(400e-9, 8e-3, ring)
+        a, c, d = e.a, e.c, 1e-3
         z = c - d
         x_root = brentq(lambda x: x * x / (a * a) + z * z / (c * c) - 1, 0.0, a)
-        assert contact_radius(u, d, 0.0) == pytest.approx(x_root, rel=1e-10)
+        assert contact_radius(e, d, 0.0) == pytest.approx(x_root, rel=1e-10)
 
     def test_too_deep(self, ring):
-        u = unindented_shape(400e-9, 8e-3, ring)
+        e = solve_axes(400e-9, 8e-3, ring)
         with pytest.raises(DegenerateGeometry):
-            contact_radius(u, 2 * u.c + 1e-3, 0.0)
+            contact_radius(e, 2 * e.c + 1e-3, 0.0)
 
 
 class TestSphereBaseline:
@@ -223,29 +222,28 @@ class TestSphereBaseline:
 
 class TestProfilePolyline:
     def test_hemisphere_three_points(self, ring):
-        u = unindented_shape(2 * math.pi * ring.r ** 3 / 3, ring.r, ring)
-        pts = profile_polyline(u, 3)
+        e = solve_axes(2 * math.pi * ring.r ** 3 / 3, ring.r, ring)
+        pts = profile_polyline(e.a, e.c, ring.r, 0.0, 3)
         np.testing.assert_allclose(
             pts, [(-ring.r, 0.0), (0.0, ring.r), (ring.r, 0.0)], atol=1e-12)
 
     def test_ring_anchoring(self, ring):
-        u = unindented_shape(400e-9, 8e-3, ring)
-        pts = profile_polyline(u, 101)
+        e = solve_axes(400e-9, 8e-3, ring)
+        pts = profile_polyline(e.a, e.c, 8e-3, 0.0, 101)
         assert pts[0][0] == pytest.approx(-ring.r, abs=1e-9)
         assert pts[-1][0] == pytest.approx(ring.r, abs=1e-9)
         assert abs(pts[0][1]) <= 1e-9 and abs(pts[-1][1]) <= 1e-9
 
     def test_contact_flat_segment(self, ring):
-        u = unindented_shape(400e-9, 8e-3, ring)
+        e = solve_axes(400e-9, 8e-3, ring)
         k = 2e-3
-        d = DeformedShape(a_d=u.a, c_d=u.c, h3=u.h1, c_c=0.0, k=k)
-        pts = profile_polyline(d, 64)
+        pts = profile_polyline(e.a, e.c, 8e-3, k, 64)
         flat = [p for p in pts if abs(p[0]) <= k + 1e-12]
         zs = {round(z, 12) for _, z in flat}
         assert len(zs) == 1  # constant height across the contact patch
         assert max(x for x, _ in flat) == pytest.approx(k, rel=1e-9)
 
     def test_too_few_points(self, ring):
-        u = unindented_shape(400e-9, 8e-3, ring)
+        e = solve_axes(400e-9, 8e-3, ring)
         with pytest.raises(ValueError):
-            profile_polyline(u, 1)
+            profile_polyline(e.a, e.c, 8e-3, 0.0, 1)
