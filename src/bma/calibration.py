@@ -8,6 +8,7 @@ magnitudes (~1e-7) is catastrophically ill-conditioned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,8 @@ def fit_height_poly(samples, degree: int = DEFAULT_DEGREE) -> HeightFit:
     {"inflate", "deflate"}.
     """
     samples = list(samples)
+    if not all(math.isfinite(v) and math.isfinite(h) for v, h, _ in samples):
+        raise ValueError("calibration volumes and heights must be finite")
     if any(v < 0 for v, _, _ in samples):
         raise ValueError("calibration volumes must be nonnegative")
     if not samples:
@@ -126,6 +129,6 @@ def evaluate_height(fit: HeightFit, v_f: float) -> float:
     for c in reversed(fit.coeffs):
         h = h * x + c
     h = float(h)
-    if h <= 0:
+    if not h > 0:   # also a NaN from non-finite coefficients
         raise OutOfRange(f"fitted height non-positive ({h}) at volume {v_f}")
     return h

@@ -59,6 +59,8 @@ def _read_calibration_csv(path):
                 h = float(row["height_mm"]) * MM_TO_M
             except (TypeError, ValueError) as exc:
                 raise ParseError(str(exc), line=i) from exc
+            if not (math.isfinite(v) and math.isfinite(h)):
+                raise ParseError("volume_ml and height_mm must be finite", line=i)
             samples.append((v, h, phase))
     return samples
 
@@ -186,11 +188,12 @@ def cmd_export_shape(args) -> int:
             f"at {args.volume_ml:.6g} ml"
         )
     g = reconstruct(v_f, h2, cfg)
-    k, h3 = g.k, g.h3
-    slice_mm = [(-k / MM_TO_M, h3 / MM_TO_M), (k / MM_TO_M, h3 / MM_TO_M)] if k > 0 else None
-
     pts_mm = [(x / MM_TO_M, z / MM_TO_M)
               for x, z in profile_polyline(g.a_d, g.c_d, g.h3, g.k, args.points)]
+    # the indenter rests on the flat contact segment, the profile's top,
+    # which lies below the deformed apex h3
+    z_mm = max(z for _, z in pts_mm)
+    slice_mm = [(-g.k / MM_TO_M, z_mm), (g.k / MM_TO_M, z_mm)] if g.k > 0 else None
 
     if args.out.lower().endswith(".csv"):
         with open(args.out, "w", newline="") as fh:

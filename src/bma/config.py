@@ -5,6 +5,8 @@ The file speaks the bench units (mm, ml, Pa); loading converts to SI.
 
 from __future__ import annotations
 
+import math
+
 import yaml
 
 from .calibration import HeightFit
@@ -36,13 +38,16 @@ def save_raw(path, data: dict) -> None:
 
 
 def _height_fit_from_dict(d: dict) -> HeightFit:
-    return HeightFit(
+    fit = HeightFit(
         degree=int(d["degree"]),
         coeffs=tuple(float(c) for c in d["coeffs_m"]),
         v_min=float(d["v_min_ml"]) * ML_TO_M3,
         v_max=float(d["v_max_ml"]) * ML_TO_M3,
         v_scale=float(d["v_scale_ml"]) * ML_TO_M3,
     )
+    if not all(map(math.isfinite, (*fit.coeffs, fit.v_min, fit.v_max, fit.v_scale))):
+        raise ConfigError("height_fit coefficients and ranges must be finite")
+    return fit
 
 
 def height_fit_to_dict(fit: HeightFit) -> dict:

@@ -177,11 +177,11 @@ def profile_polyline(a: float, c: float, h: float, k: float,
 
     (a, c) are the spheroid's semi-axes and h its apex height [m].  Returns
     an (n, 2) array of (x, z) points in meters ordered from (-r, 0) over the
-    apex to (+r, 0).  A contact radius k > 0 clips the apex to a flat
-    segment of half-width k.
+    apex to (+r, 0), exactly n_points of them.  A contact radius k > 0 clips
+    the apex to a flat segment of half-width k, which needs n_points >= 4.
     """
-    if n_points < 2:
-        raise ValueError("need at least 2 points")
+    if n_points < (4 if k > 0 else 2):
+        raise ValueError(f"need at least {4 if k > 0 else 2} points")
 
     z0 = h - c  # ellipsoid center height above the ring plane
     # parameter t measured from the apex: x = a sin t, z = z0 + c cos t
@@ -193,11 +193,14 @@ def profile_polyline(a: float, c: float, h: float, k: float,
         pts = np.column_stack([a * np.sin(t), z0 + c * np.cos(t)])
     else:
         t_k = math.asin(min(1.0, k / a))
+        # the flat segment owns its end points at +-k; an odd remainder
+        # goes to it so that both arcs get the same count
         n_flat = max(2, n_points // 8)
-        n_arc = max(2, (n_points - n_flat) // 2)
+        n_flat += (n_points - n_flat) % 2
+        n_arc = (n_points - n_flat) // 2
         z_k = z0 + c * math.cos(t_k)
-        left = np.linspace(-t_max, -t_k, n_arc)
-        right = np.linspace(t_k, t_max, n_arc)
+        left = np.linspace(-t_max, -t_k, n_arc, endpoint=False)
+        right = np.linspace(t_max, t_k, n_arc, endpoint=False)[::-1]
         flat_x = np.linspace(-k, k, n_flat)
         pts = np.vstack([
             np.column_stack([a * np.sin(left), z0 + c * np.cos(left)]),

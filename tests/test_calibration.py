@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,16 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_height_poly([(-1e-9, 4e-3, "inflate")] * 10, degree=1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("column", [0, 1])   # volume, height
+    def test_nonfinite_sample_rejected(self, column, bad):
+        samples = make_samples()
+        row = list(samples[4])
+        row[column] = bad
+        samples[4] = tuple(row)
+        with pytest.raises(ValueError, match="finite"):
+            fit_height_poly(samples, degree=7)
+
     def test_nesting_property(self):
         # least-squares residual never improves when the degree drops
         rng = np.random.default_rng(11)
@@ -111,6 +124,13 @@ class TestEvaluate:
             for v in vols.tolist():
                 want = float(np.polynomial.polynomial.polyval(v / f.v_scale, f.coeffs))
                 assert evaluate_height(f, v) == want
+
+    def test_nan_coefficients_out_of_range(self):
+        # NaN fails every comparison, so `h <= 0` would let it through
+        fit = fit_height_poly(make_samples(), degree=7)
+        nan_fit = replace(fit, coeffs=(math.nan,) * len(fit.coeffs))
+        with pytest.raises(OutOfRange):
+            evaluate_height(nan_fit, 0.5e-6)
 
     def test_range_endpoints_allowed(self):
         fit = fit_height_poly(make_samples(), degree=7)

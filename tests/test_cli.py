@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -68,6 +69,24 @@ class TestPipeline:
         assert rmse_h2 <= 1e-6  # mm
 
 
+class TestCalibrate:
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("column", [0, 1])   # volume_ml, height_mm
+    def test_nonfinite_value_rejected(self, workdir, capsys, column, bad):
+        # one such row used to fit eight NaN coefficients and exit 0
+        cfg = workdir / "config.yaml"
+        before = cfg.read_bytes()
+        csv_path = workdir / "calibration.csv"
+        lines = csv_path.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[column] = bad
+        lines[5] = ",".join(fields)
+        csv_path.write_text("\n".join(lines) + "\n")
+        assert run(["calibrate", csv_path, "--config", cfg]) == 1
+        assert "line 6" in capsys.readouterr().err
+        assert cfg.read_bytes() == before
+
+
 class TestExportShape:
     def test_csv_export(self, workdir):
         cfg = workdir / "config.yaml"
@@ -91,6 +110,27 @@ class TestExportShape:
         assert body.startswith("<svg")
         assert body.count("<path") == 4  # ring, sphere fit, profile, slice
 
+    @pytest.mark.parametrize("volume_ml, indent_mm", [(0.5, 3.0), (0.9, 1.0)])
+    def test_svg_slice_on_flat_segment(self, workdir, volume_ml, indent_mm):
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        args = ["export-shape", "--volume-ml", volume_ml, "--indent-mm", indent_mm,
+                "--config", cfg, "--out"]
+        assert run(args + [workdir / "shape.svg"]) == 0
+        assert run(args + [workdir / "shape.csv"]) == 0
+        with open(workdir / "shape.csv") as fh:
+            z_top = max(float(r["z_mm"]) for r in csv.DictReader(fh))
+
+        def path_ys(stroke):
+            d = re.search(f'<path d="([^"]*)" stroke="{stroke}"',
+                          (workdir / "shape.svg").read_text()).group(1)
+            return [float(p.split(",")[1]) for p in d[2:].split(" L ")]
+
+        # SVG y is (z_max - z) * 20 px/mm; the ring line is z = 0
+        y_ring = path_ys("black")[0]
+        z_slice = [(y_ring - y) / 20.0 for y in path_ys("red")]
+        assert z_slice == pytest.approx([z_top, z_top], abs=1e-4)
+
     def test_indented_csv_flat_contact_segment(self, workdir):
         cfg = workdir / "config.yaml"
         run(["calibrate", workdir / "calibration.csv", "--config", cfg])
@@ -107,7 +147,7 @@ class TestExportShape:
         assert min(flat) == pytest.approx(-d.k * 1e3, abs=2e-6)
         assert max(flat) == pytest.approx(d.k * 1e3, abs=2e-6)
         # the profile clips the deformed ellipse where it is 2k wide, which
-        # lies below its apex h3 (where the SVG draws the indenter slice)
+        # lies below its apex h3
         z_k = d.h3 - d.c_d * (1 - math.sqrt(1 - (d.k / d.a_d) ** 2))
         assert z_top == pytest.approx(z_k * 1e3, abs=2e-6)
         assert z_top < d.h3 * 1e3

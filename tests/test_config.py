@@ -87,3 +87,20 @@ def test_nonfinite_script_value_rejected(tmp_path, key, bad):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match="must be finite"):
         load_script(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("key", ["coeffs_m", "v_min_ml", "v_max_ml", "v_scale_ml"])
+def test_nonfinite_height_fit_rejected(tmp_path, key, bad):
+    cfg = tmp_path / "config.yaml"
+    shutil.copy(SAMPLE_CONFIG, cfg)
+    assert main(["calibrate", str(SAMPLE_CALIBRATION), "--config", str(cfg)]) == 0
+    data = load_raw(cfg)
+    fit = data["height_fit"]
+    if key == "coeffs_m":
+        fit[key][3] = bad
+    else:
+        fit[key] = bad
+    save_raw(cfg, data)
+    with pytest.raises(ConfigError, match="must be finite"):
+        load_config(cfg)

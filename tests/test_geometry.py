@@ -243,6 +243,16 @@ class TestProfilePolyline:
         assert len(zs) == 1  # constant height across the contact patch
         assert max(x for x, _ in flat) == pytest.approx(k, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [4, 10, 11, 64, 201])
+    def test_contact_exact_point_count(self, ring, n):
+        e = solve_axes(400e-9, 8e-3, ring)
+        pts = profile_polyline(e.a, e.c, 8e-3, 2e-3, n)
+        assert pts.shape == (n, 2)
+        assert np.all(np.any(np.diff(pts, axis=0) != 0, axis=1))  # no repeats
+        np.testing.assert_allclose(pts[:, 0], -pts[::-1, 0], rtol=0, atol=1e-15)
+        with pytest.raises(ValueError):
+            profile_polyline(e.a, e.c, 8e-3, 2e-3, 3)
+
     def test_too_few_points(self, ring):
         e = solve_axes(400e-9, 8e-3, ring)
         with pytest.raises(ValueError):

@@ -235,6 +235,14 @@ class TestRunTrace:
                 assert 0.0 <= est.h2 <= est.h1
         assert all(math.isfinite(h2) and h2 >= 0.0 for h2 in carried)
 
+    def test_nonfinite_fit_flags_step_error(self, cfg):
+        # a NaN height fit (which load_config now refuses) must not abort a run
+        nan_fit = replace(cfg.fit, coeffs=(math.nan,) * len(cfg.fit.coeffs))
+        records = [TraceRecord(t=0.01 * i, v_f=0.4e-6, p=11000.0) for i in range(3)]
+        estimates = run_trace(records, replace(cfg, fit=nan_fit))
+        assert len(estimates) == 3
+        assert all(est.is_null and "step_error" in est.flags for est in estimates)
+
     def test_pressure_filter(self, cfg):
         filtered_cfg = replace(cfg, pressure_filter_tau=0.1)
         records = [TraceRecord(t=0.01 * i, v_f=0.4e-6, p=11000.0 + (5000.0 if i == 10 else 0.0))
