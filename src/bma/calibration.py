@@ -35,11 +35,21 @@ class HeightFit:
     Evaluation outside [v_min, v_max] is rejected, never extrapolated.
     """
 
-    degree: int
     coeffs: tuple[float, ...]   # ascending powers of V_f / v_scale
     v_min: float                # validity range lower bound [m3]
     v_max: float                # validity range upper bound [m3]
     v_scale: float              # normalization divisor [m3]
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (*self.coeffs, self.v_min, self.v_max, self.v_scale))):
+            raise ValueError("height fit coefficients and ranges must be finite")
+        if not (self.coeffs and 0 <= self.v_min <= self.v_max and self.v_scale > 0):
+            raise ValueError("height fit needs a coefficient, 0 <= v_min <= v_max "
+                             "and v_scale > 0")
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
 
 def _pair_hysteresis(samples):
@@ -108,7 +118,6 @@ def fit_height_poly(samples, degree: int = DEFAULT_DEGREE) -> HeightFit:
         )
     coeffs, *_ = np.linalg.lstsq(vander, heights, rcond=None)
     return HeightFit(
-        degree=degree,
         coeffs=tuple(float(c) for c in coeffs),
         v_min=float(volumes.min()),
         v_max=float(volumes.max()),
@@ -129,6 +138,6 @@ def evaluate_height(fit: HeightFit, v_f: float) -> float:
     for c in reversed(fit.coeffs):
         h = h * x + c
     h = float(h)
-    if not h > 0:   # also a NaN from non-finite coefficients
-        raise OutOfRange(f"fitted height non-positive ({h}) at volume {v_f}")
+    if not 0 < h < math.inf:   # a finite fit can still overflow to inf
+        raise OutOfRange(f"fitted height {h} not positive and finite at volume {v_f}")
     return h

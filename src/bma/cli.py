@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: calibrate, estimate, simulate, predict-pressure, eval,
-export-shape.  Exit codes: 0 success, 1 validation/model error, 2 I/O or
-configuration error.  The config path comes from --config or the
+export-shape.  Exit codes: 0 success, 1 validation, model or configuration
+error, 2 I/O error.  The config path comes from --config or the
 BMA_CONFIG environment variable.
 """
 
@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import config as cfgmod
-from .calibration import DEFAULT_DEGREE, fit_height_poly, evaluate_height
+from .calibration import DEFAULT_DEGREE, fit_height_poly
 from .errors import BmaError, DegenerateGeometry, ParseError
 from .estimator import predict_pressure, reconstruct
 from .geometry import actuator_volume, profile_polyline, sphere_profile
@@ -24,6 +24,7 @@ from .harness import (
     MM_TO_M,
     evaluate,
     ingest_trace,
+    parse_float,
     run_trace,
     simulate_trace,
     write_trace,
@@ -54,11 +55,8 @@ def _read_calibration_csv(path):
             phase = (row["phase"] or "").strip()
             if phase not in ("inflate", "deflate"):
                 raise ParseError(f"unknown phase {phase!r}", line=i)
-            try:
-                v = float(row["volume_ml"]) * ML_TO_M3
-                h = float(row["height_mm"]) * MM_TO_M
-            except (TypeError, ValueError) as exc:
-                raise ParseError(str(exc), line=i) from exc
+            v = parse_float(row["volume_ml"], i) * ML_TO_M3
+            h = parse_float(row["height_mm"], i) * MM_TO_M
             if not (math.isfinite(v) and math.isfinite(h)):
                 raise ParseError("volume_ml and height_mm must be finite", line=i)
             samples.append((v, h, phase))
@@ -180,14 +178,11 @@ def cmd_export_shape(args) -> int:
     cfg = cfgmod.load_config(_config_path(args))
     v_f = args.volume_ml * ML_TO_M3
     h2 = (args.indent_mm or 0.0) * MM_TO_M
-    h1 = evaluate_height(cfg.fit, v_f)
-    # reconstruct clamps an indentation at or past the apex; refuse it here
-    if not 0.0 <= h2 < h1:
-        raise DegenerateGeometry(
-            f"indentation {h2 / MM_TO_M:.6g} mm outside [0, {h1 / MM_TO_M:.6g}) mm "
-            f"at {args.volume_ml:.6g} ml"
-        )
     g = reconstruct(v_f, h2, cfg)
+    # reconstruct restarts an indentation at or past the apex from the free shape
+    if h2 < 0 or "h2_prev_clamped" in g.flags:
+        raise DegenerateGeometry(f"indentation {h2 / MM_TO_M:.6g} mm outside [0, "
+                                 f"{g.h1 / MM_TO_M:.6g}) mm at {args.volume_ml:.6g} ml")
     pts_mm = [(x / MM_TO_M, z / MM_TO_M)
               for x, z in profile_polyline(g.a_d, g.c_d, g.h3, g.k, args.points)]
     # the indenter rests on the flat contact segment, the profile's top,

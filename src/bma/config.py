@@ -5,7 +5,7 @@ The file speaks the bench units (mm, ml, Pa); loading converts to SI.
 
 from __future__ import annotations
 
-import math
+from contextlib import contextmanager
 
 import yaml
 
@@ -37,16 +37,25 @@ def save_raw(path, data: dict) -> None:
         yaml.safe_dump(data, fh, sort_keys=False)
 
 
+@contextmanager
+def _section(name: str):
+    """Turn a malformed value met while building one section into a ConfigError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{name}: {detail}") from exc
+
+
 def _height_fit_from_dict(d: dict) -> HeightFit:
     fit = HeightFit(
-        degree=int(d["degree"]),
         coeffs=tuple(float(c) for c in d["coeffs_m"]),
         v_min=float(d["v_min_ml"]) * ML_TO_M3,
         v_max=float(d["v_max_ml"]) * ML_TO_M3,
         v_scale=float(d["v_scale_ml"]) * ML_TO_M3,
     )
-    if not all(map(math.isfinite, (*fit.coeffs, fit.v_min, fit.v_max, fit.v_scale))):
-        raise ConfigError("height_fit coefficients and ranges must be finite")
+    if d["degree"] != fit.degree:
+        raise ValueError(f"degree {d['degree']} does not match {len(fit.coeffs)} coefficients")
     return fit
 
 
@@ -62,30 +71,28 @@ def height_fit_to_dict(fit: HeightFit) -> dict:
 
 def load_config(path, require_fit: bool = True) -> EstimatorConfig:
     data = load_raw(path)
-    try:
-        ring = RingSpec(
-            r=float(data["ring"]["radius_mm"]) * MM_TO_M,
-            t_i=float(data["ring"]["thickness_mm"]) * MM_TO_M,
-        )
+    with _section("ring"):
+        ring = RingSpec(r=float(data["ring"]["radius_mm"]) * MM_TO_M,
+                        t_i=float(data["ring"]["thickness_mm"]) * MM_TO_M)
+    with _section("material"):
         yeoh = data["material"]["yeoh_pa"]
-    except KeyError as exc:
-        raise ConfigError(f"config missing key {exc}") from exc
-    if len(yeoh) != 6:
-        raise ConfigError("material.yeoh_pa must list exactly 6 coefficients")
-    coeffs = YeohCoeffs(*(float(c) for c in yeoh))
+        if len(yeoh) != 6:
+            raise ValueError("yeoh_pa must list exactly 6 coefficients")
+        coeffs = YeohCoeffs(*(float(c) for c in yeoh))
 
     fit = None
     if "height_fit" in data:
-        fit = _height_fit_from_dict(data["height_fit"])
+        with _section("height_fit"):
+            fit = _height_fit_from_dict(data["height_fit"])
     elif require_fit:
         raise ConfigError("config has no height_fit; run `calibrate` first")
 
-    est = data.get("estimator") or {}
-    unknown = sorted(set(est) - ESTIMATOR_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown estimator key(s) {unknown}; "
-                          f"expected a subset of {sorted(ESTIMATOR_KEYS)}")
-    try:
+    with _section("estimator"):
+        est = data.get("estimator") or {}
+        unknown = sorted(set(est) - ESTIMATOR_KEYS)
+        if unknown:
+            raise ValueError(f"unknown key(s) {unknown}; "
+                             f"expected a subset of {sorted(ESTIMATOR_KEYS)}")
         return EstimatorConfig(
             ring=ring,
             coeffs=coeffs,
@@ -94,13 +101,11 @@ def load_config(path, require_fit: bool = True) -> EstimatorConfig:
                                       DEFAULT_V_MIN_MODEL / ML_TO_M3)) * ML_TO_M3,
             pressure_filter_tau=float(est.get("pressure_filter_tau_s", 0.0)),
         )
-    except ValueError as exc:
-        raise ConfigError(f"estimator: {exc}") from exc
 
 
 def load_script(path) -> SimScript:
     data = load_raw(path)
-    try:
+    with _section("script"):
         steps = tuple(
             SimStep(
                 v_f=float(s["volume_ml"]) * ML_TO_M3,
@@ -114,7 +119,3 @@ def load_script(path) -> SimScript:
             sample_period=float(data["sample_period_s"]),
             noise_pa=float(data.get("pressure_noise_pa", 0.0)),
         )
-    except KeyError as exc:
-        raise ConfigError(f"script missing key {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"script: {exc}") from exc

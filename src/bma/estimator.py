@@ -111,6 +111,8 @@ class Reconstruction:
 
 def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruction:
     """Height fit -> unindented and deformed spheroids -> stretch -> W and V_fm."""
+    if v_f < cfg.v_min_model:
+        raise DegenerateGeometry(f"volume {v_f} below modeled minimum {cfg.v_min_model}")
     flags = set()
     h1 = evaluate_height(cfg.fit, v_f)
     # h1 can shrink between samples: a carried indentation that reaches the
@@ -146,10 +148,6 @@ def balance_pressure(g: Reconstruction, v_f: float, force: float = 0.0) -> float
 
 def predict_pressure(v_f: float, cfg: EstimatorConfig) -> float:
     """Pressure predicted for free (no-contact) inflation at volume v_f [Pa]."""
-    if v_f < cfg.v_min_model:
-        raise DegenerateGeometry(
-            f"volume {v_f} below modeled minimum {cfg.v_min_model}"
-        )
     return balance_pressure(reconstruct(v_f, 0.0, cfg), v_f)
 
 

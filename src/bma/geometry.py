@@ -36,8 +36,8 @@ class RingSpec:
     t_i: float    # initial (uniform) membrane thickness [m]
 
     def __post_init__(self):
-        if not (self.r > 0 and self.t_i > 0):
-            raise ValueError("ring radius and membrane thickness must be positive")
+        if not (0 < self.r < math.inf and 0 < self.t_i < math.inf):
+            raise ValueError("ring radius and membrane thickness must be finite and positive")
 
     @property
     def area(self) -> float:
@@ -106,7 +106,10 @@ def solve_axes(v_bma: float, h: float, ring: RingSpec) -> Ellipsoid:
     if abs(denom) < _DENOM_REL_EPS * scale:
         raise DegenerateGeometry("singular denominator in axis solution")
 
-    c = (h ** 2 * r2pi - 3 * v_bma * h) / denom
+    try:
+        c = (h ** 2 * r2pi - 3 * v_bma * h) / denom
+    except OverflowError as exc:   # h ** 2 past the float range
+        raise DegenerateGeometry(f"apex height {h} is outside the float range") from exc
     radicand = -(h * r2pi - 2 * v_bma) / (h * math.pi)
     if radicand < 0:
         raise DegenerateGeometry("negative radicand in major-axis solution")

@@ -18,7 +18,6 @@ from .errors import (
     MissingGroundTruth,
     NoConvergence,
     NonMonotoneTime,
-    OutOfRange,
     ParseError,
 )
 from .estimator import (
@@ -84,6 +83,14 @@ class SimScript:
                 raise ValueError("hold durations must be positive")
 
 
+def parse_float(text, line: int) -> float:
+    """A CSV cell as a float; ParseError naming the line if it is not a number."""
+    try:
+        return float(text)
+    except (TypeError, ValueError) as exc:   # TypeError: a short row's None
+        raise ParseError(str(exc), line=line) from exc
+
+
 def ingest_trace(path) -> list[TraceRecord]:
     """Parse a trace CSV into SI records, validating monotone timestamps."""
     records = []
@@ -94,12 +101,9 @@ def ingest_trace(path) -> list[TraceRecord]:
             raise ParseError(f"missing required columns {sorted(required)}", line=1)
         prev_t = None
         for i, row in enumerate(reader, start=2):
-            try:
-                t = float(row["t_s"])
-                v_ml = float(row["volume_ml"])
-                p = float(row["pressure_pa"])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(str(exc), line=i) from exc
+            t = parse_float(row["t_s"], i)
+            v_ml = parse_float(row["volume_ml"], i)
+            p = parse_float(row["pressure_pa"], i)
             if not (math.isfinite(t) and math.isfinite(v_ml)):
                 raise ParseError(f"non-finite time {t} or volume {v_ml}", line=i)
             if v_ml < 0:
@@ -112,15 +116,9 @@ def ingest_trace(path) -> list[TraceRecord]:
 
             f_true = h2_true = None
             if row.get("force_n") not in (None, ""):
-                try:
-                    f_true = float(row["force_n"])
-                except ValueError as exc:
-                    raise ParseError(str(exc), line=i) from exc
+                f_true = parse_float(row["force_n"], i)
             if row.get("indent_mm") not in (None, ""):
-                try:
-                    h2_true = float(row["indent_mm"]) * MM_TO_M
-                except ValueError as exc:
-                    raise ParseError(str(exc), line=i) from exc
+                h2_true = parse_float(row["indent_mm"], i) * MM_TO_M
             records.append(TraceRecord(t=t, v_f=v_ml * ML_TO_M3, p=p,
                                        f_true=f_true, h2_true=h2_true))
     return records
@@ -204,11 +202,7 @@ def simulate_trace(script: SimScript, cfg: EstimatorConfig,
     so a noise-free replay through the estimator is an internal-consistency
     check, not a physical validation.
     """
-    for s in script.steps:
-        if s.v_f < cfg.v_min_model:
-            raise OutOfRange(
-                f"scripted volume {s.v_f} below modeled minimum {cfg.v_min_model}"
-            )
+    for s in script.steps:   # a volume below cfg.v_min_model: DegenerateGeometry
         _check_fixed_point(s.v_f, s.force, 0.0, cfg)
 
     rng = np.random.default_rng(seed)

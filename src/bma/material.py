@@ -21,7 +21,7 @@ class YeohCoeffs:
     """Yeoh 6th-order material coefficients C_1..C_6 [Pa].
 
     The formal C_0 term multiplies n = 0 and never contributes, so it is
-    not stored.
+    not stored.  Each must be finite; C_2 is often negative, so any sign goes.
     """
 
     c1: float = 0.0
@@ -30,6 +30,10 @@ class YeohCoeffs:
     c4: float = 0.0
     c5: float = 0.0
     c6: float = 0.0
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, self.as_tuple())):
+            raise ValueError(f"Yeoh coefficients must be finite, got {self.as_tuple()}")
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.c1, self.c2, self.c3, self.c4, self.c5, self.c6)

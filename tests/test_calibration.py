@@ -101,6 +101,23 @@ class TestFit:
                 evaluate_height(fit_b, x * 1e-3), rel=1e-9)
 
 
+class TestHeightFit:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["coeffs", "v_min", "v_max", "v_scale"])
+    def test_nonfinite_rejected(self, field, bad):
+        fit = fit_height_poly(make_samples(), degree=7)
+        with pytest.raises(ValueError, match="must be finite"):
+            replace(fit, **{field: (*fit.coeffs[:-1], bad) if field == "coeffs" else bad})
+
+    @pytest.mark.parametrize("change", [
+        {"coeffs": ()}, {"v_min": -1e-9}, {"v_min": 2e-6}, {"v_scale": 0.0}, {"v_scale": -1e-6},
+    ])
+    def test_invalid_fit_rejected(self, change):
+        fit = fit_height_poly(make_samples(), degree=7)
+        with pytest.raises(ValueError, match="height fit needs"):
+            replace(fit, **change)
+
+
 class TestEvaluate:
     def test_identity_map(self):
         vols = np.linspace(0.0, 1.0, 20)
@@ -126,11 +143,14 @@ class TestEvaluate:
                 assert evaluate_height(f, v) == want
 
     def test_nan_coefficients_out_of_range(self):
-        # NaN fails every comparison, so `h <= 0` would let it through
+        # construction refuses a NaN fit; a finite fit can still evaluate to
+        # a height <= 0 or overflow to inf, and neither may pass as a height
         fit = fit_height_poly(make_samples(), degree=7)
-        nan_fit = replace(fit, coeffs=(math.nan,) * len(fit.coeffs))
-        with pytest.raises(OutOfRange):
-            evaluate_height(nan_fit, 0.5e-6)
+        with pytest.raises(ValueError, match="must be finite"):
+            replace(fit, coeffs=(math.nan,) * len(fit.coeffs))
+        for coeffs in [(-1e-3,) + (0.0,) * 7, (0.0,) * 8, (1e308,) * 8]:
+            with pytest.raises(OutOfRange):
+                evaluate_height(replace(fit, coeffs=coeffs), fit.v_max)
 
     def test_range_endpoints_allowed(self):
         fit = fit_height_poly(make_samples(), degree=7)

@@ -162,6 +162,15 @@ class TestExportShape:
                     "--config", cfg, "--out", out]) == 1
         assert not out.exists()
 
+    def test_volume_below_model_range_rejected(self, workdir, capsys):
+        # 0.05 ml is inside the calibrated range but below v_min_model_ml 0.1
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        out = workdir / "shape.csv"
+        assert run(["export-shape", "--volume-ml", 0.05, "--config", cfg, "--out", out]) == 1
+        assert "below modeled minimum" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_missing_config(self, workdir):

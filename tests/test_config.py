@@ -1,4 +1,7 @@
+import copy
+import functools
 import math
+import operator
 import shutil
 from pathlib import Path
 
@@ -104,3 +107,55 @@ def test_nonfinite_height_fit_rejected(tmp_path, key, bad):
     save_raw(cfg, data)
     with pytest.raises(ConfigError, match="must be finite"):
         load_config(cfg)
+
+
+@pytest.fixture(scope="module")
+def calibrated(tmp_path_factory):
+    cfg = tmp_path_factory.mktemp("calibrated") / "config.yaml"
+    shutil.copy(SAMPLE_CONFIG, cfg)
+    assert main(["calibrate", str(SAMPLE_CALIBRATION), "--config", str(cfg)]) == 0
+    return load_raw(cfg)
+
+
+DELETE = object()
+
+
+@pytest.mark.parametrize("section, path, value", [
+    pytest.param("ring", ("ring", "radius_mm"), DELETE, id="ring-missing-key"),
+    pytest.param("material", ("material", "yeoh_pa"), DELETE, id="material-missing-key"),
+    pytest.param("height_fit", ("height_fit", "v_scale_ml"), DELETE, id="fit-missing-key"),
+    pytest.param("ring", ("ring",), None, id="ring-null"),
+    pytest.param("height_fit", ("height_fit",), None, id="fit-null"),
+    pytest.param("estimator", ("estimator", "v_min_model_ml"), None, id="estimator-null-value"),
+    pytest.param("ring", ("ring", "thickness_mm"), [0.5], id="ring-wrong-type"),
+    pytest.param("material", ("material", "yeoh_pa"), 3.0e4, id="material-wrong-type"),
+    pytest.param("material", ("material", "yeoh_pa", 1), math.nan, id="yeoh-nan"),
+    pytest.param("ring", ("ring", "radius_mm"), math.inf, id="ring-inf"),
+    pytest.param("ring", ("ring", "radius_mm"), 10 ** 400, id="ring-huge-int"),
+    pytest.param("height_fit", ("height_fit", "v_scale_ml"), 0, id="fit-zero-scale"),
+    pytest.param("height_fit", ("height_fit", "v_min_ml"), 2.0, id="fit-min-above-max"),
+    pytest.param("height_fit", ("height_fit", "coeffs_m"), [1e-3, 2e-3, 3e-3],
+                 id="fit-short-coeffs"),
+    pytest.param("height_fit", ("height_fit", "degree"), 2, id="fit-degree-mismatch"),
+])
+def test_malformed_config_rejected(tmp_path, capsys, calibrated, section, path, value):
+    data = copy.deepcopy(calibrated)
+    *parents, last = path
+    target = functools.reduce(operator.getitem, parents, data)
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    cfg = tmp_path / "config.yaml"
+    save_raw(cfg, data)
+    with pytest.raises(ConfigError) as exc:
+        load_config(cfg)
+    assert str(exc.value).startswith(section)
+
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t_s,volume_ml,pressure_pa\n0.0,0.4,9000\n")
+    out = tmp_path / "estimates.csv"
+    capsys.readouterr()
+    assert main(["estimate", str(trace), "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -46,6 +46,12 @@ class TestMembraneVolume:
         with pytest.raises(ValueError):
             RingSpec(r=5e-3, t_i=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["r", "t_i"])
+    def test_nonfinite_ring_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RingSpec(**{"r": 5e-3, "t_i": 0.5e-3, field: bad})
+
 
 class TestActuatorVolume:
     def test_empty(self):

@@ -85,6 +85,18 @@ class TestIngest:
         with pytest.raises(ParseError):
             ingest_trace(path)
 
+    @pytest.mark.parametrize("row", [
+        "x,0.4,9000,,", "0.01,x,9000,,", "0.01,0.4,x,,", "0.01,0.4,9000,x,",
+        "0.01,0.4,9000,0.1,x", "0.01,0.4",
+    ])
+    def test_unparsable_cell_names_line(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_text("t_s,volume_ml,pressure_pa,force_n,indent_mm\n"
+                        f"0.0,0.4,9000,,\n{row}\n")
+        with pytest.raises(ParseError) as exc_info:
+            ingest_trace(path)
+        assert exc_info.value.line == 3
+
     def test_round_trip_9_digits(self, tmp_path):
         records = [
             TraceRecord(t=0.123456789, v_f=0.456789123e-6, p=11234.5678,
@@ -236,12 +248,18 @@ class TestRunTrace:
         assert all(math.isfinite(h2) and h2 >= 0.0 for h2 in carried)
 
     def test_nonfinite_fit_flags_step_error(self, cfg):
-        # a NaN height fit (which load_config now refuses) must not abort a run
-        nan_fit = replace(cfg.fit, coeffs=(math.nan,) * len(cfg.fit.coeffs))
-        records = [TraceRecord(t=0.01 * i, v_f=0.4e-6, p=11000.0) for i in range(3)]
-        estimates = run_trace(records, replace(cfg, fit=nan_fit))
-        assert len(estimates) == 3
-        assert all(est.is_null and "step_error" in est.flags for est in estimates)
+        # a finite fit whose height is not a usable positive float must not
+        # abort a run (a NaN fit is refused when it is built)
+        records = [TraceRecord(t=0.01 * i, v_f=cfg.fit.v_max, p=11000.0) for i in range(3)]
+        for coeffs, error in [
+            ((-1e-3,) + (0.0,) * 7, "OutOfRange"),            # height <= 0
+            ((1e308,) * 8, "OutOfRange"),                     # height overflows to inf
+            ((1e200,) + (0.0,) * 7, "DegenerateGeometry"),    # h ** 2 overflows
+        ]:
+            estimates = run_trace(records, replace(cfg, fit=replace(cfg.fit, coeffs=coeffs)))
+            assert len(estimates) == 3
+            assert all(est.is_null and est.flags == {"step_error", error}
+                       for est in estimates)
 
     def test_pressure_filter(self, cfg):
         filtered_cfg = replace(cfg, pressure_filter_tau=0.1)

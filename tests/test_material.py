@@ -115,6 +115,14 @@ class TestInvariant:
             assert invariant_i1(lam) > 3.0
 
 
+class TestYeohCoeffs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["c1", "c2", "c3", "c4", "c5", "c6"])
+    def test_nonfinite_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            YeohCoeffs(**{field: bad})
+
+
 class TestYeohEnergy:
     def test_zero_at_reference(self):
         rng = np.random.default_rng(3)
