@@ -1,16 +1,20 @@
 """Quasi-static state estimator: (injected volume, pressure) -> (h1, h2, h3, F).
 
 Each sensor sample is treated as an equilibrium state.  The only carried
-state is the previous total indentation h2; everything else is
-reconstructed per sample from the calibrated height fit and the ellipsoid
-closed forms, then the energy balance yields the external planar force and
-the indentation update.
+state is the previous total indentation h2.  The shape is reconstructed
+in two stages from the calibrated height fit and the ellipsoid closed
+forms: a volume stage (apex height h1 and the unindented spheroid), which
+depends on the injected volume V_f alone and is reused while V_f repeats,
+as it does while the syringe holds a volume, and an indentation stage
+rebuilt per sample at the carried h2.  The energy balance then yields the
+external planar force and the indentation update.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,18 +56,19 @@ class EstimatorConfig:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
-@dataclass(frozen=True)
-class EstimatorState:
+class EstimatorState(NamedTuple):
     h2_prev: float = 0.0   # previous total indentation [m]
     step_index: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StateEstimate:
     """Per-sample estimator output; NaN fields mark a null (skipped) sample.
 
-    Holds floats and the flag set only, no per-sample shape objects: a kept
-    estimate is two objects for the garbage collector, so a long trace's
+    Holds floats and the flag set only, no per-sample shape objects.  It is
+    a slots instance: the fields live in the instance itself, with no
+    per-instance ``__dict__``.  A kept estimate is two objects for the
+    garbage collector, itself and its flag set, so a long trace's
     estimates trigger few collection passes.
     """
 
@@ -87,8 +92,7 @@ def null_estimate(flags) -> StateEstimate:
                          stretch=nan, flags=frozenset(flags))
 
 
-@dataclass(frozen=True)
-class Reconstruction:
+class Reconstruction(NamedTuple):
     """Per-sample shape and material chain at one carried indentation.
 
     Floats only, apart from the flag set: the unindented spheroid, the
@@ -109,22 +113,50 @@ class Reconstruction:
     flags: frozenset
 
 
-def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruction:
-    """Height fit -> unindented and deformed spheroids -> stretch -> W and V_fm."""
+# One-entry memo of the volume stage, (cfg, v_f, (h1, v_bma, free)).  It
+# is read and replaced whole, never mutated, so concurrent callers can at
+# worst miss.  It holds a strong reference to its config, whose id cannot
+# then be reused by another object while the entry stands.
+_volume_memo: tuple = (None, None, None)
+
+
+def _volume_stage(v_f: float, cfg: EstimatorConfig) -> tuple:
+    """Apex height, actuator volume and unindented spheroid at v_f.
+
+    Depends on v_f and cfg alone, so it is reused while both repeat.  Only
+    a successful result is stored: a volume that raises raises every time.
+    The type check keeps a numpy scalar's result from standing in for an
+    equal float's, whose shape floats would then be numpy scalars too.
+    """
+    global _volume_memo
+    memo_cfg, memo_v_f, stage = _volume_memo
+    if memo_cfg is cfg and memo_v_f == v_f and type(memo_v_f) is type(v_f):
+        return stage
     if v_f < cfg.v_min_model:
         raise DegenerateGeometry(f"volume {v_f} below modeled minimum {cfg.v_min_model}")
-    flags = set()
     h1 = evaluate_height(cfg.fit, v_f)
+    v_bma = actuator_volume(v_f, cfg.ring)
+    free = solve_axes(v_bma, h1, cfg.ring)
+    if h1 > 2 * free.c:
+        raise DegenerateGeometry(f"apex height {h1} exceeds ellipsoid extent {2 * free.c}")
+    stage = (h1, v_bma, free)
+    _volume_memo = (cfg, v_f, stage)
+    return stage
+
+
+def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruction:
+    """Height fit -> unindented and deformed spheroids -> stretch -> W and V_fm.
+
+    The volume stage, up to the unindented spheroid, is `_volume_stage`;
+    the indentation stage from the carried h2_prev on runs on every call.
+    """
+    h1, v_bma, free = _volume_stage(v_f, cfg)
+    flags = set()
     # h1 can shrink between samples: a carried indentation that reaches the
     # ring plane means contact was lost, so restart from the free shape
     if h2_prev >= h1:
         h2_prev = 0.0
         flags.add("h2_prev_clamped")
-
-    v_bma = actuator_volume(v_f, cfg.ring)
-    free = solve_axes(v_bma, h1, cfg.ring)
-    if h1 > 2 * free.c:
-        raise DegenerateGeometry(f"apex height {h1} exceeds ellipsoid extent {2 * free.c}")
     h3 = h1 - h2_prev
     d = solve_axes(v_bma, h3, cfg.ring)
     c_c = center_shift(free.c, d.c)

@@ -36,8 +36,11 @@ class RingSpec:
     t_i: float    # initial (uniform) membrane thickness [m]
 
     def __post_init__(self):
-        if not (0 < self.r < math.inf and 0 < self.t_i < math.inf):
-            raise ValueError("ring radius and membrane thickness must be finite and positive")
+        # the membrane volume pi r^2 t_i must be finite as well as r and t_i;
+        # r * r overflows to inf where r ** 2 would raise OverflowError
+        if not (0 < self.r and 0 < self.t_i and self.r * self.r * math.pi * self.t_i < math.inf):
+            raise ValueError(f"ring radius {self.r} and membrane thickness {self.t_i} must be "
+                             f"positive, with a finite membrane volume pi r^2 t_i")
 
     @property
     def area(self) -> float:

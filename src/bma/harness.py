@@ -39,7 +39,7 @@ SIM_FIXED_POINT_TOL = 1e-10   # [m]
 SIM_FIXED_POINT_CAP = 100
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
     t: float                  # timestamp [s]
     v_f: float                # injected volume [m3]

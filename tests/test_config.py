@@ -132,6 +132,7 @@ DELETE = object()
     pytest.param("material", ("material", "yeoh_pa", 1), math.nan, id="yeoh-nan"),
     pytest.param("ring", ("ring", "radius_mm"), math.inf, id="ring-inf"),
     pytest.param("ring", ("ring", "radius_mm"), 10 ** 400, id="ring-huge-int"),
+    pytest.param("ring", ("ring", "radius_mm"), 1.0e+203, id="ring-overflowing-volume"),
     pytest.param("height_fit", ("height_fit", "v_scale_ml"), 0, id="fit-zero-scale"),
     pytest.param("height_fit", ("height_fit", "v_min_ml"), 2.0, id="fit-min-above-max"),
     pytest.param("height_fit", ("height_fit", "coeffs_m"), [1e-3, 2e-3, 3e-3],

@@ -1,15 +1,19 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bma import (
+    BmaError,
     DegenerateGeometry,
     EstimatorConfig,
     EstimatorState,
     LengthMismatch,
     NegativeDiscriminant,
+    OutOfRange,
+    StateEstimate,
     TraceRecord,
     YeohCoeffs,
     estimate_force,
@@ -23,7 +27,8 @@ from bma import (
     step,
     actuator_volume,
 )
-from bma.estimator import balance_pressure, reconstruct, update
+from bma import estimator
+from bma.estimator import Reconstruction, balance_pressure, reconstruct, update
 from bma.material import integration_angle, perimeter, stretch, yeoh_energy_density
 
 
@@ -162,12 +167,13 @@ class TestStep:
         # no nested shape records: plain float fields, ready to become arrays
         g = reconstruct(0.5e-6, 3e-3, cfg)
         assert g.k > 0
-        assert {type(v) for k, v in vars(g).items() if k != "flags"} == {float}
+        assert {type(getattr(g, k)) for k in Reconstruction._fields if k != "flags"} == {float}
 
     def test_estimate_holds_no_shape_objects(self, cfg):
         # each nested object a kept estimate holds adds garbage-collector work
         est, _ = step(EstimatorState(h2_prev=1.5e-3), 0.5e-6, 12000.0, cfg)
-        assert {type(v) for k, v in vars(est).items() if k != "flags"} == {float}
+        assert {type(getattr(est, f.name)) for f in fields(StateEstimate)
+                if f.name != "flags"} == {float}
 
     def test_state_replay(self, cfg):
         # replaying from any recorded h2_prev reproduces the suffix exactly
@@ -245,6 +251,69 @@ class TestUpdate:
         assert not any("step_error" in est.flags for est in estimates)
         assert "h2_prev_clamped" in estimates[0].flags
         assert all(0.0 <= est.h2 <= est.h1 for est in estimates)
+
+
+def cold_reconstruct(v_f, h2_prev, cfg):
+    """`reconstruct` with the volume memo emptied first, so it takes the miss path."""
+    estimator._volume_memo = (None, None, None)
+    return reconstruct(v_f, h2_prev, cfg)
+
+
+def outcome(fn, v_f, h2_prev, cfg):
+    """A call's result, or the class and message of the model error it raised."""
+    try:
+        return fn(v_f, h2_prev, cfg)
+    except BmaError as exc:
+        return type(exc), str(exc)
+
+
+# 0.05 ml is below v_min_model, 1.2 ml above the fit's v_max
+MEMO_VOLUMES = [v * 1e-6 for v in (0.05, 0.15, 0.3, 0.5, 0.8, 1.0, 1.2)]
+
+
+class TestVolumeMemo:
+    @pytest.fixture(scope="class")
+    def configs(self, cfg):
+        # a second config with another fit: same volumes, other apex heights
+        taller = replace(cfg.fit, coeffs=tuple(1.03 * c for c in cfg.fit.coeffs))
+        return cfg, replace(cfg, fit=taller)
+
+    @settings(max_examples=40, deadline=None)
+    @given(calls=st.lists(st.tuples(st.integers(0, 1),
+                                    st.sampled_from(MEMO_VOLUMES),
+                                    st.floats(0.0, 9e-3)),
+                          min_size=1, max_size=12))
+    def test_interleaved_calls_match_cold_calls(self, configs, calls):
+        warm = [outcome(reconstruct, v_f, h2_prev, configs[i]) for i, v_f, h2_prev in calls]
+        cold = [outcome(cold_reconstruct, v_f, h2_prev, configs[i]) for i, v_f, h2_prev in calls]
+        assert warm == cold
+
+    def test_repeats_and_alternation_match_cold_calls(self, configs):
+        v1, v2 = 0.3e-6, 0.8e-6
+        seen = set()
+        for i, v_f in [(0, v1), (0, v1), (1, v1), (1, v1), (0, v1), (0, v2),
+                       (1, v2), (0, v2), (0, v2), (0, v1)]:
+            for h2_prev in (0.0, 1e-3, 4e-3, 1.0):   # 1 m: past h1, clamped
+                got = reconstruct(v_f, h2_prev, configs[i])
+                seen |= got.flags
+                assert got == cold_reconstruct(v_f, h2_prev, configs[i])
+        assert "h2_prev_clamped" in seen
+
+    def test_raising_volumes_raise_on_repeat(self, cfg):
+        valid = cold_reconstruct(0.5e-6, 1e-3, cfg)
+        for v_f, error in ((1.2e-6, OutOfRange), (0.05e-6, DegenerateGeometry)):
+            reconstruct(0.5e-6, 1e-3, cfg)
+            for _ in range(2):
+                with pytest.raises(error):
+                    reconstruct(v_f, 0.0, cfg)
+            assert reconstruct(0.5e-6, 1e-3, cfg) == valid
+
+    def test_numpy_volume_does_not_stand_in_for_float(self, cfg):
+        # an equal numpy scalar must not hand its numpy-typed shape to a float call
+        cold_reconstruct(np.float64(0.5e-6), 1e-3, cfg)
+        g = reconstruct(0.5e-6, 1e-3, cfg)
+        assert g == cold_reconstruct(0.5e-6, 1e-3, cfg)
+        assert {type(getattr(g, k)) for k in Reconstruction._fields if k != "flags"} == {float}
 
 
 class TestRmse:

@@ -52,6 +52,11 @@ class TestMembraneVolume:
         with pytest.raises(ValueError, match="finite"):
             RingSpec(**{"r": 5e-3, "t_i": 0.5e-3, field: bad})
 
+    def test_overflowing_membrane_volume_rejected(self):
+        # r is finite, but r^2 and so pi r^2 t_i are past the float range
+        with pytest.raises(ValueError, match="finite membrane volume"):
+            RingSpec(1e200, 5e-4)
+
 
 class TestActuatorVolume:
     def test_empty(self):
