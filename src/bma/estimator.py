@@ -13,7 +13,7 @@ external planar force and the indentation update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,6 +56,12 @@ class EstimatorConfig:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
+# The flags of an unflagged sample.  Flags are added with ``flags | {name}``
+# on the rare flagged paths only, so every unflagged record shares this one
+# frozenset and a sample pays for no flag set of its own.
+NO_FLAGS: frozenset = frozenset()
+
+
 class EstimatorState(NamedTuple):
     h2_prev: float = 0.0   # previous total indentation [m]
     step_index: int = 0
@@ -67,9 +73,9 @@ class StateEstimate:
 
     Holds floats and the flag set only, no per-sample shape objects.  It is
     a slots instance: the fields live in the instance itself, with no
-    per-instance ``__dict__``.  A kept estimate is two objects for the
-    garbage collector, itself and its flag set, so a long trace's
-    estimates trigger few collection passes.
+    per-instance ``__dict__``.  An unflagged estimate shares the one empty
+    frozenset `NO_FLAGS`, so it is a single object for the garbage
+    collector, and a long trace's estimates trigger few collection passes.
     """
 
     h1: float
@@ -79,7 +85,7 @@ class StateEstimate:
     force: float        # external planar force F [N]
     p_hat: float        # pressure predicted from the free-inflation balance [Pa]
     stretch: float
-    flags: frozenset = field(default_factory=frozenset)
+    flags: frozenset = NO_FLAGS
 
     @property
     def is_null(self) -> bool:
@@ -88,8 +94,7 @@ class StateEstimate:
 
 def null_estimate(flags) -> StateEstimate:
     nan = float("nan")
-    return StateEstimate(h1=nan, h2=nan, h3=nan, h4=nan, force=nan, p_hat=nan,
-                         stretch=nan, flags=frozenset(flags))
+    return StateEstimate(nan, nan, nan, nan, nan, nan, nan, frozenset(flags))
 
 
 class Reconstruction(NamedTuple):
@@ -125,12 +130,12 @@ def _volume_stage(v_f: float, cfg: EstimatorConfig) -> tuple:
 
     Depends on v_f and cfg alone, so it is reused while both repeat.  Only
     a successful result is stored: a volume that raises raises every time.
-    The type check keeps a numpy scalar's result from standing in for an
-    equal float's, whose shape floats would then be numpy scalars too.
+    v_f is a float: `reconstruct` converts it, so a numpy scalar never
+    keys the memo.
     """
     global _volume_memo
     memo_cfg, memo_v_f, stage = _volume_memo
-    if memo_cfg is cfg and memo_v_f == v_f and type(memo_v_f) is type(v_f):
+    if memo_cfg is cfg and memo_v_f == v_f:
         return stage
     if v_f < cfg.v_min_model:
         raise DegenerateGeometry(f"volume {v_f} below modeled minimum {cfg.v_min_model}")
@@ -149,14 +154,16 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
 
     The volume stage, up to the unindented spheroid, is `_volume_stage`;
     the indentation stage from the carried h2_prev on runs on every call.
+    Numpy scalar inputs are converted, so every field is a float.
     """
+    v_f, h2_prev = float(v_f), float(h2_prev)
     h1, v_bma, free = _volume_stage(v_f, cfg)
-    flags = set()
+    flags = NO_FLAGS
     # h1 can shrink between samples: a carried indentation that reaches the
     # ring plane means contact was lost, so restart from the free shape
     if h2_prev >= h1:
         h2_prev = 0.0
-        flags.add("h2_prev_clamped")
+        flags = flags | {"h2_prev_clamped"}
     h3 = h1 - h2_prev
     d = solve_axes(v_bma, h3, cfg.ring)
     c_c = center_shift(free.c, d.c)
@@ -168,9 +175,8 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
     v_fm, clamped = free_membrane_volume(membrane_volume(cfg.ring), k,
                                          inflated_thickness(cfg.ring, arc))
     if clamped:
-        flags.add("v_fm_clamped")
-    return Reconstruction(h1=h1, a=free.a, c=free.c, h3=h3, a_d=d.a, c_d=d.c, c_c=c_c,
-                          k=k, stretch=lam, w=w, v_fm=v_fm, flags=frozenset(flags))
+        flags = flags | {"v_fm_clamped"}
+    return Reconstruction(h1, free.a, free.c, h3, d.a, d.c, c_c, k, lam, w, v_fm, flags)
 
 
 def balance_pressure(g: Reconstruction, v_f: float, force: float = 0.0) -> float:
@@ -215,13 +221,14 @@ def step(state: EstimatorState, v_f: float, p: float,
 
     Non-finite samples and samples below the modeled volume range emit a
     null estimate and leave the indentation state untouched.  Geometry
-    errors propagate and leave the state unchanged.
+    errors propagate and leave the state unchanged.  Numpy scalar inputs
+    are converted, so every field of the estimate is a float.
     """
+    v_f, p = float(v_f), float(p)
     skip = ("nonfinite_input" if not (math.isfinite(v_f) and math.isfinite(p))
             else "below_model_range" if v_f < cfg.v_min_model else None)
     if skip:
-        return null_estimate({skip}), EstimatorState(h2_prev=state.h2_prev,
-                                                     step_index=state.step_index + 1)
+        return null_estimate({skip}), EstimatorState(state.h2_prev, state.step_index + 1)
     return update(reconstruct(v_f, state.h2_prev, cfg), state, v_f, p)
 
 
@@ -234,27 +241,24 @@ def update(g: Reconstruction, state: EstimatorState, v_f: float,
     already holds `reconstruct(v_f, state.h2_prev, cfg)` passes it here
     instead of rebuilding it; v_f and p must be finite and v_f in range.
     """
-    flags = set(g.flags)
+    flags = g.flags
     force = estimate_force(v_f, p, g.v_fm, g.w, g.h3)
     if p <= 0:
         h4 = 0.0
-        flags.add("nonpositive_pressure")
+        flags = flags | {"nonpositive_pressure"}
     else:
         try:
             h4 = slice_indentation(g.a, g.c, p, force)
         except NegativeDiscriminant:
             h4 = g.c
-            flags.add("force_exceeds_bound")
+            flags = flags | {"force_exceeds_bound"}
     h2_raw = h4 + g.c_c
     h2 = min(max(h2_raw, 0.0), g.h1)
     if h2 != h2_raw:
-        flags.add("h2_clamped")
+        flags = flags | {"h2_clamped"}
 
-    est = StateEstimate(h1=g.h1, h2=h2, h3=g.h3, h4=h4, force=force,
-                        p_hat=balance_pressure(g, v_f), stretch=g.stretch,
-                        flags=frozenset(flags))
-    new_state = EstimatorState(h2_prev=h2, step_index=state.step_index + 1)
-    return est, new_state
+    est = StateEstimate(g.h1, h2, g.h3, h4, force, balance_pressure(g, v_f), g.stretch, flags)
+    return est, EstimatorState(h2, state.step_index + 1)
 
 
 def rmse(estimates, truth) -> float:

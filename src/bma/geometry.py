@@ -48,12 +48,14 @@ class RingSpec:
         return math.pi * self.r ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ellipsoid:
     """Axisymmetric ellipsoid: equatorial semi-axis a, polar semi-axis c.
 
     Both oblate (a > c) and prolate (c > a) shapes occur; no ordering is
-    imposed.
+    imposed.  A slots instance, built on every `solve_axes` call: unlike a
+    frozen dataclass its ``__init__`` pays no ``object.__setattr__`` per
+    field, but it is mutable and not hashable.
     """
 
     a: float  # equatorial semi-axis [m]
@@ -125,7 +127,7 @@ def solve_axes(v_bma: float, h: float, ring: RingSpec) -> Ellipsoid:
         raise DegenerateGeometry(
             f"flat-membrane solution a={a} out of proportion to r={ring.r}, c={c}"
         )
-    return Ellipsoid(a=a, c=c)
+    return Ellipsoid(a, c)
 
 
 def center_shift(c: float, c_d: float) -> float:

@@ -92,18 +92,35 @@ def parse_float(text, line: int) -> float:
 
 
 def ingest_trace(path) -> list[TraceRecord]:
-    """Parse a trace CSV into SI records, validating monotone timestamps."""
+    """Parse a trace CSV into SI records, validating monotone timestamps.
+
+    Rows are read as lists and their cells looked up by column index.  As
+    with `csv.DictReader`, blank lines are skipped and not counted in the
+    line numbers of errors, a repeated column name means its last column,
+    and the missing cells of a short row read as None.
+    """
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, None)
         required = {"t_s", "volume_ml", "pressure_pa"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        if header is None or not required.issubset(header):
             raise ParseError(f"missing required columns {sorted(required)}", line=1)
+        col = {name: j for j, name in enumerate(header)}
+        j_t, j_v, j_p = col["t_s"], col["volume_ml"], col["pressure_pa"]
+        j_f, j_h = col.get("force_n"), col.get("indent_mm")
+        width = len(header)
         prev_t = None
-        for i, row in enumerate(reader, start=2):
-            t = parse_float(row["t_s"], i)
-            v_ml = parse_float(row["volume_ml"], i)
-            p = parse_float(row["pressure_pa"], i)
+        i = 1
+        for row in reader:
+            if not row:
+                continue
+            i += 1
+            if len(row) < width:
+                row += [None] * (width - len(row))
+            t = parse_float(row[j_t], i)
+            v_ml = parse_float(row[j_v], i)
+            p = parse_float(row[j_p], i)
             if not (math.isfinite(t) and math.isfinite(v_ml)):
                 raise ParseError(f"non-finite time {t} or volume {v_ml}", line=i)
             if v_ml < 0:
@@ -115,12 +132,11 @@ def ingest_trace(path) -> list[TraceRecord]:
             prev_t = t
 
             f_true = h2_true = None
-            if row.get("force_n") not in (None, ""):
-                f_true = parse_float(row["force_n"], i)
-            if row.get("indent_mm") not in (None, ""):
-                h2_true = parse_float(row["indent_mm"], i) * MM_TO_M
-            records.append(TraceRecord(t=t, v_f=v_ml * ML_TO_M3, p=p,
-                                       f_true=f_true, h2_true=h2_true))
+            if j_f is not None and row[j_f] not in (None, ""):
+                f_true = parse_float(row[j_f], i)
+            if j_h is not None and row[j_h] not in (None, ""):
+                h2_true = parse_float(row[j_h], i) * MM_TO_M
+            records.append(TraceRecord(t, v_ml * ML_TO_M3, p, f_true, h2_true))
     return records
 
 

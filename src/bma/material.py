@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import ellipeinc
+from scipy.special.cython_special import ellipeinc
 
 from .geometry import RingSpec
 
@@ -63,14 +63,17 @@ def perimeter(a_d: float, c_d: float, h3: float, theta1: float) -> float:
     phi = pi - theta1 when the apex sits above the ellipsoid center
     (h3 > c_d), otherwise phi = theta1.  Closed form c_d E(phi | m), the
     incomplete elliptic integral of the second kind with
-    m = 1 - a_d^2/c_d^2; valid also for m < 0 (oblate shapes).
+    m = 1 - a_d^2/c_d^2; valid also for m < 0 (oblate shapes).  The
+    scalar cephes routine from ``scipy.special.cython_special`` takes and
+    returns Python floats, bit for bit the value of the ``ellipeinc`` ufunc
+    without its array dispatch.
     """
     if not (a_d > 0 and c_d > 0):
         raise ValueError("deformed semi-axes must be positive")
     if not (0 <= theta1 <= math.pi / 2):
         raise ValueError("theta1 must lie in [0, pi/2]")
     upper = math.pi - theta1 if h3 > c_d else theta1
-    return c_d * float(ellipeinc(upper, 1.0 - (a_d / c_d) ** 2))
+    return c_d * ellipeinc(upper, 1.0 - (a_d / c_d) ** 2)
 
 
 def stretch(arc_length: float, ring: RingSpec) -> float:

@@ -175,6 +175,20 @@ class TestStep:
         assert {type(getattr(est, f.name)) for f in fields(StateEstimate)
                 if f.name != "flags"} == {float}
 
+    def test_numpy_scalar_inputs_give_floats(self, cfg):
+        # numpy scalars are converted at the boundary, on the memo's miss and
+        # hit paths alike, so no np.float64 reaches a record
+        for build in (cold_reconstruct, reconstruct):
+            g = build(np.float64(0.5e-6), np.float64(3e-3), cfg)
+            assert {type(getattr(g, k)) for k in Reconstruction._fields
+                    if k != "flags"} == {float}
+        estimator._volume_memo = (None, None, None)
+        est, state = step(EstimatorState(h2_prev=np.float64(1.5e-3)), np.float64(0.5e-6),
+                          np.float64(12000.0), cfg)
+        assert {type(getattr(est, f.name)) for f in fields(StateEstimate)
+                if f.name != "flags"} == {float}
+        assert type(state.h2_prev) is float
+
     def test_state_replay(self, cfg):
         # replaying from any recorded h2_prev reproduces the suffix exactly
         rng = np.random.default_rng(5)
@@ -215,8 +229,10 @@ class TestStep:
 class TestUpdate:
     def test_step_is_update_of_reconstruct(self, cfg):
         # step = input guards + update(reconstruct(...)), exactly, over free,
-        # contact, saturated, clamped and nonpositive-pressure samples
+        # contact, saturated, clamped and nonpositive-pressure samples; flags
+        # stay a frozenset when update adds to those of reconstruct
         seen = set()
+        composed = set()
         for v_f in (0.15e-6, 0.3e-6, 0.5e-6, 0.8e-6):
             p_free = predict_pressure(v_f, cfg)
             h1 = evaluate_height(cfg.fit, v_f)
@@ -231,10 +247,15 @@ class TestUpdate:
                         continue
                     assert got == update(reconstruct(v_f, h2_prev, cfg), state, v_f, p)
                     est = got[0]
+                    assert type(est.flags) is frozenset
                     seen |= est.flags
                     seen.add("contact" if est.force > 1e-6 else "free")
+                    if "h2_prev_clamped" in est.flags:
+                        composed |= est.flags - {"h2_prev_clamped"}
         assert seen >= {"free", "contact", "force_exceeds_bound", "h2_clamped",
                         "nonpositive_pressure", "h2_prev_clamped"}
+        # a flag of reconstruct carried together with one of update
+        assert composed & {"h2_clamped", "nonpositive_pressure", "force_exceeds_bound"}
 
     def test_carried_indentation_past_h1_restarts_free(self, cfg):
         # h1 at 0.3 ml is about 5.9 mm, below the carried 6.5 mm: contact is

@@ -97,6 +97,33 @@ class TestIngest:
             ingest_trace(path)
         assert exc_info.value.line == 3
 
+    def test_blank_lines_skipped_and_not_counted(self, tmp_path):
+        # like csv.DictReader: error lines count the rows read, not blank lines
+        path = tmp_path / "t.csv"
+        path.write_text("t_s,volume_ml,pressure_pa\n\n0.0,0.4,9000\n\n\n0.01,0.4\n")
+        with pytest.raises(ParseError) as exc_info:
+            ingest_trace(path)
+        assert exc_info.value.line == 3
+        path.write_text("t_s,volume_ml,pressure_pa\r\n0.0,0.4,9000\r\n\r\n0.01,0.4,9100\r\n")
+        assert [r.p for r in ingest_trace(path)] == [9000.0, 9100.0]
+
+    def test_columns_found_by_name(self, tmp_path):
+        # any column order, extra columns ignored, a repeated name means its
+        # last column, and a short row leaves the truth columns unset
+        path = tmp_path / "t.csv"
+        path.write_text("indent_mm,pressure_pa,x,volume_ml,t_s,force_n,t_s\n"
+                        "1.5,9000,7,0.4,-1,0.2,0.0\n"
+                        ",9100,7,0.4,-1,,0.01\n"
+                        "2.0,9200,7,0.4,-1,0.3,0.02,extra\n")
+        recs = ingest_trace(path)
+        assert [r.t for r in recs] == [0.0, 0.01, 0.02]
+        assert [r.p for r in recs] == [9000.0, 9100.0, 9200.0]
+        assert [r.f_true for r in recs] == [0.2, None, 0.3]
+        assert [r.has_truth for r in recs] == [True, False, True]
+        path.write_text("t_s,volume_ml,pressure_pa,force_n,indent_mm\n0.0,0.4,9000,0.2\n")
+        rec = ingest_trace(path)[0]
+        assert (rec.f_true, rec.h2_true) == (0.2, None)
+
     def test_round_trip_9_digits(self, tmp_path):
         records = [
             TraceRecord(t=0.123456789, v_f=0.456789123e-6, p=11234.5678,

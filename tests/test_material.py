@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, strategies as st
 
 from bma import (
@@ -78,6 +79,28 @@ class TestPerimeter:
             upper = math.pi - theta1 if h3 > c_d else theta1
             got = perimeter(a_d, c_d, h3, theta1)
             assert got == pytest.approx(perimeter_oracle(a_d, c_d, upper), rel=1e-8)
+
+    def test_scalar_routine_matches_ufunc(self):
+        # the scalar cephes entry point gives exactly the ufunc's value, over
+        # both branches, oblate (m < 0) and prolate (0 < m < 1) shapes, and
+        # phi near 0, pi/2 and pi
+        thetas = (0.0, 1e-12, 1e-6, 1e-3, 0.3, 1.0,
+                  math.pi / 2 - 1e-9, math.nextafter(math.pi / 2, 0.0), math.pi / 2)
+        for a_d, c_d in ((3e-3, 3e-3), (6e-3, 3e-3), (50.0, 1.0), (2e-3, 5e-3), (0.02, 1.0)):
+            for h3 in (0.5 * c_d, c_d, 1.5 * c_d):
+                for theta1 in thetas:
+                    upper = math.pi - theta1 if h3 > c_d else theta1
+                    ref = c_d * float(scipy.special.ellipeinc(upper, 1 - (a_d / c_d) ** 2))
+                    got = perimeter(a_d, c_d, h3, theta1)
+                    assert type(got) is float
+                    assert got == ref, (a_d, c_d, h3, theta1)
+
+    @given(a_d=st.floats(1e-4, 1e-1), c_d=st.floats(1e-4, 1e-1),
+           h3_ratio=st.floats(0.0, 2.0), theta1=st.floats(0.0, math.pi / 2))
+    def test_scalar_routine_matches_ufunc_anywhere(self, a_d, c_d, h3_ratio, theta1):
+        upper = math.pi - theta1 if h3_ratio * c_d > c_d else theta1
+        ref = c_d * float(scipy.special.ellipeinc(upper, 1 - (a_d / c_d) ** 2))
+        assert perimeter(a_d, c_d, h3_ratio * c_d, theta1) == ref
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
