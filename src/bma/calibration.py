@@ -92,6 +92,8 @@ def fit_height_poly(samples, degree: int = DEFAULT_DEGREE) -> HeightFit:
     samples: iterable of (V_f [m3], h [m], phase) with phase in
     {"inflate", "deflate"}.
     """
+    if degree < 0:
+        raise ValueError(f"polynomial degree must be nonnegative, got {degree}")
     samples = list(samples)
     if not all(math.isfinite(v) and math.isfinite(h) for v, h, _ in samples):
         raise ValueError("calibration volumes and heights must be finite")

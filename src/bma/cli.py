@@ -1,32 +1,35 @@
-"""Command-line interface.
+"""Command-line interface: argument handling over the package's functions.
 
 Subcommands: calibrate, estimate, simulate, predict-pressure, eval,
 export-shape.  Exit codes: 0 success, 1 validation, model or configuration
 error, 2 I/O error.  The config path comes from --config or the
-BMA_CONFIG environment variable.
+BMA_CONFIG environment variable.  CSV files are read and written by
+`harness` (`ingest_trace`, `read_calibration`, `write_rows`).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
 
 from . import config as cfgmod
 from .calibration import DEFAULT_DEGREE, fit_height_poly
-from .errors import BmaError, DegenerateGeometry, ParseError
+from .errors import BmaError, DegenerateGeometry
 from .estimator import predict_pressure, reconstruct
 from .geometry import actuator_volume, profile_polyline, sphere_profile
 from .harness import (
     ML_TO_M3,
     MM_TO_M,
+    TRACE_COLUMNS,
     evaluate,
     ingest_trace,
-    parse_float,
+    read_calibration,
     run_trace,
     simulate_trace,
+    trace_cells,
+    write_rows,
     write_trace,
 )
 
@@ -44,29 +47,9 @@ def _config_path(args) -> str:
     return path
 
 
-def _read_calibration_csv(path):
-    samples = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"volume_ml", "height_mm", "phase"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ParseError(f"missing required columns {sorted(required)}", line=1)
-        for i, row in enumerate(reader, start=2):
-            phase = (row["phase"] or "").strip()
-            if phase not in ("inflate", "deflate"):
-                raise ParseError(f"unknown phase {phase!r}", line=i)
-            v = parse_float(row["volume_ml"], i) * ML_TO_M3
-            h = parse_float(row["height_mm"], i) * MM_TO_M
-            if not (math.isfinite(v) and math.isfinite(h)):
-                raise ParseError("volume_ml and height_mm must be finite", line=i)
-            samples.append((v, h, phase))
-    return samples
-
-
 def cmd_calibrate(args) -> int:
     cfg_path = _config_path(args)
-    samples = _read_calibration_csv(args.csv)
-    fit = fit_height_poly(samples, degree=args.degree)
+    fit = fit_height_poly(read_calibration(args.csv), degree=args.degree)
     raw = cfgmod.load_raw(cfg_path)
     raw["height_fit"] = cfgmod.height_fit_to_dict(fit)
     cfgmod.save_raw(cfg_path, raw)
@@ -80,17 +63,11 @@ def cmd_estimate(args) -> int:
     cfg = cfgmod.load_config(_config_path(args))
     records = ingest_trace(args.trace)
     estimates = run_trace(records, cfg)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t_s", "volume_ml", "pressure_pa", "h1_mm", "h2_mm",
-                         "h3_mm", "force_n", "p_hat_pa", "flags"])
-        for rec, est in zip(records, estimates):
-            writer.writerow([
-                f"{rec.t:.9g}", f"{rec.v_f / ML_TO_M3:.9g}", f"{rec.p:.9g}",
-                f"{est.h1 / MM_TO_M:.9g}", f"{est.h2 / MM_TO_M:.9g}",
-                f"{est.h3 / MM_TO_M:.9g}", f"{est.force:.9g}",
-                f"{est.p_hat:.9g}", "|".join(sorted(est.flags)),
-            ])
+    header = (*TRACE_COLUMNS, "h1_mm", "h2_mm", "h3_mm", "force_n", "p_hat_pa", "flags")
+    write_rows(args.out, header, (trace_cells(rec) + [
+        f"{est.h1 / MM_TO_M:.9g}", f"{est.h2 / MM_TO_M:.9g}", f"{est.h3 / MM_TO_M:.9g}",
+        f"{est.force:.9g}", f"{est.p_hat:.9g}", "|".join(sorted(est.flags)),
+    ] for rec, est in zip(records, estimates)))
     n_null = sum(1 for e in estimates if e.is_null)
     print(f"estimated {len(estimates)} samples ({n_null} null) -> {args.out}")
     return EXIT_OK
@@ -107,21 +84,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_predict_pressure(args) -> int:
     cfg = cfgmod.load_config(_config_path(args))
-    records = ingest_trace(args.trace)
-    out = sys.stdout if args.out is None else open(args.out, "w", newline="")
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["t_s", "volume_ml", "pressure_pa", "p_hat_pa"])
-        for rec in records:
-            try:
-                p_hat = predict_pressure(rec.v_f, cfg)
-            except BmaError:
-                p_hat = math.nan
-            writer.writerow([f"{rec.t:.9g}", f"{rec.v_f / ML_TO_M3:.9g}",
-                             f"{rec.p:.9g}", f"{p_hat:.9g}"])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    rows = []
+    for rec in ingest_trace(args.trace):
+        try:
+            p_hat = predict_pressure(rec.v_f, cfg)
+        except BmaError:
+            p_hat = math.nan
+        rows.append(trace_cells(rec) + [f"{p_hat:.9g}"])
+    write_rows(args.out, (*TRACE_COLUMNS, "p_hat_pa"), rows)
     return EXIT_OK
 
 
@@ -179,8 +149,8 @@ def cmd_export_shape(args) -> int:
     v_f = args.volume_ml * ML_TO_M3
     h2 = (args.indent_mm or 0.0) * MM_TO_M
     g = reconstruct(v_f, h2, cfg)
-    # reconstruct restarts an indentation at or past the apex from the free shape
-    if h2 < 0 or "h2_prev_clamped" in g.flags:
+    # reconstruct restarts an indentation outside [0, h1) from the free shape
+    if "h2_prev_clamped" in g.flags:
         raise DegenerateGeometry(f"indentation {h2 / MM_TO_M:.6g} mm outside [0, "
                                  f"{g.h1 / MM_TO_M:.6g}) mm at {args.volume_ml:.6g} ml")
     pts_mm = [(x / MM_TO_M, z / MM_TO_M)
@@ -191,11 +161,7 @@ def cmd_export_shape(args) -> int:
     slice_mm = [(-g.k / MM_TO_M, z_mm), (g.k / MM_TO_M, z_mm)] if g.k > 0 else None
 
     if args.out.lower().endswith(".csv"):
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x_mm", "z_mm"])
-            for x, z in pts_mm:
-                writer.writerow([f"{x:.6f}", f"{z:.6f}"])
+        write_rows(args.out, ("x_mm", "z_mm"), ([f"{x:.6f}", f"{z:.6f}"] for x, z in pts_mm))
     else:
         sphere = sphere_profile(actuator_volume(v_f, cfg.ring), cfg.ring, args.points)
         sphere_mm = [(x / MM_TO_M, z / MM_TO_M) for x, z in sphere]

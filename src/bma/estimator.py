@@ -160,8 +160,9 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
     h1, v_bma, free = _volume_stage(v_f, cfg)
     flags = NO_FLAGS
     # h1 can shrink between samples: a carried indentation that reaches the
-    # ring plane means contact was lost, so restart from the free shape
-    if h2_prev >= h1:
+    # ring plane means contact was lost, so restart from the free shape, as
+    # from a negative or non-finite carried state, which no update produces
+    if not 0.0 <= h2_prev < h1:
         h2_prev = 0.0
         flags = flags | {"h2_prev_clamped"}
     h3 = h1 - h2_prev

@@ -1,15 +1,20 @@
-"""Trace ingestion, synthetic trace simulation, and evaluation.
+"""Bench-unit CSV files, synthetic trace simulation, and evaluation.
 
 Traces are CSV files with header ``t_s,volume_ml,pressure_pa`` and optional
-ground-truth columns ``force_n,indent_mm``.  Internally everything is SI;
-conversion happens here at the file boundary.
+ground-truth columns ``force_n,indent_mm``; calibration files have the
+columns ``volume_ml,height_mm,phase``.  Every CSV file the package reads
+goes through `read_rows`, and every one it writes through `write_rows`.
+Internally everything is SI; conversion happens here at the file boundary.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,6 +39,7 @@ from .estimator import (
 
 ML_TO_M3 = 1e-6
 MM_TO_M = 1e-3
+TRACE_COLUMNS = ("t_s", "volume_ml", "pressure_pa")
 
 SIM_FIXED_POINT_TOL = 1e-10   # [m]
 SIM_FIXED_POINT_CAP = 100
@@ -91,72 +97,95 @@ def parse_float(text, line: int) -> float:
         raise ParseError(str(exc), line=line) from exc
 
 
-def ingest_trace(path) -> list[TraceRecord]:
-    """Parse a trace CSV into SI records, validating monotone timestamps.
+def read_rows(path, required, optional=()):
+    """Yield (line, cells) for each row of a CSV file, cells named by the header.
 
-    Rows are read as lists and their cells looked up by column index.  As
-    with `csv.DictReader`, blank lines are skipped and not counted in the
-    line numbers of errors, a repeated column name means its last column,
-    and the missing cells of a short row read as None.
+    The header must hold every `required` column, else ParseError at line 1.
+    cells are those of the `required` then the `optional` columns, in that
+    order; an optional column the header lacks reads as None.  Blank lines
+    are skipped and not counted in the line numbers, a repeated column name
+    means its last column, and the missing cells of a short row read as
+    None.  Cells are picked by column index, with no dict per row.
     """
-    records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        required = {"t_s", "volume_ml", "pressure_pa"}
-        if header is None or not required.issubset(header):
+        header = next(reader, [])
+        if not set(required).issubset(header):
             raise ParseError(f"missing required columns {sorted(required)}", line=1)
-        col = {name: j for j, name in enumerate(header)}
-        j_t, j_v, j_p = col["t_s"], col["volume_ml"], col["pressure_pa"]
-        j_f, j_h = col.get("force_n"), col.get("indent_mm")
         width = len(header)
-        prev_t = None
-        i = 1
+        col = {name: j for j, name in enumerate(header)}
+        # an absent column reads the None appended to every row at `width`
+        index = [col.get(name, width) for name in (*required, *optional)]
+        pick = itemgetter(*index) if len(index) > 1 else lambda row: (row[index[0]],)
+        line = 1
         for row in reader:
             if not row:
                 continue
-            i += 1
-            if len(row) < width:
-                row += [None] * (width - len(row))
-            t = parse_float(row[j_t], i)
-            v_ml = parse_float(row[j_v], i)
-            p = parse_float(row[j_p], i)
-            if not (math.isfinite(t) and math.isfinite(v_ml)):
-                raise ParseError(f"non-finite time {t} or volume {v_ml}", line=i)
-            if v_ml < 0:
-                raise ParseError(f"negative volume {v_ml}", line=i)
-            if prev_t is not None and t <= prev_t:
-                raise NonMonotoneTime(
-                    f"line {i}: timestamp {t} not greater than previous {prev_t}"
-                )
-            prev_t = t
+            line += 1
+            if len(row) != width:
+                row = (row + [None] * width)[:width]
+            row.append(None)
+            yield line, pick(row)
 
-            f_true = h2_true = None
-            if j_f is not None and row[j_f] not in (None, ""):
-                f_true = parse_float(row[j_f], i)
-            if j_h is not None and row[j_h] not in (None, ""):
-                h2_true = parse_float(row[j_h], i) * MM_TO_M
-            records.append(TraceRecord(t, v_ml * ML_TO_M3, p, f_true, h2_true))
+
+def write_rows(path, header, rows) -> None:
+    """Write a header and rows of cells as CSV, to stdout when path is None."""
+    with open(path, "w", newline="") if path is not None else nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def trace_cells(r: TraceRecord) -> list[str]:
+    """A record's t, volume and pressure cells in bench units, at 9 digits."""
+    return [f"{r.t:.9g}", f"{r.v_f / ML_TO_M3:.9g}", f"{r.p:.9g}"]
+
+
+def ingest_trace(path) -> list[TraceRecord]:
+    """Parse a trace CSV into SI records, validating monotone timestamps."""
+    records = []
+    prev_t = None
+    for i, (t, v_ml, p, f, h) in read_rows(path, TRACE_COLUMNS, ("force_n", "indent_mm")):
+        t = parse_float(t, i)
+        v_ml = parse_float(v_ml, i)
+        p = parse_float(p, i)
+        if not (math.isfinite(t) and math.isfinite(v_ml)):
+            raise ParseError(f"non-finite time {t} or volume {v_ml}", line=i)
+        if v_ml < 0:
+            raise ParseError(f"negative volume {v_ml}", line=i)
+        if prev_t is not None and t <= prev_t:
+            raise NonMonotoneTime(f"line {i}: timestamp {t} not greater than previous {prev_t}")
+        prev_t = t
+        f_true = parse_float(f, i) if f else None   # an empty or missing cell: no truth
+        h2_true = parse_float(h, i) * MM_TO_M if h else None
+        records.append(TraceRecord(t, v_ml * ML_TO_M3, p, f_true, h2_true))
     return records
 
 
 def write_trace(path, records) -> None:
     """Write records back to CSV, lossless at 9 significant digits."""
-    with_truth = any(r.has_truth for r in records)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["t_s", "volume_ml", "pressure_pa"]
-        if with_truth:
-            header += ["force_n", "indent_mm"]
-        writer.writerow(header)
-        for r in records:
-            row = [f"{r.t:.9g}", f"{r.v_f / ML_TO_M3:.9g}", f"{r.p:.9g}"]
-            if with_truth:
-                row += [
-                    f"{r.f_true:.9g}" if r.f_true is not None else "",
-                    f"{r.h2_true / MM_TO_M:.9g}" if r.h2_true is not None else "",
-                ]
-            writer.writerow(row)
+    if not any(r.has_truth for r in records):
+        write_rows(path, TRACE_COLUMNS, map(trace_cells, records))
+        return
+    write_rows(path, (*TRACE_COLUMNS, "force_n", "indent_mm"), (trace_cells(r) + [
+        f"{r.f_true:.9g}" if r.f_true is not None else "",
+        f"{r.h2_true / MM_TO_M:.9g}" if r.h2_true is not None else "",
+    ] for r in records))
+
+
+def read_calibration(path) -> list[tuple[float, float, str]]:
+    """Parse a calibration CSV into SI (V_f [m3], h [m], phase) samples."""
+    samples = []
+    for i, (v_ml, h_mm, phase) in read_rows(path, ("volume_ml", "height_mm", "phase")):
+        phase = (phase or "").strip()
+        if phase not in ("inflate", "deflate"):
+            raise ParseError(f"unknown phase {phase!r}", line=i)
+        v = parse_float(v_ml, i) * ML_TO_M3
+        h = parse_float(h_mm, i) * MM_TO_M
+        if not (math.isfinite(v) and math.isfinite(h)):
+            raise ParseError("volume_ml and height_mm must be finite", line=i)
+        samples.append((v, h, phase))
+    return samples
 
 
 def run_trace(records, cfg: EstimatorConfig,

@@ -64,6 +64,12 @@ class TestFit:
         with pytest.raises(IllConditioned):
             fit_height_poly(samples, degree=7)
 
+    @pytest.mark.parametrize("degree", [-1, -3])
+    def test_negative_degree_rejected(self, degree):
+        # numpy used to fail on an empty Vandermonde matrix instead
+        with pytest.raises(ValueError, match=f"degree must be nonnegative, got {degree}"):
+            fit_height_poly(make_samples(), degree=degree)
+
     def test_negative_volume_rejected(self):
         with pytest.raises(ValueError):
             fit_height_poly([(-1e-9, 4e-3, "inflate")] * 10, degree=1)

@@ -87,6 +87,30 @@ class TestCalibrate:
         assert cfg.read_bytes() == before
 
 
+    def test_negative_degree_rejected(self, workdir, capsys):
+        cfg = workdir / "config.yaml"
+        assert run(["calibrate", workdir / "calibration.csv", "--config", cfg,
+                    "--degree", -1]) == 1
+        assert "degree must be nonnegative, got -1" in capsys.readouterr().err
+
+
+class TestPredictPressure:
+    def test_stdout_matches_out_file(self, workdir, capsys):
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        trace = workdir / "trace.csv"
+        run(["simulate", workdir / "script.yaml", "--config", cfg, "--seed", 7, "--out", trace])
+        capsys.readouterr()
+        out = workdir / "pred.csv"
+        assert run(["predict-pressure", trace, "--config", cfg, "--out", out]) == 0
+        assert capsys.readouterr().out == ""
+        assert run(["predict-pressure", trace, "--config", cfg]) == 0
+        written = out.read_bytes()
+        assert written.startswith(b"t_s,volume_ml,pressure_pa,p_hat_pa\n")
+        assert written.count(b"\n") == 251
+        assert capsys.readouterr().out.encode() == written
+
+
 class TestExportShape:
     def test_csv_export(self, workdir):
         cfg = workdir / "config.yaml"
@@ -160,6 +184,18 @@ class TestExportShape:
         out = workdir / "shape.csv"
         assert run(["export-shape", "--volume-ml", 0.5, "--indent-mm", indent_mm,
                     "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("indent_mm", ["nan", "inf", "-inf"])
+    def test_nonfinite_indent_rejected(self, workdir, capsys, indent_mm):
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        capsys.readouterr()
+        out = workdir / "shape.csv"
+        # "=" keeps argparse from reading "-inf" as an option
+        assert run(["export-shape", "--volume-ml", 0.5, f"--indent-mm={indent_mm}",
+                    "--config", cfg, "--out", out]) == 1
+        assert "outside [0," in capsys.readouterr().err
         assert not out.exists()
 
     def test_volume_below_model_range_rejected(self, workdir, capsys):

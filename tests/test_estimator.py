@@ -28,7 +28,7 @@ from bma import (
     actuator_volume,
 )
 from bma import estimator
-from bma.estimator import Reconstruction, balance_pressure, reconstruct, update
+from bma.estimator import NO_FLAGS, Reconstruction, balance_pressure, reconstruct, update
 from bma.material import integration_angle, perimeter, stretch, yeoh_energy_density
 
 
@@ -271,6 +271,19 @@ class TestUpdate:
         estimates = run_trace(records, cfg, carried)
         assert not any("step_error" in est.flags for est in estimates)
         assert "h2_prev_clamped" in estimates[0].flags
+        assert all(0.0 <= est.h2 <= est.h1 for est in estimates)
+
+    @pytest.mark.parametrize("h2_prev", [-1e-3, -math.inf, math.inf, math.nan])
+    def test_bad_carried_state_restarts_free(self, cfg, h2_prev):
+        # no update carries such a state, but a caller may pass one in
+        v_f = 0.5e-6
+        g = reconstruct(v_f, h2_prev, cfg)
+        assert g.flags == {"h2_prev_clamped"}
+        assert g._replace(flags=NO_FLAGS) == reconstruct(v_f, 0.0, cfg)
+        p = predict_pressure(v_f, cfg)
+        records = [TraceRecord(t=0.01 * i, v_f=v_f, p=p) for i in range(5)]
+        estimates = run_trace(records, cfg, EstimatorState(h2_prev=h2_prev))
+        assert not any("step_error" in est.flags for est in estimates)
         assert all(0.0 <= est.h2 <= est.h1 for est in estimates)
 
 

@@ -142,6 +142,54 @@ class TestIngest:
             assert b.h2_true == pytest.approx(a.h2_true, rel=1e-9)
 
 
+class TestReadRows:
+    def test_cells_in_the_order_asked(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("b,a,c\n1,2,3\n4,5\n")
+        assert list(harness.read_rows(path, ("a", "b"), ("d", "c"))) == [
+            (2, ("2", "1", None, "3")), (3, ("5", "4", None, None))]
+        assert list(harness.read_rows(path, ("c",))) == [(2, ("3",)), (3, (None,))]
+
+    def test_missing_required_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        for text in ("b,c\n1,2\n", ""):
+            path.write_text(text)
+            with pytest.raises(ParseError, match=r"missing required columns \['a', 'b'\]") as exc:
+                list(harness.read_rows(path, ("b", "a")))
+            assert exc.value.line == 1
+
+
+class TestReadCalibration:
+    HEADER = "volume_ml,height_mm,phase\n"
+
+    def test_rows_in_si(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(self.HEADER + "0.5,4.0,inflate\n0.5,4.2, deflate \n")
+        assert harness.read_calibration(path) == [
+            (0.5 * harness.ML_TO_M3, 4.0 * harness.MM_TO_M, "inflate"),
+            (0.5 * harness.ML_TO_M3, 4.2 * harness.MM_TO_M, "deflate")]
+
+    def test_blank_lines_not_counted(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(self.HEADER + "\n0.5,4.0,inflate\n\n\n0.6,x,inflate\n")
+        with pytest.raises(ParseError) as exc:
+            harness.read_calibration(path)
+        assert exc.value.line == 3
+
+    def test_short_row_names_its_line(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(self.HEADER + "0.5,4.0,inflate\n0.6,4.1\n")
+        with pytest.raises(ParseError, match="unknown phase ''") as exc:
+            harness.read_calibration(path)
+        assert exc.value.line == 3
+
+    def test_repeated_column_means_its_last(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("volume_ml,height_mm,phase,height_mm\n0.5,x,inflate,4.0\n")
+        assert harness.read_calibration(path) == [
+            (0.5 * harness.ML_TO_M3, 4.0 * harness.MM_TO_M, "inflate")]
+
+
 class TestSimulate:
     def test_no_force_matches_prediction(self, cfg):
         script = SimScript(steps=(SimStep(0.4e-6, 0.0, 0.1),), sample_period=0.01)
@@ -256,23 +304,32 @@ class TestRunTrace:
             max_size=25,
         ),
         tau=st.sampled_from([0.0, 0.05]),
+        h2_start=st.one_of(st.floats(), st.sampled_from([0.0, -1e-3, math.nan, math.inf,
+                                                          -math.inf])),
     )
-    def test_arbitrary_floats_never_abort(self, cfg, samples, tau):
+    def test_arbitrary_floats_never_abort(self, cfg, samples, tau, h2_start):
         records = [TraceRecord(t=0.01 * i, v_f=v, p=p) for i, (v, p) in enumerate(samples)]
         carried = []
 
         def recording_step(state, v_f, p, cfg):
-            est, state = step(state, v_f, p, cfg)
-            carried.append(state.h2_prev)
-            return est, state
+            est, new = step(state, v_f, p, cfg)
+            carried.append((est.is_null, state.h2_prev, new.h2_prev))
+            return est, new
 
         with mock.patch.object(harness, "step", recording_step):
-            estimates = run_trace(records, replace(cfg, pressure_filter_tau=tau))
+            estimates = run_trace(records, replace(cfg, pressure_filter_tau=tau),
+                                  EstimatorState(h2_prev=h2_start))
         assert len(estimates) == len(records)
         for est in estimates:
             if not est.is_null:
                 assert 0.0 <= est.h2 <= est.h1
-        assert all(math.isfinite(h2) and h2 >= 0.0 for h2 in carried)
+        # a skipped sample keeps the carried state, even a bad starting one;
+        # an estimated sample carries a finite, nonnegative indentation on
+        for is_null, before, after in carried:
+            if is_null:
+                assert after == before or math.isnan(before) and math.isnan(after)
+            else:
+                assert math.isfinite(after) and after >= 0.0
 
     def test_nonfinite_fit_flags_step_error(self, cfg):
         # a finite fit whose height is not a usable positive float must not
