@@ -6,8 +6,9 @@ in two stages from the calibrated height fit and the ellipsoid closed
 forms: a volume stage (apex height h1 and the unindented spheroid), which
 depends on the injected volume V_f alone and is reused while V_f repeats,
 as it does while the syringe holds a volume, and an indentation stage
-rebuilt per sample at the carried h2.  The energy balance then yields the
-external planar force and the indentation update.
+rebuilt per sample at the carried h2 but kept with the volume stage at
+h2 = 0, where it too depends on V_f alone.  The energy balance then yields
+the external planar force and the indentation update.
 """
 
 from __future__ import annotations
@@ -118,20 +119,21 @@ class Reconstruction(NamedTuple):
     flags: frozenset
 
 
-# One-entry memo of the volume stage, (cfg, v_f, (h1, v_bma, free)).  It
-# is read and replaced whole, never mutated, so concurrent callers can at
-# worst miss.  It holds a strong reference to its config, whose id cannot
-# then be reused by another object while the entry stands.
+# One-entry memo of the volume stage, (cfg, v_f, (h1, v_bma, free, rest)),
+# rest being the unflagged free shape or None.  It is read and replaced
+# whole, never mutated, so concurrent callers can at worst miss.  It holds
+# a strong reference to its config, whose id cannot then be reused by
+# another object while the entry stands.
 _volume_memo: tuple = (None, None, None)
 
 
 def _volume_stage(v_f: float, cfg: EstimatorConfig) -> tuple:
-    """Apex height, actuator volume and unindented spheroid at v_f.
+    """Apex height, actuator volume and unindented spheroid at v_f, and rest.
 
     Depends on v_f and cfg alone, so it is reused while both repeat.  Only
     a successful result is stored: a volume that raises raises every time.
-    v_f is a float: `reconstruct` converts it, so a numpy scalar never
-    keys the memo.
+    rest starts as None; `reconstruct` fills it.  v_f is a float:
+    `reconstruct` converts it, so a numpy scalar never keys the memo.
     """
     global _volume_memo
     memo_cfg, memo_v_f, stage = _volume_memo
@@ -144,7 +146,7 @@ def _volume_stage(v_f: float, cfg: EstimatorConfig) -> tuple:
     free = solve_axes(v_bma, h1, cfg.ring)
     if h1 > 2 * free.c:
         raise DegenerateGeometry(f"apex height {h1} exceeds ellipsoid extent {2 * free.c}")
-    stage = (h1, v_bma, free)
+    stage = (h1, v_bma, free, None)
     _volume_memo = (cfg, v_f, stage)
     return stage
 
@@ -153,31 +155,37 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
     """Height fit -> unindented and deformed spheroids -> stretch -> W and V_fm.
 
     The volume stage, up to the unindented spheroid, is `_volume_stage`;
-    the indentation stage from the carried h2_prev on runs on every call.
-    Numpy scalar inputs are converted, so every field is a float.
+    the indentation stage from the carried h2_prev on runs per call but at
+    h2_prev = 0, where the first call at a volume fills the memo's free
+    shape.  Numpy scalar inputs are converted, so every field is a float.
     """
+    global _volume_memo
     v_f, h2_prev = float(v_f), float(h2_prev)
-    h1, v_bma, free = _volume_stage(v_f, cfg)
-    flags = NO_FLAGS
+    h1, v_bma, free, rest = _volume_stage(v_f, cfg)
     # h1 can shrink between samples: a carried indentation that reaches the
     # ring plane means contact was lost, so restart from the free shape, as
     # from a negative or non-finite carried state, which no update produces
-    if not 0.0 <= h2_prev < h1:
+    restart = not 0.0 <= h2_prev < h1
+    if restart:
         h2_prev = 0.0
-        flags = flags | {"h2_prev_clamped"}
-    h3 = h1 - h2_prev
-    d = solve_axes(v_bma, h3, cfg.ring)
-    c_c = center_shift(free.c, d.c)
-    k = contact_radius(free, h2_prev, c_c)
+    if h2_prev != 0.0 or rest is None:
+        h3 = h1 - h2_prev
+        d = solve_axes(v_bma, h3, cfg.ring)
+        c_c = center_shift(free.c, d.c)
+        k = contact_radius(free, h2_prev, c_c)
 
-    arc = perimeter(d.a, d.c, h3, integration_angle(cfg.ring.r, h3, d.c))
-    lam = stretch(arc, cfg.ring)
-    w = yeoh_energy_density(lam, cfg.coeffs)
-    v_fm, clamped = free_membrane_volume(membrane_volume(cfg.ring), k,
-                                         inflated_thickness(cfg.ring, arc))
-    if clamped:
-        flags = flags | {"v_fm_clamped"}
-    return Reconstruction(h1, free.a, free.c, h3, d.a, d.c, c_c, k, lam, w, v_fm, flags)
+        arc = perimeter(d.a, d.c, h3, integration_angle(cfg.ring.r, h3, d.c))
+        lam = stretch(arc, cfg.ring)
+        w = yeoh_energy_density(lam, cfg.coeffs)
+        v_fm, clamped = free_membrane_volume(membrane_volume(cfg.ring), k,
+                                             inflated_thickness(cfg.ring, arc))
+        flags = NO_FLAGS | {"v_fm_clamped"} if clamped else NO_FLAGS
+        g = Reconstruction(h1, free.a, free.c, h3, d.a, d.c, c_c, k, lam, w, v_fm, flags)
+        if h2_prev != 0.0:
+            return g
+        rest = g
+        _volume_memo = (cfg, v_f, (h1, v_bma, free, rest))
+    return rest._replace(flags=rest.flags | {"h2_prev_clamped"}) if restart else rest
 
 
 def balance_pressure(g: Reconstruction, v_f: float, force: float = 0.0) -> float:

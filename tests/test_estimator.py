@@ -342,6 +342,75 @@ class TestVolumeMemo:
                     reconstruct(v_f, 0.0, cfg)
             assert reconstruct(0.5e-6, 1e-3, cfg) == valid
 
+    @pytest.mark.parametrize("bad", [math.nan, -1e-3, 1.0])
+    def test_restart_flag_does_not_leak_into_free_shape(self, cfg, bad):
+        # the restart returns the kept free shape flagged; the flag stays on
+        # that copy, whether the restart fills the memo or reads it
+        v_f = 0.5e-6
+        free = cold_reconstruct(v_f, 0.0, cfg)
+        for first in (lambda: cold_reconstruct(v_f, bad, cfg),
+                      lambda: reconstruct(v_f, bad, cfg)):
+            assert first().flags == {"h2_prev_clamped"}
+            for _ in range(2):
+                g = reconstruct(v_f, 0.0, cfg)
+                assert g.flags is NO_FLAGS
+                assert g == free
+            assert reconstruct(v_f, bad, cfg) == free._replace(flags={"h2_prev_clamped"})
+
+    def test_predict_pressure_warm_matches_cold(self, configs):
+        # a kept free shape serves only its own config and volume
+        def cold(v_f, cfg):
+            estimator._volume_memo = (None, None, None)
+            return predict_pressure(v_f, cfg)
+
+        for i, v_f in [(0, 0.3e-6), (0, 0.3e-6), (1, 0.3e-6), (0, 0.8e-6),
+                       (0, 0.8e-6), (1, 0.8e-6), (1, 0.3e-6)]:
+            warm = predict_pressure(v_f, configs[i])
+            reconstruct(v_f, 2e-3, configs[i])   # a contact sample at the same volume
+            assert predict_pressure(v_f, configs[i]) == warm == cold(v_f, configs[i])
+
+    def test_raising_free_shape_raises_on_repeat(self, cfg, monkeypatch):
+        # a volume stage that succeeds under a free shape that raises keeps
+        # no free shape: the second call raises as the first did
+        def broken(lam, coeffs):
+            raise DegenerateGeometry("no energy term")
+
+        v_f = 0.5e-6
+        cold_reconstruct(v_f, 1e-3, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(estimator, "yeoh_energy_density", broken)
+            for h2_prev in (0.0, 0.0, math.nan):
+                with pytest.raises(DegenerateGeometry, match="no energy term"):
+                    reconstruct(v_f, h2_prev, cfg)
+        assert reconstruct(v_f, 0.0, cfg) == cold_reconstruct(v_f, 0.0, cfg)
+
+    @pytest.mark.parametrize("path", ["reconstruct", "run_trace"])
+    def test_free_samples_at_one_volume_solve_axes_twice(self, cfg, monkeypatch, path):
+        # once for the volume stage, once for the free shape, then never
+        # again while the volume holds; the parent solved once per sample more
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return solve_axes(*args)
+
+        v_f, n = 0.5e-6, 50
+        # just below the free pressure the force is negative and every update
+        # clamps h2 to 0, so each sample reconstructs the free shape
+        p = 0.999 * predict_pressure(v_f, cfg)
+        monkeypatch.setattr(estimator, "solve_axes", counting)
+        estimator._volume_memo = (None, None, None)
+        if path == "reconstruct":
+            reconstruct(0.3e-6, 1e-3, cfg)   # a contact sample keeps no free shape
+            assert len(calls) == 2
+            calls.clear()
+            for _ in range(n):
+                reconstruct(v_f, 0.0, cfg)
+        else:
+            estimates = run_trace([TraceRecord(0.01 * i, v_f, p) for i in range(n)], cfg)
+            assert all(est.h2 == 0.0 and "h2_clamped" in est.flags for est in estimates)
+        assert len(calls) == 2
+
     def test_numpy_volume_does_not_stand_in_for_float(self, cfg):
         # an equal numpy scalar must not hand its numpy-typed shape to a float call
         cold_reconstruct(np.float64(0.5e-6), 1e-3, cfg)
