@@ -3,8 +3,8 @@
 Subcommands: calibrate, estimate, simulate, predict-pressure, eval,
 export-shape.  Exit codes: 0 success, 1 validation, model or configuration
 error, 2 I/O error.  The config path comes from --config or the
-BMA_CONFIG environment variable.  CSV files are read and written by
-`harness` (`ingest_trace`, `read_calibration`, `write_rows`).
+BMA_CONFIG environment variable.  Every CSV file is read and written by
+`harness`.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .harness import (
     run_trace,
     simulate_trace,
     trace_cells,
+    write_estimates,
     write_rows,
     write_trace,
 )
@@ -63,11 +64,7 @@ def cmd_estimate(args) -> int:
     cfg = cfgmod.load_config(_config_path(args))
     records = ingest_trace(args.trace)
     estimates = run_trace(records, cfg)
-    header = (*TRACE_COLUMNS, "h1_mm", "h2_mm", "h3_mm", "force_n", "p_hat_pa", "flags")
-    write_rows(args.out, header, (trace_cells(rec) + [
-        f"{est.h1 / MM_TO_M:.9g}", f"{est.h2 / MM_TO_M:.9g}", f"{est.h3 / MM_TO_M:.9g}",
-        f"{est.force:.9g}", f"{est.p_hat:.9g}", "|".join(sorted(est.flags)),
-    ] for rec, est in zip(records, estimates)))
+    write_estimates(args.out, records, estimates)
     n_null = sum(1 for e in estimates if e.is_null)
     print(f"estimated {len(estimates)} samples ({n_null} null) -> {args.out}")
     return EXIT_OK

@@ -120,10 +120,9 @@ class Reconstruction(NamedTuple):
 
 
 # One-entry memo of the volume stage, (cfg, v_f, (h1, v_bma, free, rest)),
-# rest being the unflagged free shape or None.  It is read and replaced
-# whole, never mutated, so concurrent callers can at worst miss.  It holds
-# a strong reference to its config, whose id cannot then be reused by
-# another object while the entry stands.
+# rest being the unflagged free shape or None.  Read and replaced whole,
+# never mutated, so concurrent callers can at worst miss.  Its strong
+# reference to its config keeps that config's id from reuse meanwhile.
 _volume_memo: tuple = (None, None, None)
 
 
@@ -166,14 +165,12 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
     # ring plane means contact was lost, so restart from the free shape, as
     # from a negative or non-finite carried state, which no update produces
     restart = not 0.0 <= h2_prev < h1
-    if restart:
-        h2_prev = 0.0
+    h2_prev = 0.0 if restart else h2_prev
     if h2_prev != 0.0 or rest is None:
         h3 = h1 - h2_prev
         d = solve_axes(v_bma, h3, cfg.ring)
         c_c = center_shift(free.c, d.c)
         k = contact_radius(free, h2_prev, c_c)
-
         arc = perimeter(d.a, d.c, h3, integration_angle(cfg.ring.r, h3, d.c))
         lam = stretch(arc, cfg.ring)
         w = yeoh_energy_density(lam, cfg.coeffs)

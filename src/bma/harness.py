@@ -3,8 +3,9 @@
 Traces are CSV files with header ``t_s,volume_ml,pressure_pa`` and optional
 ground-truth columns ``force_n,indent_mm``; calibration files have the
 columns ``volume_ml,height_mm,phase``.  Every CSV file the package reads
-goes through `read_rows`, and every one it writes through `write_rows`.
-Internally everything is SI; conversion happens here at the file boundary.
+goes through `read_rows`, and every one it writes through `write_rows` or,
+for the estimates, `write_estimates`.  Internally everything is SI;
+conversion happens here at the file boundary.
 """
 
 from __future__ import annotations
@@ -141,6 +142,19 @@ def trace_cells(r: TraceRecord) -> list[str]:
     return [f"{r.t:.9g}", f"{r.v_f / ML_TO_M3:.9g}", f"{r.p:.9g}"]
 
 
+def write_estimates(path, records, estimates) -> None:
+    """Write records' trace cells and their estimates in bench units, at 9 digits.
+
+    One % template per row; no cell needs quoting, so the bytes equal `write_rows`'s.
+    """
+    header = (*TRACE_COLUMNS, "h1_mm", "h2_mm", "h3_mm", "force_n", "p_hat_pa", "flags")
+    row = "%.9g," * 8 + "%s\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n" + "".join([row % (
+            r.t, r.v_f / ML_TO_M3, r.p, e.h1 / MM_TO_M, e.h2 / MM_TO_M, e.h3 / MM_TO_M,
+            e.force, e.p_hat, "|".join(sorted(e.flags))) for r, e in zip(records, estimates)]))
+
+
 def ingest_trace(path) -> list[TraceRecord]:
     """Parse a trace CSV into SI records, validating monotone timestamps."""
     records = []
@@ -256,15 +270,13 @@ def simulate_trace(script: SimScript, cfg: EstimatorConfig,
     t = 0.0
     for s in script.steps:
         n = max(1, round(s.hold / script.sample_period))
-        for _ in range(n):
+        # one draw per hold: the same values as n scalar draws, in order
+        noise = rng.normal(0.0, script.noise_pa, n).tolist() if script.noise_pa > 0 else [0.0] * n
+        for dp in noise:
             g = reconstruct(s.v_f, state.h2_prev, cfg)
             p_clean = balance_pressure(g, s.v_f, s.force)
             est, state = update(g, state, s.v_f, p_clean)
-            p_out = p_clean
-            if script.noise_pa > 0:
-                p_out += rng.normal(0.0, script.noise_pa)
-            records.append(TraceRecord(t=t, v_f=s.v_f, p=p_out,
-                                       f_true=s.force, h2_true=est.h2))
+            records.append(TraceRecord(t, s.v_f, p_clean + dp, s.force, est.h2))
             t += script.sample_period
     return records
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from dataclasses import replace
 from unittest import mock
@@ -21,7 +23,7 @@ from bma import (
     step,
     write_trace,
 )
-from bma import EstimatorState, harness
+from bma import EstimatorState, StateEstimate, harness
 from bma.estimator import balance_pressure, reconstruct, update
 
 
@@ -142,6 +144,51 @@ class TestIngest:
             assert b.h2_true == pytest.approx(a.h2_true, rel=1e-9)
 
 
+FLAG_NAMES = ["step_error", "DegenerateGeometry", "h2_clamped", "h2_prev_clamped",
+              "v_fm_clamped", "nonpositive_pressure", "force_exceeds_bound"]
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def estimates_the_old_way(records, estimates):
+    """The estimates file as nine f-string cells per row through csv.writer."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow((*harness.TRACE_COLUMNS, "h1_mm", "h2_mm", "h3_mm", "force_n",
+                     "p_hat_pa", "flags"))
+    writer.writerows(harness.trace_cells(rec) + [
+        f"{est.h1 / harness.MM_TO_M:.9g}", f"{est.h2 / harness.MM_TO_M:.9g}",
+        f"{est.h3 / harness.MM_TO_M:.9g}", f"{est.force:.9g}", f"{est.p_hat:.9g}",
+        "|".join(sorted(est.flags))] for rec, est in zip(records, estimates))
+    return buf.getvalue().encode()
+
+
+class TestWriteEstimates:
+    def test_bytes_of_a_run(self, cfg, tmp_path):
+        # free, contact, clamped, null (two flags) and negative-pressure rows
+        records = simulate_trace(contact_script(), cfg, seed=3)
+        records += [TraceRecord(10.0, 0.5e-6, -300.0), TraceRecord(10.01, 0.05e-6, 1e4),
+                    TraceRecord(10.02, 5e-6, 1e4), TraceRecord(10.03, 0.5e-6, math.nan)]
+        estimates = run_trace(records, cfg)
+        flags = {len(est.flags) for est in estimates}
+        assert {0, 1, 2} <= flags and any(est.is_null for est in estimates)
+        assert any(est.force < 0 for est in estimates)
+        path = tmp_path / "est.csv"
+        harness.write_estimates(path, records, estimates)
+        assert path.read_bytes() == estimates_the_old_way(records, estimates)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(st.tuples(*[ANY_FLOAT] * 3), st.tuples(*[ANY_FLOAT] * 7),
+                                   st.frozensets(st.sampled_from(FLAG_NAMES), max_size=3)),
+                         max_size=8))
+    def test_bytes_of_any_values(self, tmp_path_factory, rows):
+        # negative, signed-zero, subnormal, huge and non-finite cells alike
+        records = [TraceRecord(*r) for r, _, _ in rows]
+        estimates = [StateEstimate(*e, flags) for _, e, flags in rows]
+        path = tmp_path_factory.mktemp("est") / "est.csv"
+        harness.write_estimates(path, records, estimates)
+        assert path.read_bytes() == estimates_the_old_way(records, estimates)
+
+
 class TestReadRows:
     def test_cells_in_the_order_asked(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -212,6 +259,19 @@ class TestSimulate:
             if rec.f_true != 0:
                 assert est.force == pytest.approx(rec.f_true, rel=1e-6)
             assert est.h2 == rec.h2_true
+
+    def test_noise_is_scalar_draws_in_order(self, cfg):
+        # one draw per hold gives the values that one scalar draw per sample
+        # from the same seed gives, added to the noise-free pressures
+        noisy = simulate_trace(contact_script(), cfg, seed=9)
+        clean = simulate_trace(replace(contact_script(), noise_pa=0.0), cfg, seed=9)
+        rng = np.random.default_rng(9)
+        assert len(noisy) == len(clean) > len(contact_script().steps)
+        for rec, ref in zip(noisy, clean):
+            assert type(rec.p) is float
+            assert rec.p == ref.p + rng.normal(0.0, 20.0)
+            assert (rec.t, rec.v_f, rec.f_true, rec.h2_true) == (
+                ref.t, ref.v_f, ref.f_true, ref.h2_true)
 
     def test_rejects_below_model_volume(self, cfg):
         script = SimScript(steps=(SimStep(0.05e-6, 0.0, 0.1),), sample_period=0.01)
