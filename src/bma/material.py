@@ -93,19 +93,15 @@ def invariant_i1(lam: float) -> float:
 def yeoh_energy_density(lam: float, coeffs: YeohCoeffs) -> float:
     """Yeoh 6th-order energy term W = sum_n 2(lam - lam^-2) n C_n (I1-3)^(n-1) [Pa].
 
-    The n = 0 term is identically zero and (I1-3)^0 is taken as 1 for the
-    n = 1 term.
+    The n = 0 term is identically zero.  The sum over n = 1..6 is evaluated
+    by Horner's rule in x = I1 - 3.
     """
     if lam <= 0:
         raise ValueError("stretch must be positive")
-    prefactor = 2.0 * (lam - lam ** -2)
     x = invariant_i1(lam) - 3.0
-    total = 0.0
-    power = 1.0  # (I1-3)^(n-1), starting at n=1
-    for n, c_n in enumerate(coeffs.as_tuple(), start=1):
-        total += prefactor * n * c_n * power
-        power *= x
-    return total
+    c = coeffs
+    return 2.0 * (lam - lam ** -2) * (c.c1 + x * (2.0 * c.c2 + x * (3.0 * c.c3 + x * (
+        4.0 * c.c4 + x * (5.0 * c.c5 + 6.0 * c.c6 * x)))))
 
 
 def inflated_thickness(ring: RingSpec, arc_length: float) -> float:
