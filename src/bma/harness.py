@@ -271,8 +271,7 @@ def simulate_trace(script: SimScript, cfg: EstimatorConfig,
     for s in script.steps:
         n = max(1, round(s.hold / script.sample_period))
         # one draw per hold: the same values as n scalar draws, in order
-        noise = rng.normal(0.0, script.noise_pa, n).tolist() if script.noise_pa > 0 else [0.0] * n
-        for dp in noise:
+        for dp in rng.normal(0.0, script.noise_pa, n).tolist():
             g = reconstruct(s.v_f, state.h2_prev, cfg)
             p_clean = balance_pressure(g, s.v_f, s.force)
             est, state = update(g, state, s.v_f, p_clean)

@@ -387,7 +387,7 @@ class TestVolumeMemo:
     @pytest.mark.parametrize("path", ["reconstruct", "run_trace"])
     def test_free_samples_at_one_volume_solve_axes_twice(self, cfg, monkeypatch, path):
         # once for the volume stage, once for the free shape, then never
-        # again while the volume holds; the parent solved once per sample more
+        # again while the volume holds
         calls = []
 
         def counting(*args):

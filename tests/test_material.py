@@ -176,6 +176,21 @@ class TestYeohEnergy:
                 for n, c in enumerate(coeffs.as_tuple(), start=1))
         assert yeoh_energy_density(lam_v, coeffs) == pytest.approx(float(w), rel=1e-12)
 
+    @given(lam=st.floats(min_value=0.5, max_value=3.0),
+           coeffs=st.tuples(*[st.floats(min_value=-1e5, max_value=1e5)] * 6))
+    def test_horner_matches_term_sum(self, lam, coeffs):
+        # reference: the sum term by term with a running power of I1 - 3.
+        # Horner's rule rounds in another order, so the two agree to a few
+        # ulp of the largest term, not bit for bit
+        coeffs = YeohCoeffs(*coeffs)
+        prefactor, x = 2.0 * (lam - lam ** -2), invariant_i1(lam) - 3.0
+        terms, power = [], 1.0
+        for n, c_n in enumerate(coeffs.as_tuple(), start=1):
+            terms.append(prefactor * n * c_n * power)
+            power *= x
+        got = yeoh_energy_density(lam, coeffs)
+        assert abs(got - sum(terms)) <= 1e-14 * sum(map(abs, terms))
+
     @given(st.floats(min_value=0.8, max_value=3.0))
     def test_linear_in_coefficients(self, lam):
         coeffs = YeohCoeffs(1e4, 2e3, 3e2)
