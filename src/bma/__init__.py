@@ -28,7 +28,6 @@ from .geometry import (
     Ellipsoid,
     RingSpec,
     actuator_volume,
-    cap_volume,
     center_shift,
     contact_radius,
     membrane_volume,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,9 +43,9 @@ class RingSpec:
             raise ValueError(f"ring radius {self.r} and membrane thickness {self.t_i} must be "
                              f"positive, with a finite membrane volume pi r^2 t_i")
 
-    @property
+    @cached_property
     def area(self) -> float:
-        """Initial membrane surface area pi*r^2 [m2]."""
+        """Initial membrane surface area pi*r^2 [m2], computed once per ring."""
         return math.pi * self.r ** 2
 
 
@@ -78,34 +79,17 @@ def actuator_volume(v_f: float, ring: RingSpec) -> float:
     return v_f + membrane_volume(ring)
 
 
-def cap_volume(e: Ellipsoid, h_b: float) -> float:
-    """Volume of the ellipsoid cap of height h_b measured from an apex [m3]."""
-    if not (0 <= h_b <= 2 * e.c):
-        raise DegenerateGeometry(
-            f"cap height {h_b} outside [0, 2c] for c={e.c}"
-        )
-    return e.a ** 2 * (3 * e.c - h_b) * h_b ** 2 * math.pi / (3 * e.c ** 2)
-
-
-def ellipsoid_volume_above_ring(e: Ellipsoid, h: float) -> float:
-    """Actuator volume enclosed above the ring plane for apex height h [m3]."""
-    return (
-        -e.a ** 2 * (2 * e.c - h) ** 2 * (h + e.c) * math.pi / (3 * e.c ** 2)
-        + 4 * math.pi * e.a ** 2 * e.c / 3
-    )
-
-
 def solve_axes(v_bma: float, h: float, ring: RingSpec) -> Ellipsoid:
     """Recover the ellipsoid axes from actuator volume and apex height.
 
     Serves both the unindented shape (h = h1) and the contact-deformed
     shape (h = h3).  Raises DegenerateGeometry when the pair lies outside
     the model's validity region (near-flat membrane, singular denominator,
-    negative radicand, or non-positive axes).
+    negative radicand, or axes that are not both positive).
     """
     if h <= 0:
         raise DegenerateGeometry(f"apex height must be positive, got {h}")
-    r2pi = math.pi * ring.r ** 2
+    r2pi = ring.area
     denom = 3 * h * r2pi - 6 * v_bma
     scale = abs(3 * h * r2pi) + abs(6 * v_bma)
     if abs(denom) < _DENOM_REL_EPS * scale:
@@ -119,8 +103,8 @@ def solve_axes(v_bma: float, h: float, ring: RingSpec) -> Ellipsoid:
     if radicand < 0:
         raise DegenerateGeometry("negative radicand in major-axis solution")
     a = math.sqrt(radicand) * (math.sqrt(3) * h * r2pi - 3 ** 1.5 * v_bma) / denom
-    if a <= 0 or c <= 0:
-        raise DegenerateGeometry(f"non-positive axes a={a}, c={c}")
+    if not (a > 0 and c > 0):   # also a NaN axis, from a NaN or infinite input
+        raise DegenerateGeometry(f"axes a={a}, c={c} are not both positive")
     # near-flat heights admit a mathematically consistent but absurd
     # lens-shaped solution (a many times the ring radius); reject it
     if a > _ASPECT_LIMIT * ring.r or a > _ASPECT_LIMIT * c:

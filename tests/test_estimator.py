@@ -28,7 +28,8 @@ from bma import (
     actuator_volume,
 )
 from bma import estimator
-from bma.estimator import NO_FLAGS, Reconstruction, balance_pressure, reconstruct, update
+from bma.estimator import (NO_FLAGS, Reconstruction, balance_pressure, indent, reconstruct,
+                           update)
 from bma.material import integration_angle, perimeter, stretch, yeoh_energy_density
 
 
@@ -272,6 +273,33 @@ class TestUpdate:
         assert not any("step_error" in est.flags for est in estimates)
         assert "h2_prev_clamped" in estimates[0].flags
         assert all(0.0 <= est.h2 <= est.h1 for est in estimates)
+
+    def test_update_is_indent_plus_records(self, cfg):
+        # update's h2, h4, force and flags are those of the indent core, on
+        # free, contact, saturated, clamped and nonpositive-pressure samples
+        v_f = 0.5e-6
+        p_free = predict_pressure(v_f, cfg)
+        for h2_prev in (0.0, 1e-3, 3e-3):
+            g = reconstruct(v_f, h2_prev, cfg)
+            for p in (p_free, 1.02 * p_free, 0.98 * p_free, 1e9, 0.0, -500.0):
+                est, state = update(g, EstimatorState(h2_prev, 3), v_f, p)
+                assert indent(g, v_f, p) == (est.h2, est.h4, est.force, est.flags)
+                assert est.p_hat == balance_pressure(g, v_f)
+                assert type(state) is EstimatorState and state == (est.h2, 4)
+
+    def test_contact_reconstruct_calls_every_layer(self, cfg, monkeypatch):
+        # the layers run through the names bma.estimator looks up, where the
+        # benchmark's per-layer spans wrap them; a cold volume runs them all
+        called = []
+        for name in ("evaluate_height", "solve_axes", "perimeter", "yeoh_energy_density"):
+            def counted(*args, _fn=getattr(estimator, name), _name=name):
+                called.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(estimator, name, counted)
+        g = cold_reconstruct(0.5e-6, 3e-3, cfg)
+        assert g.k > 0
+        assert sorted(called) == ["evaluate_height", "perimeter", "solve_axes", "solve_axes",
+                                  "yeoh_energy_density"]
 
     @pytest.mark.parametrize("h2_prev", [-1e-3, -math.inf, math.inf, math.nan])
     def test_bad_carried_state_restarts_free(self, cfg, h2_prev):

@@ -10,7 +10,6 @@ from bma import (
     Ellipsoid,
     RingSpec,
     actuator_volume,
-    cap_volume,
     center_shift,
     contact_radius,
     evaluate_height,
@@ -19,7 +18,7 @@ from bma import (
     solve_axes,
     sphere_baseline,
 )
-from bma.geometry import ellipsoid_volume_above_ring
+from oracles import cap_volume, ellipsoid_volume_above_ring
 
 
 def cap_volume_oracle(a, c, h_b):
@@ -129,6 +128,14 @@ class TestSolveAxes:
             solve_axes(400e-9, 1e-12, ring)
         with pytest.raises(DegenerateGeometry):
             solve_axes(400e-9, 0.0, ring)
+
+    @pytest.mark.parametrize("v_bma, h", [(math.nan, 3e-3), (1e-6, math.nan), (math.inf, 3e-3),
+                                          (1e-6, math.inf), (-math.inf, 3e-3)])
+    def test_nonfinite_input_degenerate(self, ring, v_bma, h):
+        # NaN passes every ordered comparison, so the axes are checked by
+        # "not (a > 0 and c > 0)": a model error, not Ellipsoid's ValueError
+        with pytest.raises(DegenerateGeometry):
+            solve_axes(v_bma, h, ring)
 
     def test_round_trip(self):
         # generate boundary-consistent (a, c, h), produce the volume, recover

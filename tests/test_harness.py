@@ -24,7 +24,8 @@ from bma import (
     write_trace,
 )
 from bma import EstimatorState, StateEstimate, harness
-from bma.estimator import balance_pressure, reconstruct, update
+from bma import estimator
+from bma.estimator import balance_pressure, indent, reconstruct
 
 
 def basic_script(noise=0.0):
@@ -320,21 +321,32 @@ class TestSimulateReconstructsOnce:
             built.append(reconstruct(*args))
             return built[-1]
 
-        def recording_update(g, *args):
+        def recording_indent(g, *args):
             handed.append(g)
-            return update(g, *args)
+            return indent(g, *args)
 
         def no_step(*args):
             raise AssertionError("the simulator rebuilds through step")
 
         monkeypatch.setattr(harness, "reconstruct", counting_reconstruct)
-        monkeypatch.setattr(harness, "update", recording_update)
+        monkeypatch.setattr(harness, "indent", recording_indent)
         monkeypatch.setattr(harness, "step", no_step)
         records = simulate_trace(contact_script(), cfg, seed=0)
         # every emitted sample and every fixed-point iteration builds one
-        # reconstruction and hands that same object to the update
+        # reconstruction and hands that same object to the indentation core
         assert len(built) == len(handed) > len(records)
         assert all(a is b for a, b in zip(built, handed))
+
+    def test_never_builds_estimates(self, cfg, monkeypatch):
+        # the simulator carries a bare h2: no update, so no estimate or state
+        want = repr(simulate_trace(contact_script(), cfg, seed=0))
+
+        def no_update(*args):
+            raise AssertionError("the simulator builds estimates through update")
+
+        monkeypatch.setattr(estimator, "update", no_update)
+        monkeypatch.setattr(harness, "update", no_update, raising=False)
+        assert repr(simulate_trace(contact_script(), cfg, seed=0)) == want
 
 
 class TestRunTrace:
@@ -439,6 +451,19 @@ class TestEvaluate:
         records = [TraceRecord(t=0.0, v_f=0.4e-6, p=11000.0)]
         with pytest.raises(MissingGroundTruth):
             evaluate(records, cfg)
+
+    def test_near_zero_force_counts_as_no_contact(self, cfg):
+        # a measured zero-force reading is never exactly 0; within
+        # NO_CONTACT_FORCE_N it still selects the sample for rmse_p
+        records = simulate_trace(basic_script(noise=20.0), cfg, seed=3)
+        want = evaluate(records, cfg).rmse_p
+        jittered = [replace(r, f_true=(-1e-12, 1e-12)[i % 2]) if r.f_true == 0 else r
+                    for i, r in enumerate(records)]
+        assert evaluate(jittered, cfg).rmse_p == want
+        # a force past the tolerance is contact and leaves the selection
+        pushed = [replace(r, f_true=2 * harness.NO_CONTACT_FORCE_N) if r.f_true == 0 else r
+                  for r in records]
+        assert evaluate(pushed, cfg).rmse_p is None
 
     def test_noise_raises_error_floor(self, cfg):
         noisy = simulate_trace(basic_script(noise=100.0), cfg, seed=1)
