@@ -18,18 +18,14 @@ from .estimator import (
     EstimatorConfig,
     EstimatorState,
     StateEstimate,
-    estimate_force,
     predict_pressure,
     rmse,
-    slice_indentation,
     step,
 )
 from .geometry import (
     Ellipsoid,
     RingSpec,
     actuator_volume,
-    center_shift,
-    contact_radius,
     membrane_volume,
     profile_polyline,
     solve_axes,
@@ -48,12 +44,7 @@ from .harness import (
 )
 from .material import (
     YeohCoeffs,
-    free_membrane_volume,
-    inflated_thickness,
-    integration_angle,
-    invariant_i1,
     perimeter,
-    stretch,
     yeoh_energy_density,
 )
 

@@ -9,6 +9,14 @@ as it does while the syringe holds a volume, and an indentation stage
 rebuilt per sample at the carried h2 but kept with the volume stage at
 h2 = 0, where it too depends on V_f alone.  The energy balance then yields
 the force and the next h2 (`indent`, all the simulator needs of `update`).
+
+The chain runs as straight-line float arithmetic around four layers kept
+as functions and called through this module's names: `evaluate_height`,
+`solve_axes`, `perimeter` and `yeoh_energy_density`.  The closed forms
+between them (center shift, contact radius, integration angle, stretch,
+thickness, free membrane volume, force and slice depth) are lines of
+`reconstruct` and `indent`; `tests/oracles.py` keeps them as reference
+functions, and a property test holds the two equal value for value.
 """
 
 from __future__ import annotations
@@ -20,26 +28,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import HeightFit, evaluate_height
-from .errors import DegenerateGeometry, LengthMismatch, NegativeDiscriminant
-from .geometry import (
-    RingSpec,
-    actuator_volume,
-    center_shift,
-    contact_radius,
-    membrane_volume,
-    solve_axes,
-)
-from .material import (
-    YeohCoeffs,
-    free_membrane_volume,
-    inflated_thickness,
-    integration_angle,
-    perimeter,
-    stretch,
-    yeoh_energy_density,
-)
+from .errors import DegenerateGeometry, LengthMismatch
+from .geometry import RingSpec, actuator_volume, membrane_volume, solve_axes
+from .material import YeohCoeffs, perimeter, yeoh_energy_density
 
 DEFAULT_V_MIN_MODEL = 0.1e-6  # 0.1 ml in m3; the model is unreliable below this
+
+_HALF_PI = math.pi / 2
+_PI_SQUARED = math.pi ** 2
 
 
 @dataclass(frozen=True)
@@ -173,17 +169,36 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
     restart = not 0.0 <= h2_prev < h1
     h2_prev = 0.0 if restart else h2_prev
     if h2_prev != 0.0 or rest is None:
+        ring = cfg.ring
+        a, c = free
         h3 = h1 - h2_prev
-        d = solve_axes(v_bma, h3, cfg.ring)
-        c_c = center_shift(free.c, d.c)
-        k = contact_radius(free, h2_prev, c_c)
-        arc = perimeter(d.a, d.c, h3, integration_angle(cfg.ring.r, h3, d.c))
-        lam = stretch(arc, cfg.ring)
+        a_d, c_d = solve_axes(v_bma, h3, ring)
+        c_c = c - c_d   # center shift of the polar axis; may be negative transiently
+        # contact radius: the slice at depth h2_prev - c_c below the unindented
+        # apex, through the unindented ellipsoid; no slice contact at depth <= 0
+        depth = h2_prev - c_c
+        if depth <= 0:
+            k = 0.0
+        elif depth > 2 * c:
+            raise DegenerateGeometry(
+                f"slice depth {depth} below the entire ellipsoid (2c={2 * c})")
+        else:
+            k = min(a * math.sqrt(2 * c * depth - depth * depth) / c, a)
+        # meridian arc bounded by theta1 = arctan(r / |h3 - c_d|), whose limit
+        # pi/2 at h3 = c_d is where the hemisphere sits; stretch lambda = L / r
+        gap = abs(h3 - c_d)
+        arc = perimeter(a_d, c_d, h3, math.atan(ring.r / gap) if gap else _HALF_PI)
+        lam = arc / ring.r
         w = yeoh_energy_density(lam, cfg.coeffs)
-        v_fm, clamped = free_membrane_volume(v_m, k, inflated_thickness(cfg.ring, arc))
-        flags = NO_FLAGS | {"v_fm_clamped"} if clamped else NO_FLAGS
+        # membrane volume outside the contact patch, V_m - k^2 pi t_m, at the
+        # incompressible thickness t_m = t_i r^2 / L^2; an overestimated k can
+        # drive it negative transiently, and then it is clamped to 0 and flagged
+        v_fm = v_m - k ** 2 * math.pi * (ring.t_i * ring.r ** 2 / arc ** 2)
+        flags = NO_FLAGS
+        if v_fm < 0:
+            v_fm, flags = 0.0, NO_FLAGS | {"v_fm_clamped"}
         g = _new_tuple(Reconstruction,
-                       (h1, free.a, free.c, h3, d.a, d.c, c_c, k, lam, w, v_fm, flags))
+                       (h1, a, c, h3, a_d, c_d, c_c, k, lam, w, v_fm, flags))
         if h2_prev != 0.0:
             return g
         rest = g
@@ -199,32 +214,6 @@ def balance_pressure(g: Reconstruction, v_f: float, force: float = 0.0) -> float
 def predict_pressure(v_f: float, cfg: EstimatorConfig) -> float:
     """Pressure predicted for free (no-contact) inflation at volume v_f [Pa]."""
     return balance_pressure(reconstruct(v_f, 0.0, cfg), v_f)
-
-
-def estimate_force(v_f: float, p: float, v_fm: float, w: float, h3: float) -> float:
-    """External planar force from the energy balance, F = (V_f p - V_fm W) / h3 [N]."""
-    if h3 <= 0:
-        raise DegenerateGeometry(f"deformed height must be positive, got {h3}")
-    return (v_f * p - v_fm * w) / h3
-
-
-def slice_indentation(a: float, c: float, p: float, force: float) -> float:
-    """Slice-induced indentation depth of the deformed membrane [m].
-
-    h4 = -(c sqrt(pi^2 a^2 p^2 - pi F p) - pi a c p) / (pi a p); equals
-    c (1 - sqrt(1 - F / (pi a^2 p))).
-    """
-    if p <= 0:
-        raise ValueError(f"pressure must be positive, got {p}")
-    try:
-        disc = math.pi ** 2 * a ** 2 * p ** 2 - math.pi * force * p
-        if disc < 0:
-            raise NegativeDiscriminant(
-                f"force {force} exceeds pressurized cross-section bound {math.pi * a * a * p}"
-            )
-        return -(c * math.sqrt(disc) - math.pi * a * c * p) / (math.pi * a * p)
-    except ArithmeticError as exc:   # p^2 overflows, or pi a p underflows to 0
-        raise DegenerateGeometry(f"pressure {p} is outside the float range") from exc
 
 
 def step(state: EstimatorState, v_f: float, p: float,
@@ -260,19 +249,28 @@ def update(g: Reconstruction, state: EstimatorState, v_f: float,
 def indent(g: Reconstruction, v_f: float, p: float) -> tuple[float, float, float, frozenset]:
     """(h2, h4, force, flags) from a reconstruction: the core of `update`.
 
-    Force, slice depth h4 and h2 = h4 + c_c clamped to [0, h1]; builds no estimate or state.
+    The energy balance gives the force F = (V_f p - V_fm W) / h3; slicing
+    the pressurized cross-section gives the depth
+    h4 = c (1 - sqrt(1 - F / (pi a^2 p))), computed in the form
+    -(c sqrt(pi^2 a^2 p^2 - pi F p) - pi a c p) / (pi a p); and
+    h2 = h4 + c_c is clamped to [0, h1].  Builds no estimate or state.
     """
     flags = g.flags
-    force = estimate_force(v_f, p, g.v_fm, g.w, g.h3)
+    force = (v_f * p - g.v_fm * g.w) / g.h3
     if p <= 0:
         h4 = 0.0
         flags = flags | {"nonpositive_pressure"}
     else:
+        a, c = g.a, g.c
         try:
-            h4 = slice_indentation(g.a, g.c, p, force)
-        except NegativeDiscriminant:
-            h4 = g.c
-            flags = flags | {"force_exceeds_bound"}
+            disc = _PI_SQUARED * a ** 2 * p ** 2 - math.pi * force * p
+            if disc < 0:   # F beyond the cross-section's bound pi a^2 p
+                h4 = c
+                flags = flags | {"force_exceeds_bound"}
+            else:
+                h4 = -(c * math.sqrt(disc) - math.pi * a * c * p) / (math.pi * a * p)
+        except ArithmeticError as exc:   # p^2 overflows, or pi a p underflows to 0
+            raise DegenerateGeometry(f"pressure {p} is outside the float range") from exc
     h2_raw = h4 + g.c_c
     h2 = min(max(h2_raw, 0.0), g.h1)
     if h2 != h2_raw:

@@ -8,7 +8,10 @@ contact-deformed shapes are recovered from (volume, apex height) by the
 same closed form, `solve_axes`, which returns a bare `Ellipsoid`; the
 per-sample record of both shapes is the flat `estimator.Reconstruction`
 of floats, and `profile_polyline` draws a shape from its floats
-(a, c, h, k).
+(a, c, h, k).  The center shift c - c_d and the contact radius of the
+indenter's slice through the unindented shape are lines of
+`estimator.reconstruct`; `tests/oracles.py` keeps them as reference
+functions.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +31,8 @@ _DENOM_REL_EPS = 1e-12
 # equatorial semi-axis more than this many times the ring radius or the
 # polar semi-axis marks the degenerate flat-membrane branch
 _ASPECT_LIMIT = 1e3
+
+_SQRT3 = math.sqrt(3)
 
 
 @dataclass(frozen=True)
@@ -49,22 +55,28 @@ class RingSpec:
         return math.pi * self.r ** 2
 
 
-@dataclass(slots=True)
-class Ellipsoid:
-    """Axisymmetric ellipsoid: equatorial semi-axis a, polar semi-axis c.
-
-    Both oblate (a > c) and prolate (c > a) shapes occur; no ordering is
-    imposed.  A slots instance, built on every `solve_axes` call: unlike a
-    frozen dataclass its ``__init__`` pays no ``object.__setattr__`` per
-    field, but it is mutable and not hashable.
-    """
-
+# A NamedTuple class cannot define its own __new__, so the checked
+# constructor lives in the subclass `Ellipsoid`.
+class _Axes(NamedTuple):
     a: float  # equatorial semi-axis [m]
     c: float  # polar semi-axis [m]
 
-    def __post_init__(self):
-        if not (self.a > 0 and self.c > 0):
+
+class Ellipsoid(_Axes):
+    """Axisymmetric ellipsoid: equatorial semi-axis a, polar semi-axis c.
+
+    Both oblate (a > c) and prolate (c > a) shapes occur; no ordering is
+    imposed.  Built directly, it checks that both semi-axes are positive;
+    `solve_axes`, which has just made that check, builds it with
+    ``tuple.__new__`` instead, so the check does not run twice.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, c: float):
+        if not (a > 0 and c > 0):
             raise ValueError("semi-axes must be positive")
+        return tuple.__new__(cls, (a, c))
 
 
 def membrane_volume(ring: RingSpec) -> float:
@@ -102,7 +114,7 @@ def solve_axes(v_bma: float, h: float, ring: RingSpec) -> Ellipsoid:
     radicand = -(h * r2pi - 2 * v_bma) / (h * math.pi)
     if radicand < 0:
         raise DegenerateGeometry("negative radicand in major-axis solution")
-    a = math.sqrt(radicand) * (math.sqrt(3) * h * r2pi - 3 ** 1.5 * v_bma) / denom
+    a = math.sqrt(radicand) * (_SQRT3 * h * r2pi - 3 ** 1.5 * v_bma) / denom
     if not (a > 0 and c > 0):   # also a NaN axis, from a NaN or infinite input
         raise DegenerateGeometry(f"axes a={a}, c={c} are not both positive")
     # near-flat heights admit a mathematically consistent but absurd
@@ -111,31 +123,7 @@ def solve_axes(v_bma: float, h: float, ring: RingSpec) -> Ellipsoid:
         raise DegenerateGeometry(
             f"flat-membrane solution a={a} out of proportion to r={ring.r}, c={c}"
         )
-    return Ellipsoid(a, c)
-
-
-def center_shift(c: float, c_d: float) -> float:
-    """Shift of the polar axis between unindented and deformed shapes [m].
-
-    May be negative transiently; downstream clamping handles it.
-    """
-    return c - c_d
-
-
-def contact_radius(e: Ellipsoid, h2_prev: float, c_c: float) -> float:
-    """Contact-patch radius from slicing the unindented ellipsoid e [m].
-
-    Slice depth is d = h2_prev - c_c below the apex; d <= 0 means no slice
-    contact yet and returns 0.
-    """
-    d = h2_prev - c_c
-    if d <= 0:
-        return 0.0
-    a, c = e.a, e.c
-    if d > 2 * c:
-        raise DegenerateGeometry(f"slice depth {d} below the entire ellipsoid (2c={2 * c})")
-    k = a * math.sqrt(2 * c * d - d * d) / c
-    return min(k, a)
+    return tuple.__new__(Ellipsoid, (a, c))
 
 
 def sphere_baseline(v_bma: float, ring: RingSpec) -> tuple[float, float]:

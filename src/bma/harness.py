@@ -98,6 +98,16 @@ def parse_float(text, line: int) -> float:
         raise ParseError(str(exc), line=line) from exc
 
 
+def parse_truth(text, line: int, name: str) -> float | None:
+    """An optional ground-truth cell: None when empty or missing, else a finite float."""
+    if not text:
+        return None
+    value = parse_float(text, line)
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite {name} {value}", line=line)
+    return value
+
+
 def read_rows(path, required, optional=()):
     """Yield (line, cells) for each row of a CSV file, cells named by the header.
 
@@ -156,7 +166,11 @@ def write_estimates(path, records, estimates) -> None:
 
 
 def ingest_trace(path) -> list[TraceRecord]:
-    """Parse a trace CSV into SI records, validating monotone timestamps."""
+    """Parse a trace CSV into SI records, validating monotone timestamps.
+
+    Time, volume and any ground truth must be finite; an empty truth cell
+    means no truth for that row.
+    """
     records = []
     prev_t = None
     for i, (t, v_ml, p, f, h) in read_rows(path, TRACE_COLUMNS, ("force_n", "indent_mm")):
@@ -170,9 +184,10 @@ def ingest_trace(path) -> list[TraceRecord]:
         if prev_t is not None and t <= prev_t:
             raise NonMonotoneTime(f"line {i}: timestamp {t} not greater than previous {prev_t}")
         prev_t = t
-        f_true = parse_float(f, i) if f else None   # an empty or missing cell: no truth
-        h2_true = parse_float(h, i) * MM_TO_M if h else None
-        records.append(TraceRecord(t, v_ml * ML_TO_M3, p, f_true, h2_true))
+        f_true = parse_truth(f, i, "force_n")
+        h_mm = parse_truth(h, i, "indent_mm")
+        records.append(TraceRecord(t, v_ml * ML_TO_M3, p, f_true,
+                                   h_mm * MM_TO_M if h_mm is not None else None))
     return records
 
 
@@ -214,16 +229,17 @@ def run_trace(records, cfg: EstimatorConfig,
     if state is None:
         state = EstimatorState()
     estimates = []
-    p_filt = None
-    prev_t = None
+    tau = cfg.pressure_filter_tau
+    p_filt = prev_t = None
     for rec in records:
         p = rec.p
-        if cfg.pressure_filter_tau > 0 and p_filt is not None:
-            dt = rec.t - prev_t
-            alpha = dt / (cfg.pressure_filter_tau + dt)
-            p = p_filt + alpha * (p - p_filt)
-        if math.isfinite(p):
-            p_filt, prev_t = p, rec.t
+        if tau > 0:
+            if p_filt is not None:
+                dt = rec.t - prev_t
+                alpha = dt / (tau + dt)
+                p = p_filt + alpha * (p - p_filt)
+            if math.isfinite(p):
+                p_filt, prev_t = p, rec.t
         try:
             est, state = step(state, rec.v_f, p, cfg)
         except BmaError as exc:
@@ -303,8 +319,10 @@ def evaluate(records, cfg: EstimatorConfig,
     measured pressure on samples with |F| <= NO_CONTACT_FORCE_N.  The
     optional contact window (t0, t1) additionally restricts the force and
     indentation errors, mirroring the split between the pre-contact region
-    and the indentation region.
+    and the indentation region; it needs t0 <= t1, and neither may be NaN.
     """
+    if contact_window is not None and not contact_window[0] <= contact_window[1]:
+        raise ValueError(f"contact window {contact_window} needs t0 <= t1")
     if not records or not all(r.has_truth for r in records):
         raise MissingGroundTruth("trace lacks force_n/indent_mm ground truth")
 

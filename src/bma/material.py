@@ -1,9 +1,12 @@
 """Membrane kinematics and the Yeoh 6th-order energy term.
 
-The meridian arc of the ballooned profile is an ellipse arc whose length,
-divided by the ring radius, gives the single principal stretch used in the
-energy balance.  Thickness follows from incompressibility: t_m * lambda^2
-= t_i.
+The meridian arc of the ballooned profile is an ellipse arc, `perimeter`,
+whose length divided by the ring radius gives the single principal stretch
+used in the energy balance; `yeoh_energy_density` turns that stretch into
+the energy term.  The arc's integration angle, the stretch L / r, the
+thickness from incompressibility (t_m * lambda^2 = t_i) and the membrane
+volume outside the contact patch are lines of `estimator.reconstruct`;
+`tests/oracles.py` keeps them as reference functions.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 from scipy.special.cython_special import ellipeinc
-
-from .geometry import RingSpec
 
 
 @dataclass(frozen=True)
@@ -42,20 +43,6 @@ class YeohCoeffs:
         return YeohCoeffs(*(s * c for c in self.as_tuple()))
 
 
-def integration_angle(r: float, h3: float, c_d: float) -> float:
-    """Integral boundary theta1 = arctan(r / |h3 - c_d|) [rad].
-
-    At h3 = c_d the arctan(inf) limit pi/2 is used; the hemisphere sits
-    exactly on this singularity.
-    """
-    if r <= 0:
-        raise ValueError("ring radius must be positive")
-    gap = abs(h3 - c_d)
-    if gap == 0:
-        return math.pi / 2
-    return math.atan(r / gap)
-
-
 def perimeter(a_d: float, c_d: float, h3: float, theta1: float) -> float:
     """Meridian arc length of the deformed ellipse [m].
 
@@ -76,53 +63,16 @@ def perimeter(a_d: float, c_d: float, h3: float, theta1: float) -> float:
     return c_d * ellipeinc(upper, 1.0 - (a_d / c_d) ** 2)
 
 
-def stretch(arc_length: float, ring: RingSpec) -> float:
-    """Principal stretch lambda = L / r."""
-    if arc_length <= 0:
-        raise ValueError("arc length must be positive")
-    return arc_length / ring.r
-
-
-def invariant_i1(lam: float) -> float:
-    """First Cauchy-Green invariant I1 = lambda^2 + 2/lambda."""
-    if lam <= 0:
-        raise ValueError("stretch must be positive")
-    return lam ** 2 + 2.0 / lam
-
-
 def yeoh_energy_density(lam: float, coeffs: YeohCoeffs) -> float:
     """Yeoh 6th-order energy term W = sum_n 2(lam - lam^-2) n C_n (I1-3)^(n-1) [Pa].
 
-    The n = 0 term is identically zero.  The sum over n = 1..6 is evaluated
-    by Horner's rule in x = I1 - 3.
+    I1 = lam^2 + 2/lam is the first Cauchy-Green invariant.  The n = 0 term
+    is identically zero.  The sum over n = 1..6 is evaluated by Horner's
+    rule in x = I1 - 3.
     """
     if lam <= 0:
         raise ValueError("stretch must be positive")
-    x = invariant_i1(lam) - 3.0
+    x = lam ** 2 + 2.0 / lam - 3.0   # I1 - 3, I1 = lambda^2 + 2/lambda
     c = coeffs
     return 2.0 * (lam - lam ** -2) * (c.c1 + x * (2.0 * c.c2 + x * (3.0 * c.c3 + x * (
         4.0 * c.c4 + x * (5.0 * c.c5 + 6.0 * c.c6 * x)))))
-
-
-def inflated_thickness(ring: RingSpec, arc_length: float) -> float:
-    """Inflated membrane thickness t_m = t_i r^2 / L^2 [m]."""
-    if arc_length <= 0:
-        raise ValueError("arc length must be positive")
-    return ring.t_i * ring.r ** 2 / arc_length ** 2
-
-
-def free_membrane_volume(v_m: float, k: float, t_m: float) -> tuple[float, bool]:
-    """Membrane volume in the free-inflation region, V_fm = V_m - k^2 pi t_m [m3].
-
-    Returns (volume, clamped) where clamped marks a raw negative value
-    that was clamped to zero; an overestimated contact radius can cause
-    this transiently and must not kill the estimator loop.
-    """
-    if v_m <= 0:
-        raise ValueError("membrane volume must be positive")
-    if k < 0 or t_m <= 0:
-        raise ValueError("contact radius must be nonnegative and thickness positive")
-    raw = v_m - k ** 2 * math.pi * t_m
-    if raw < 0:
-        return 0.0, True
-    return raw, False

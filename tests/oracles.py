@@ -1,13 +1,33 @@
-"""Closed-form ellipsoid volumes that the tests use as oracles.
+"""Reference formulas that the tests use as oracles.
 
 `solve_axes` inverts `ellipsoid_volume_above_ring`; the package itself
 never evaluates either volume, so they live here, next to the tests that
 check the inversion.
+
+The closed forms between the estimator's layers are lines of
+`estimator.reconstruct`, `estimator.indent` and `yeoh_energy_density`.
+Here each is a function of its own, with the checks on its arguments, and
+`reconstruct_chain` and `indent_chain` compose them (with the package's
+layers) the way the estimator did before they were folded in: the
+property tests hold the package equal to these compositions value for
+value.
 """
 
 import math
 
-from bma import DegenerateGeometry, Ellipsoid
+from bma import (
+    DegenerateGeometry,
+    Ellipsoid,
+    NegativeDiscriminant,
+    RingSpec,
+    YeohCoeffs,
+    actuator_volume,
+    evaluate_height,
+    membrane_volume,
+    perimeter,
+    solve_axes,
+)
+from bma.estimator import Reconstruction
 
 
 def cap_volume(e: Ellipsoid, h_b: float) -> float:
@@ -25,3 +45,161 @@ def ellipsoid_volume_above_ring(e: Ellipsoid, h: float) -> float:
         -e.a ** 2 * (2 * e.c - h) ** 2 * (h + e.c) * math.pi / (3 * e.c ** 2)
         + 4 * math.pi * e.a ** 2 * e.c / 3
     )
+
+
+def center_shift(c: float, c_d: float) -> float:
+    """Shift of the polar axis between unindented and deformed shapes [m].
+
+    May be negative transiently; downstream clamping handles it.
+    """
+    return c - c_d
+
+
+def contact_radius(e: Ellipsoid, h2_prev: float, c_c: float) -> float:
+    """Contact-patch radius from slicing the unindented ellipsoid e [m].
+
+    Slice depth is d = h2_prev - c_c below the apex; d <= 0 means no slice
+    contact yet and returns 0.
+    """
+    d = h2_prev - c_c
+    if d <= 0:
+        return 0.0
+    a, c = e.a, e.c
+    if d > 2 * c:
+        raise DegenerateGeometry(f"slice depth {d} below the entire ellipsoid (2c={2 * c})")
+    k = a * math.sqrt(2 * c * d - d * d) / c
+    return min(k, a)
+
+
+def integration_angle(r: float, h3: float, c_d: float) -> float:
+    """Integral boundary theta1 = arctan(r / |h3 - c_d|) [rad].
+
+    At h3 = c_d the arctan(inf) limit pi/2 is used; the hemisphere sits
+    exactly on this singularity.
+    """
+    if r <= 0:
+        raise ValueError("ring radius must be positive")
+    gap = abs(h3 - c_d)
+    if gap == 0:
+        return math.pi / 2
+    return math.atan(r / gap)
+
+
+def stretch(arc_length: float, ring: RingSpec) -> float:
+    """Principal stretch lambda = L / r."""
+    if arc_length <= 0:
+        raise ValueError("arc length must be positive")
+    return arc_length / ring.r
+
+
+def invariant_i1(lam: float) -> float:
+    """First Cauchy-Green invariant I1 = lambda^2 + 2/lambda."""
+    if lam <= 0:
+        raise ValueError("stretch must be positive")
+    return lam ** 2 + 2.0 / lam
+
+
+def inflated_thickness(ring: RingSpec, arc_length: float) -> float:
+    """Inflated membrane thickness t_m = t_i r^2 / L^2 [m]."""
+    if arc_length <= 0:
+        raise ValueError("arc length must be positive")
+    return ring.t_i * ring.r ** 2 / arc_length ** 2
+
+
+def free_membrane_volume(v_m: float, k: float, t_m: float) -> tuple[float, bool]:
+    """Membrane volume in the free-inflation region, V_fm = V_m - k^2 pi t_m [m3].
+
+    Returns (volume, clamped) where clamped marks a raw negative value
+    that was clamped to zero; an overestimated contact radius can cause
+    this transiently and must not kill the estimator loop.
+    """
+    if v_m <= 0:
+        raise ValueError("membrane volume must be positive")
+    if k < 0 or t_m <= 0:
+        raise ValueError("contact radius must be nonnegative and thickness positive")
+    raw = v_m - k ** 2 * math.pi * t_m
+    if raw < 0:
+        return 0.0, True
+    return raw, False
+
+
+def yeoh_reference(lam: float, coeffs: YeohCoeffs) -> float:
+    """`yeoh_energy_density` with x = I1 - 3 taken from `invariant_i1` [Pa]."""
+    if lam <= 0:
+        raise ValueError("stretch must be positive")
+    x = invariant_i1(lam) - 3.0
+    c = coeffs
+    return 2.0 * (lam - lam ** -2) * (c.c1 + x * (2.0 * c.c2 + x * (3.0 * c.c3 + x * (
+        4.0 * c.c4 + x * (5.0 * c.c5 + 6.0 * c.c6 * x)))))
+
+
+def estimate_force(v_f: float, p: float, v_fm: float, w: float, h3: float) -> float:
+    """External planar force from the energy balance, F = (V_f p - V_fm W) / h3 [N]."""
+    if h3 <= 0:
+        raise DegenerateGeometry(f"deformed height must be positive, got {h3}")
+    return (v_f * p - v_fm * w) / h3
+
+
+def slice_indentation(a: float, c: float, p: float, force: float) -> float:
+    """Slice-induced indentation depth of the deformed membrane [m].
+
+    h4 = -(c sqrt(pi^2 a^2 p^2 - pi F p) - pi a c p) / (pi a p); equals
+    c (1 - sqrt(1 - F / (pi a^2 p))).
+    """
+    if p <= 0:
+        raise ValueError(f"pressure must be positive, got {p}")
+    try:
+        disc = math.pi ** 2 * a ** 2 * p ** 2 - math.pi * force * p
+        if disc < 0:
+            raise NegativeDiscriminant(
+                f"force {force} exceeds pressurized cross-section bound {math.pi * a * a * p}"
+            )
+        return -(c * math.sqrt(disc) - math.pi * a * c * p) / (math.pi * a * p)
+    except ArithmeticError as exc:   # p^2 overflows, or pi a p underflows to 0
+        raise DegenerateGeometry(f"pressure {p} is outside the float range") from exc
+
+
+def reconstruct_chain(v_f: float, h2_prev: float, cfg) -> Reconstruction:
+    """`estimator.reconstruct` composed from the reference functions, with no memo."""
+    v_f, h2_prev = float(v_f), float(h2_prev)
+    if v_f < cfg.v_min_model:
+        raise DegenerateGeometry(f"volume {v_f} below modeled minimum {cfg.v_min_model}")
+    ring = cfg.ring
+    h1 = evaluate_height(cfg.fit, v_f)
+    v_bma = actuator_volume(v_f, ring)
+    free = solve_axes(v_bma, h1, ring)
+    if h1 > 2 * free.c:
+        raise DegenerateGeometry(f"apex height {h1} exceeds ellipsoid extent {2 * free.c}")
+    restart = not 0.0 <= h2_prev < h1
+    h2_prev = 0.0 if restart else h2_prev
+    h3 = h1 - h2_prev
+    d = solve_axes(v_bma, h3, ring)
+    c_c = center_shift(free.c, d.c)
+    k = contact_radius(free, h2_prev, c_c)
+    arc = perimeter(d.a, d.c, h3, integration_angle(ring.r, h3, d.c))
+    lam = stretch(arc, ring)
+    w = yeoh_reference(lam, cfg.coeffs)
+    v_fm, clamped = free_membrane_volume(membrane_volume(ring), k, inflated_thickness(ring, arc))
+    flags = {name for name, on in (("v_fm_clamped", clamped), ("h2_prev_clamped", restart)) if on}
+    return Reconstruction(h1, free.a, free.c, h3, d.a, d.c, c_c, k, lam, w, v_fm,
+                          frozenset(flags))
+
+
+def indent_chain(g: Reconstruction, v_f: float, p: float):
+    """`estimator.indent` composed from `estimate_force` and `slice_indentation`."""
+    flags = g.flags
+    force = estimate_force(v_f, p, g.v_fm, g.w, g.h3)
+    if p <= 0:
+        h4 = 0.0
+        flags = flags | {"nonpositive_pressure"}
+    else:
+        try:
+            h4 = slice_indentation(g.a, g.c, p, force)
+        except NegativeDiscriminant:
+            h4 = g.c
+            flags = flags | {"force_exceeds_bound"}
+    h2_raw = h4 + g.c_c
+    h2 = min(max(h2_raw, 0.0), g.h1)
+    if h2 != h2_raw:
+        flags = flags | {"h2_clamped"}
+    return h2, h4, force, flags

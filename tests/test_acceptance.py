@@ -18,8 +18,6 @@ from bma import (
     TraceRecord,
     YeohCoeffs,
     evaluate,
-    inflated_thickness,
-    invariant_i1,
     perimeter,
     predict_pressure,
     rmse,
@@ -27,11 +25,11 @@ from bma import (
     simulate_trace,
     solve_axes,
     step,
-    stretch,
     yeoh_energy_density,
 )
 from bma.geometry import RingSpec
-from oracles import cap_volume, ellipsoid_volume_above_ring
+from oracles import (cap_volume, ellipsoid_volume_above_ring, inflated_thickness,
+                     invariant_i1, stretch)
 
 
 def report(name, detail):

@@ -234,6 +234,30 @@ class TestExitCodes:
         assert run(["estimate", bad, "--config", cfg,
                     "--out", workdir / "x.csv"]) == 1
 
+    @pytest.mark.parametrize("window", [(2.0, 0.5), ("nan", 1.0)])
+    def test_bad_eval_window(self, workdir, capsys, window):
+        # such a window used to report no window RMSEs and exit 0
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        trace = workdir / "trace.csv"
+        run(["simulate", workdir / "script.yaml", "--config", cfg, "--seed", 0, "--out", trace])
+        capsys.readouterr()
+        assert run(["eval", trace, "--config", cfg, "--window", *window]) == 1
+        captured = capsys.readouterr()
+        assert "contact window" in captured.err and "RMSE" not in captured.out
+
+    @pytest.mark.parametrize("cell", ["force_n", "indent_mm"])
+    def test_nonfinite_truth_in_eval(self, workdir, capsys, cell):
+        # nan truth used to print RMSE_F: nan N and exit 0
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        trace = workdir / "trace.csv"
+        trace.write_text("t_s,volume_ml,pressure_pa,force_n,indent_mm\n"
+                         "0.0,0.4,9000,0.0,0.0\n0.01,0.4,9000,"
+                         + ("nan,0.0" if cell == "force_n" else "0.0,inf") + "\n")
+        assert run(["eval", trace, "--config", cfg]) == 1
+        assert f"line 3: non-finite {cell}" in capsys.readouterr().err
+
     def test_uncalibrated_config(self, workdir):
         # config without a height fit cannot estimate
         assert run(["estimate", workdir / "calibration.csv",

@@ -1,13 +1,16 @@
 import math
+from contextlib import contextmanager
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from bma import (
     BmaError,
     DegenerateGeometry,
+    Ellipsoid,
     EstimatorConfig,
     EstimatorState,
     LengthMismatch,
@@ -16,13 +19,11 @@ from bma import (
     StateEstimate,
     TraceRecord,
     YeohCoeffs,
-    estimate_force,
     evaluate_height,
     membrane_volume,
     predict_pressure,
     rmse,
     run_trace,
-    slice_indentation,
     solve_axes,
     step,
     actuator_volume,
@@ -30,7 +31,9 @@ from bma import (
 from bma import estimator
 from bma.estimator import (NO_FLAGS, Reconstruction, balance_pressure, indent, reconstruct,
                            update)
-from bma.material import integration_angle, perimeter, stretch, yeoh_energy_density
+from bma.material import perimeter, yeoh_energy_density
+from oracles import (estimate_force, indent_chain, integration_angle, reconstruct_chain,
+                     slice_indentation, stretch)
 
 
 class TestEstimateForce:
@@ -445,6 +448,115 @@ class TestVolumeMemo:
         g = reconstruct(0.5e-6, 1e-3, cfg)
         assert g == cold_reconstruct(0.5e-6, 1e-3, cfg)
         assert {type(getattr(g, k)) for k in Reconstruction._fields if k != "flags"} == {float}
+
+
+def indent_outcome(fn, g, v_f, p):
+    """An indent call's result, or the class and message of the model error it raised."""
+    try:
+        return fn(g, v_f, p)
+    except BmaError as exc:
+        return type(exc), str(exc)
+
+
+# pressures besides those near free inflation: nonpositive, a force past
+# the cross-section's bound, and one whose square overflows
+EXTREME_PRESSURES = (0.0, -500.0, 1e9, 1e200)
+
+
+def assert_chain_matches_oracle(cfg, v_f, h2_prev, pressures):
+    """reconstruct and indent equal the oracle composition; the paths they took."""
+    got = outcome(reconstruct, v_f, h2_prev, cfg)
+    assert got == outcome(reconstruct_chain, v_f, h2_prev, cfg)
+    if not isinstance(got, Reconstruction):
+        return {"slice_below_ellipsoid" if got[1].startswith("slice depth") else got[0].__name__}
+    paths = set(got.flags)
+    for p in pressures:
+        result = indent_outcome(indent, got, v_f, p)
+        assert result == indent_outcome(indent_chain, got, v_f, p)
+        paths |= result[3] if len(result) == 4 else {"indent_" + result[0].__name__}
+    return paths
+
+
+@contextmanager
+def substituted_axes(h1, free, deformed):
+    """solve_axes replaced by fixed axes: free ones at apex height h1, else deformed.
+
+    Replaced where `reconstruct` and the oracle chain look it up; the volume
+    memo, which would keep the replaced free shape, is emptied on both ends.
+    """
+    def stub(v_bma, h, ring):
+        return Ellipsoid(*(free if h == h1 else deformed))
+
+    with pytest.MonkeyPatch.context() as m:
+        for module in (estimator, oracles):
+            m.setattr(module, "solve_axes", stub)
+        estimator._volume_memo = (None, None, None)
+        try:
+            yield
+        finally:
+            estimator._volume_memo = (None, None, None)
+
+
+@st.composite
+def carried_indentations(draw, h1):
+    """0, a tiny value, a share of h1, a value within a few ulp of h1, or any float."""
+    kind = draw(st.sampled_from(["zero", "tiny", "share", "near_h1", "any"]))
+    if kind == "zero":
+        return 0.0
+    if kind == "tiny":
+        return draw(st.floats(min_value=5e-324, max_value=1e-12))
+    if kind == "share":
+        return h1 * draw(st.floats(0.0, 1.0, exclude_max=True))
+    if kind == "near_h1":
+        return h1 + draw(st.integers(-4, 2)) * math.ulp(h1)
+    return draw(st.floats())
+
+
+class TestFoldedChain:
+    """The straight-line `reconstruct` and `indent` against the oracle composition."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(v_f=st.one_of(st.sampled_from(MEMO_VOLUMES), st.floats(0.05e-6, 1.2e-6)),
+           data=st.data())
+    def test_equals_oracle_chain(self, cfg, v_f, data):
+        try:
+            h1, p_free = evaluate_height(cfg.fit, v_f), predict_pressure(v_f, cfg)
+        except BmaError:   # outside the modeled range: both sides raise
+            h1, p_free = 5e-3, 12e3
+        h2_prev = data.draw(carried_indentations(h1))
+        p_any = data.draw(st.floats(-1e6, 1e300))
+        assert_chain_matches_oracle(
+            cfg, v_f, h2_prev,
+            (p_free, 1.02 * p_free, 0.98 * p_free, p_any, *EXTREME_PRESSURES))
+
+    @settings(max_examples=150, deadline=None)
+    @given(v_f=st.sampled_from(MEMO_VOLUMES[1:6]), share=st.floats(0.0, 1.0, exclude_max=True),
+           axes=st.tuples(*[st.floats(0.05, 20.0)] * 4))
+    def test_equals_oracle_chain_for_any_layer_axes(self, cfg, v_f, share, axes):
+        # the solve_axes layer replaced by any positive axes, in units of h1:
+        # reaches shapes the real layer never returns, with the same result
+        h1 = evaluate_height(cfg.fit, v_f)
+        a, c, a_d, c_d = (h1 * x for x in axes)
+        with substituted_axes(h1, (a, c), (a_d, c_d)):
+            assert_chain_matches_oracle(cfg, v_f, share * h1, (12e3, 1e9, 0.0))
+
+    def test_examples_take_every_path(self, cfg):
+        v_f = 0.5e-6
+        h1 = evaluate_height(cfg.fit, v_f)
+        p_free = predict_pressure(v_f, cfg)
+        pressures = (p_free, 1.02 * p_free, 0.98 * p_free, *EXTREME_PRESSURES)
+        seen = set()
+        for h2_prev in (0.0, 5e-324, 1e-300, 1e-3, 3e-3, math.nextafter(h1, 0.0), h1, -1e-3):
+            seen |= assert_chain_matches_oracle(cfg, v_f, h2_prev, pressures)
+        # the real solve_axes keeps the slice above the ellipsoid's bottom and
+        # the contact patch inside the meridian arc; other axes reach both
+        with substituted_axes(h1, (2 * h1, h1), (h1, 4 * h1)):
+            seen |= assert_chain_matches_oracle(cfg, v_f, h1 / 2, pressures)
+        with substituted_axes(h1, (4 * h1, h1), (h1 / 4, 0.9 * h1)):
+            seen |= assert_chain_matches_oracle(cfg, v_f, 0.9 * h1, pressures)
+        assert seen >= {"h2_prev_clamped", "v_fm_clamped", "force_exceeds_bound", "h2_clamped",
+                        "nonpositive_pressure", "slice_below_ellipsoid",
+                        "indent_DegenerateGeometry"}
 
 
 class TestRmse:

@@ -10,15 +10,13 @@ from bma import (
     Ellipsoid,
     RingSpec,
     actuator_volume,
-    center_shift,
-    contact_radius,
     evaluate_height,
     membrane_volume,
     profile_polyline,
     solve_axes,
     sphere_baseline,
 )
-from oracles import cap_volume, ellipsoid_volume_above_ring
+from oracles import cap_volume, center_shift, contact_radius, ellipsoid_volume_above_ring
 
 
 def cap_volume_oracle(a, c, h_b):
@@ -99,6 +97,20 @@ class TestCapVolume:
                     got = cap_volume(Ellipsoid(a, c), h_b)
                     want = cap_volume_oracle(a, c, h_b)
                     assert got == pytest.approx(want, rel=1e-10)
+
+
+class TestEllipsoid:
+    @pytest.mark.parametrize("a, c", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -1e-300),
+                                      (math.nan, 1.0), (1.0, math.nan)])
+    def test_direct_build_rejects_bad_axes(self, a, c):
+        with pytest.raises(ValueError, match="semi-axes must be positive"):
+            Ellipsoid(a, c)
+
+    def test_solve_axes_builds_the_same_record(self, ring):
+        # solve_axes skips the repeated check, not the type or the fields
+        e = solve_axes(400e-9, 8e-3, ring)
+        assert type(e) is Ellipsoid
+        assert e == Ellipsoid(e.a, e.c) and (e.a, e.c) == tuple(e)
 
 
 class TestSolveAxes:

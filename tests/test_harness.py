@@ -82,6 +82,25 @@ class TestIngest:
         assert rec.h2_true == pytest.approx(1.5e-3)
         assert rec.has_truth
 
+    @pytest.mark.parametrize("truth", ["nan,1.0", "inf,1.0", "-inf,", "0.1,nan", "0.1,-inf",
+                                       ",inf"])
+    def test_nonfinite_truth_names_line(self, tmp_path, truth):
+        path = tmp_path / "t.csv"
+        path.write_text("t_s,volume_ml,pressure_pa,force_n,indent_mm\n"
+                        f"0.0,0.4,9000,0.1,1.0\n0.01,0.4,9000,{truth}\n")
+        with pytest.raises(ParseError, match="non-finite") as exc_info:
+            ingest_trace(path)
+        assert exc_info.value.line == 3
+
+    def test_empty_truth_cell_is_no_truth(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("t_s,volume_ml,pressure_pa,force_n,indent_mm\n0.0,0.4,9000,,1.0\n"
+                        "0.01,0.4,9000,0.2,\n")
+        first, second = ingest_trace(path)
+        assert (first.f_true, first.h2_true) == (None, pytest.approx(1e-3))
+        assert (second.f_true, second.h2_true) == (0.2, None)
+        assert not first.has_truth and not second.has_truth
+
     def test_missing_columns(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("time,vol\n0,1\n")
@@ -446,6 +465,18 @@ class TestEvaluate:
         report = evaluate(records, cfg, contact_window=(0.4, 1.2))
         assert report.window_rmse_f is not None
         assert report.window_rmse_f <= 1e-6
+
+    @pytest.mark.parametrize("window", [(2.0, 0.5), (math.nan, 1.0), (0.0, math.nan)])
+    def test_bad_window_rejected(self, cfg, window):
+        records = simulate_trace(basic_script(), cfg, seed=0)
+        with pytest.raises(ValueError, match="contact window"):
+            evaluate(records, cfg, contact_window=window)
+
+    def test_point_window_accepted(self, cfg):
+        records = simulate_trace(basic_script(), cfg, seed=0)
+        t = records[50].t
+        report = evaluate(records, cfg, contact_window=(t, t))
+        assert report.window_rmse_f is not None
 
     def test_missing_truth(self, cfg):
         records = [TraceRecord(t=0.0, v_f=0.4e-6, p=11000.0)]

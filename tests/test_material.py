@@ -9,13 +9,16 @@ from hypothesis import given, strategies as st
 from bma import (
     RingSpec,
     YeohCoeffs,
+    perimeter,
+    yeoh_energy_density,
+)
+from oracles import (
     free_membrane_volume,
     inflated_thickness,
     integration_angle,
     invariant_i1,
-    perimeter,
     stretch,
-    yeoh_energy_density,
+    yeoh_reference,
 )
 
 
@@ -190,6 +193,13 @@ class TestYeohEnergy:
             power *= x
         got = yeoh_energy_density(lam, coeffs)
         assert abs(got - sum(terms)) <= 1e-14 * sum(map(abs, terms))
+
+    @given(lam=st.floats(min_value=1e-3, max_value=50.0),
+           coeffs=st.tuples(*[st.floats(min_value=-1e5, max_value=1e5)] * 6))
+    def test_equals_invariant_composition(self, lam, coeffs):
+        # I1 - 3 computed in line gives the value of invariant_i1(lam) - 3 exactly
+        coeffs = YeohCoeffs(*coeffs)
+        assert yeoh_energy_density(lam, coeffs) == yeoh_reference(lam, coeffs)
 
     @given(st.floats(min_value=0.8, max_value=3.0))
     def test_linear_in_coefficients(self, lam):
