@@ -6,11 +6,10 @@ check the inversion.
 
 The closed forms between the estimator's layers are lines of
 `estimator.reconstruct`, `estimator.indent` and `yeoh_energy_density`.
-Here each is a function of its own, with the checks on its arguments, and
-`reconstruct_chain` and `indent_chain` compose them (with the package's
-layers) the way the estimator did before they were folded in: the
-property tests hold the package equal to these compositions value for
-value.
+Here each is a function of its own, with the checks on its arguments;
+`reconstruct_chain` and `indent_chain` compose them with the package's
+layers, one call per formula, and the property tests hold the package
+equal to these compositions value for value.
 """
 
 import math

@@ -464,7 +464,10 @@ EXTREME_PRESSURES = (0.0, -500.0, 1e9, 1e200)
 
 
 def assert_chain_matches_oracle(cfg, v_f, h2_prev, pressures):
-    """reconstruct and indent equal the oracle composition; the paths they took."""
+    """Assert reconstruct and indent equal the oracle composition, at each pressure.
+
+    Returns the flags they set and a name for each model error they raised.
+    """
     got = outcome(reconstruct, v_f, h2_prev, cfg)
     assert got == outcome(reconstruct_chain, v_f, h2_prev, cfg)
     if not isinstance(got, Reconstruction):
@@ -548,8 +551,9 @@ class TestFoldedChain:
         seen = set()
         for h2_prev in (0.0, 5e-324, 1e-300, 1e-3, 3e-3, math.nextafter(h1, 0.0), h1, -1e-3):
             seen |= assert_chain_matches_oracle(cfg, v_f, h2_prev, pressures)
-        # the real solve_axes keeps the slice above the ellipsoid's bottom and
-        # the contact patch inside the meridian arc; other axes reach both
+        # with the real solve_axes the slice stays above the ellipsoid's bottom,
+        # and no real shape was seen to put the contact patch beyond the
+        # meridian arc; substituted axes reach both
         with substituted_axes(h1, (2 * h1, h1), (h1, 4 * h1)):
             seen |= assert_chain_matches_oracle(cfg, v_f, h1 / 2, pressures)
         with substituted_axes(h1, (4 * h1, h1), (h1 / 4, 0.9 * h1)):
