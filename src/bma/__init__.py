@@ -8,7 +8,6 @@ from .errors import (
     InsufficientData,
     LengthMismatch,
     MissingGroundTruth,
-    NegativeDiscriminant,
     NoConvergence,
     NonMonotoneTime,
     OutOfRange,

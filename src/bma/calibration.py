@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,7 @@ class HeightFit:
 
     Coefficients are over volume normalized by v_scale (ascending powers).
     Evaluation outside [v_min, v_max] is rejected, never extrapolated.
+    `evaluation` is a cached property: computed once per fit.
     """
 
     coeffs: tuple[float, ...]   # ascending powers of V_f / v_scale
@@ -50,6 +52,12 @@ class HeightFit:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    @cached_property
+    def evaluation(self) -> tuple[float, float, tuple[float, ...]]:
+        """Range guard v_min - eps, v_max + eps and the coefficients highest power first."""
+        eps = _RANGE_EPS * self.v_scale
+        return self.v_min - eps, self.v_max + eps, tuple(reversed(self.coeffs))
 
 
 def _pair_hysteresis(samples):
@@ -128,16 +136,16 @@ def fit_height_poly(samples, degree: int = DEFAULT_DEGREE) -> HeightFit:
 
 
 def evaluate_height(fit: HeightFit, v_f: float) -> float:
-    """Evaluate the fitted unindented height at injected volume v_f [m]."""
-    eps = _RANGE_EPS * fit.v_scale
-    if not (fit.v_min - eps <= v_f <= fit.v_max + eps):
+    """Evaluate the fitted unindented height at injected volume v_f [m] by Horner's rule."""
+    lo, hi, coeffs = fit.evaluation
+    if not (lo <= v_f <= hi):
         raise OutOfRange(
             f"volume {v_f} outside calibrated range [{fit.v_min}, {fit.v_max}]"
         )
     # Horner's rule in the order polyval uses, without its array set-up
     x = v_f / fit.v_scale
     h = 0.0
-    for c in reversed(fit.coeffs):
+    for c in coeffs:
         h = h * x + c
     h = float(h)
     if not 0 < h < math.inf:   # a finite fit can still overflow to inf

@@ -9,10 +9,6 @@ class DegenerateGeometry(BmaError):
     """Height/volume pair lies outside the ellipsoid model's validity region."""
 
 
-class NegativeDiscriminant(BmaError):
-    """Applied force exceeds what the pressurized cross-section can express."""
-
-
 class InsufficientData(BmaError):
     """Too few distinct calibration volumes for the requested polynomial degree."""
 

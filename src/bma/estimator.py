@@ -8,7 +8,8 @@ depends on the injected volume V_f alone and is reused while V_f repeats,
 as it does while the syringe holds a volume, and an indentation stage
 rebuilt per sample at the carried h2 but kept with the volume stage at
 h2 = 0, where it too depends on V_f alone.  The energy balance then yields
-the force and the next h2 (`indent`, all the simulator needs of `update`).
+the force and the next h2 (`indent`, the core of `step`); the constants of
+one config object (ring, coefficients, fit) are cached properties of it.
 
 The chain runs as straight-line float arithmetic around four layers kept
 as functions and called through this module's names: `evaluate_height`,
@@ -29,13 +30,16 @@ import numpy as np
 
 from .calibration import HeightFit, evaluate_height
 from .errors import DegenerateGeometry, LengthMismatch
-from .geometry import RingSpec, actuator_volume, membrane_volume, solve_axes
+from .geometry import RingSpec, actuator_volume, solve_axes
 from .material import YeohCoeffs, perimeter, yeoh_energy_density
 
 DEFAULT_V_MIN_MODEL = 0.1e-6  # 0.1 ml in m3; the model is unreliable below this
 
+_PI = math.pi
 _HALF_PI = math.pi / 2
 _PI_SQUARED = math.pi ** 2
+_sqrt = math.sqrt
+_atan = math.atan
 
 
 @dataclass(frozen=True)
@@ -121,25 +125,21 @@ class Reconstruction(NamedTuple):
     flags: frozenset
 
 
-# One-entry memo of the volume stage, (cfg, v_f, (h1, v_bma, free, v_m, rest)),
-# v_m the membrane volume, rest the unflagged free shape or None.  Read and
-# replaced whole, never mutated, so concurrent callers can at worst miss.  Its strong
-# reference to its config keeps that config's id from reuse meanwhile.
+# One-entry memo of the volume stage, (cfg, v_f, (h1, v_bma, free, rest)), rest
+# the unflagged free shape or None.  Read and replaced whole, never mutated, so
+# concurrent callers can at worst miss.  Its strong reference to its config
+# keeps that config's id from reuse meanwhile.
 _volume_memo: tuple = (None, None, None)
 
 
 def _volume_stage(v_f: float, cfg: EstimatorConfig) -> tuple:
-    """Apex height, actuator volume, unindented spheroid, membrane volume, rest.
+    """Apex height, actuator volume, unindented spheroid, rest; put in the memo.
 
-    Depends on v_f and cfg alone, so it is reused while both repeat.  Only
-    a successful result is stored: a volume that raises raises every time.
-    rest starts as None; `reconstruct` fills it.  v_f is a float:
-    `reconstruct` converts it, so a numpy scalar never keys the memo.
+    Runs on a memo miss.  Only a successful result is stored: a volume that
+    raises raises every time.  rest starts as None; `reconstruct` fills it.
+    v_f is a float: `reconstruct` converts it, so no numpy scalar keys the memo.
     """
     global _volume_memo
-    memo_cfg, memo_v_f, stage = _volume_memo
-    if memo_cfg is cfg and memo_v_f == v_f:
-        return stage
     if v_f < cfg.v_min_model:
         raise DegenerateGeometry(f"volume {v_f} below modeled minimum {cfg.v_min_model}")
     h1 = evaluate_height(cfg.fit, v_f)
@@ -147,7 +147,7 @@ def _volume_stage(v_f: float, cfg: EstimatorConfig) -> tuple:
     free = solve_axes(v_bma, h1, cfg.ring)
     if h1 > 2 * free.c:
         raise DegenerateGeometry(f"apex height {h1} exceeds ellipsoid extent {2 * free.c}")
-    stage = (h1, v_bma, free, membrane_volume(cfg.ring), None)
+    stage = (h1, v_bma, free, None)
     _volume_memo = (cfg, v_f, stage)
     return stage
 
@@ -155,17 +155,21 @@ def _volume_stage(v_f: float, cfg: EstimatorConfig) -> tuple:
 def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruction:
     """Height fit -> unindented and deformed spheroids -> stretch -> W and V_fm.
 
-    The volume stage, up to the unindented spheroid, is `_volume_stage`;
-    the indentation stage from the carried h2_prev on runs per call but at
-    h2_prev = 0, where the first call at a volume fills the memo's free
-    shape.  Numpy scalar inputs are converted, so every field is a float.
+    The volume stage, up to the unindented spheroid, is the memo's, or on a
+    miss `_volume_stage`'s; the indentation stage from the carried h2_prev
+    on runs per call but at h2_prev = 0, where the first call at a volume
+    fills the memo's free shape.  Numpy scalar inputs are converted, so
+    every field is a float.
     """
     global _volume_memo
     v_f, h2_prev = float(v_f), float(h2_prev)
-    h1, v_bma, free, v_m, rest = _volume_stage(v_f, cfg)
+    memo_cfg, memo_v_f, stage = _volume_memo
+    if memo_cfg is not cfg or memo_v_f != v_f:
+        stage = _volume_stage(v_f, cfg)
+    h1, v_bma, free, rest = stage
     # h1 can shrink between samples: a carried indentation that reaches the
     # ring plane means contact was lost, so restart from the free shape, as
-    # from a negative or non-finite carried state, which no update produces
+    # from a negative or non-finite carried state, which no step produces
     restart = not 0.0 <= h2_prev < h1
     h2_prev = 0.0 if restart else h2_prev
     if h2_prev != 0.0 or rest is None:
@@ -183,17 +187,17 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
             raise DegenerateGeometry(
                 f"slice depth {depth} below the entire ellipsoid (2c={2 * c})")
         else:
-            k = min(a * math.sqrt(2 * c * depth - depth * depth) / c, a)
+            k = min(a * _sqrt(2 * c * depth - depth * depth) / c, a)
         # meridian arc bounded by theta1 = arctan(r / |h3 - c_d|), whose limit
         # pi/2 at h3 = c_d is where the hemisphere sits; stretch lambda = L / r
         gap = abs(h3 - c_d)
-        arc = perimeter(a_d, c_d, h3, math.atan(ring.r / gap) if gap else _HALF_PI)
+        arc = perimeter(a_d, c_d, h3, _atan(ring.r / gap) if gap else _HALF_PI)
         lam = arc / ring.r
         w = yeoh_energy_density(lam, cfg.coeffs)
         # membrane volume outside the contact patch, V_m - k^2 pi t_m, at the
         # incompressible thickness t_m = t_i r^2 / L^2; an overestimated k can
         # drive it negative transiently, and then it is clamped to 0 and flagged
-        v_fm = v_m - k ** 2 * math.pi * (ring.t_i * ring.r ** 2 / arc ** 2)
+        v_fm = ring.membrane_volume - k ** 2 * _PI * (ring.t_i_r2 / arc ** 2)
         flags = NO_FLAGS
         if v_fm < 0:
             v_fm, flags = 0.0, NO_FLAGS | {"v_fm_clamped"}
@@ -202,7 +206,7 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
         if h2_prev != 0.0:
             return g
         rest = g
-        _volume_memo = (cfg, v_f, (h1, v_bma, free, v_m, rest))
+        _volume_memo = (cfg, v_f, (h1, v_bma, free, rest))
     return rest._replace(flags=rest.flags | {"h2_prev_clamped"}) if restart else rest
 
 
@@ -221,9 +225,10 @@ def step(state: EstimatorState, v_f: float, p: float,
     """One estimator update for a sensor sample (v_f [m3], p [Pa]).
 
     Non-finite samples and samples below the modeled volume range emit a
-    null estimate and leave the indentation state untouched.  Geometry
-    errors propagate and leave the state unchanged.  Numpy scalar inputs
-    are converted, so every field of the estimate is a float.
+    null estimate and leave the indentation state untouched; the rest run
+    `indent` on `reconstruct`.  Geometry errors propagate and leave the
+    state unchanged.  Numpy scalar inputs are converted, so every field of
+    the estimate is a float.
     """
     v_f, p = float(v_f), float(p)
     skip = ("nonfinite_input" if not (math.isfinite(v_f) and math.isfinite(p))
@@ -231,23 +236,14 @@ def step(state: EstimatorState, v_f: float, p: float,
     if skip:
         return null_estimate({skip}), _new_tuple(EstimatorState,
                                                  (state.h2_prev, state.step_index + 1))
-    return update(reconstruct(v_f, state.h2_prev, cfg), state, v_f, p)
-
-
-def update(g: Reconstruction, state: EstimatorState, v_f: float,
-           p: float) -> tuple[StateEstimate, EstimatorState]:
-    """`step` after its input guards: `indent`, then the estimate and the next state.
-
-    For a caller that already holds `reconstruct(v_f, state.h2_prev, cfg)`;
-    v_f and p must be finite and v_f in range.
-    """
+    g = reconstruct(v_f, state.h2_prev, cfg)
     h2, h4, force, flags = indent(g, v_f, p)
-    est = StateEstimate(g.h1, h2, g.h3, h4, force, balance_pressure(g, v_f), g.stretch, flags)
-    return est, _new_tuple(EstimatorState, (h2, state.step_index + 1))
+    return (StateEstimate(g.h1, h2, g.h3, h4, force, balance_pressure(g, v_f), g.stretch, flags),
+            _new_tuple(EstimatorState, (h2, state.step_index + 1)))
 
 
 def indent(g: Reconstruction, v_f: float, p: float) -> tuple[float, float, float, frozenset]:
-    """(h2, h4, force, flags) from a reconstruction: the core of `update`.
+    """(h2, h4, force, flags) from a reconstruction: the core of `step`.
 
     The energy balance gives the force F = (V_f p - V_fm W) / h3; slicing
     the pressurized cross-section gives the depth
@@ -255,25 +251,24 @@ def indent(g: Reconstruction, v_f: float, p: float) -> tuple[float, float, float
     -(c sqrt(pi^2 a^2 p^2 - pi F p) - pi a c p) / (pi a p); and
     h2 = h4 + c_c is clamped to [0, h1].  Builds no estimate or state.
     """
-    flags = g.flags
-    force = (v_f * p - g.v_fm * g.w) / g.h3
+    h1, a, c, h3, _, _, c_c, _, _, w, v_fm, flags = g
+    force = (v_f * p - v_fm * w) / h3
     if p <= 0:
         h4 = 0.0
         flags = flags | {"nonpositive_pressure"}
     else:
-        a, c = g.a, g.c
         try:
-            disc = _PI_SQUARED * a ** 2 * p ** 2 - math.pi * force * p
+            disc = _PI_SQUARED * a ** 2 * p ** 2 - _PI * force * p
             if disc < 0:   # F beyond the cross-section's bound pi a^2 p
                 h4 = c
                 flags = flags | {"force_exceeds_bound"}
             else:
-                h4 = -(c * math.sqrt(disc) - math.pi * a * c * p) / (math.pi * a * p)
+                h4 = -(c * _sqrt(disc) - _PI * a * c * p) / (_PI * a * p)
         except ArithmeticError as exc:   # p^2 overflows, or pi a p underflows to 0
             raise DegenerateGeometry(f"pressure {p} is outside the float range") from exc
-    h2_raw = h4 + g.c_c
-    h2 = min(max(h2_raw, 0.0), g.h1)
-    if h2 != h2_raw:
+    h2 = h4 + c_c
+    if not 0.0 <= h2 <= h1:   # also NaN, which min and max leave NaN
+        h2 = min(max(h2, 0.0), h1)
         flags = flags | {"h2_clamped"}
     return h2, h4, force, flags
 

@@ -37,7 +37,7 @@ _SQRT3 = math.sqrt(3)
 
 @dataclass(frozen=True)
 class RingSpec:
-    """Fixed actuator geometry: ring inner radius and initial membrane thickness."""
+    """Ring inner radius and initial membrane thickness; the ring's constants are cached."""
 
     r: float      # ring inner radius [m]
     t_i: float    # initial (uniform) membrane thickness [m]
@@ -53,6 +53,16 @@ class RingSpec:
     def area(self) -> float:
         """Initial membrane surface area pi*r^2 [m2], computed once per ring."""
         return math.pi * self.r ** 2
+
+    @cached_property
+    def membrane_volume(self) -> float:
+        """Volume of the undeformed membrane disc, r^2 * pi * t_i [m3]."""
+        return self.r ** 2 * math.pi * self.t_i
+
+    @cached_property
+    def t_i_r2(self) -> float:
+        """t_i r^2, the inflated thickness t_m = t_i r^2 / L^2 at L = 1 [m3]."""
+        return self.t_i * self.r ** 2
 
 
 # A NamedTuple class cannot define its own __new__, so the checked
@@ -81,14 +91,14 @@ class Ellipsoid(_Axes):
 
 def membrane_volume(ring: RingSpec) -> float:
     """Volume of the undeformed membrane disc, r^2 * pi * t_i [m3]."""
-    return ring.r ** 2 * math.pi * ring.t_i
+    return ring.membrane_volume
 
 
 def actuator_volume(v_f: float, ring: RingSpec) -> float:
     """Total actuator volume: injected liquid plus membrane material [m3]."""
     if v_f < 0:
         raise ValueError("injected volume must be nonnegative")
-    return v_f + membrane_volume(ring)
+    return v_f + ring.membrane_volume
 
 
 def solve_axes(v_bma: float, h: float, ring: RingSpec) -> Ellipsoid:

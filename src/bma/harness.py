@@ -223,8 +223,10 @@ def run_trace(records, cfg: EstimatorConfig,
 
     Applies the optional first-order pressure low-pass, and converts any
     per-sample model error into a flagged null estimate so adversarial
-    inputs cannot kill the run.  A non-finite (filtered) pressure is passed
-    on for `step` to flag but never enters the low-pass state.
+    inputs cannot kill the run.  A non-finite pressure skips the low-pass,
+    raw for `step` to flag.  The low-pass steps by dt / (tau + dt), clamped
+    against rounding, only when dt is positive and finite; on a repeated,
+    backward or non-finite timestamp it restarts from the raw pressure.
     """
     if state is None:
         state = EstimatorState()
@@ -233,13 +235,12 @@ def run_trace(records, cfg: EstimatorConfig,
     p_filt = prev_t = None
     for rec in records:
         p = rec.p
-        if tau > 0:
-            if p_filt is not None:
-                dt = rec.t - prev_t
-                alpha = dt / (tau + dt)
-                p = p_filt + alpha * (p - p_filt)
-            if math.isfinite(p):
-                p_filt, prev_t = p, rec.t
+        if tau > 0 and math.isfinite(p):
+            dt = rec.t - prev_t if p_filt is not None else math.nan
+            if 0.0 < dt < math.inf:
+                lo, hi = (p_filt, p) if p_filt < p else (p, p_filt)
+                p = min(max(p_filt + dt / (tau + dt) * (p - p_filt), lo), hi)
+            p_filt, prev_t = p, rec.t
         try:
             est, state = step(state, rec.v_f, p, cfg)
         except BmaError as exc:
@@ -269,7 +270,7 @@ def simulate_trace(script: SimScript, cfg: EstimatorConfig,
     For each sample the shape is reconstructed once at the carried
     indentation, a bare float h2; the energy balance is inverted on it at
     the scripted (volume, force) to produce the pressure, and the core of
-    the estimator's update (`estimator.indent`) advances h2 from the same
+    the estimator's `step` (`estimator.indent`) advances h2 from the same
     reconstruction, building no estimate or state; the resulting h2 and
     the scripted force are recorded as ground truth.  This closes the loop
     with the model itself, so a noise-free replay through the estimator is
@@ -282,15 +283,16 @@ def simulate_trace(script: SimScript, cfg: EstimatorConfig,
     records = []
     h2 = 0.0
     t = 0.0
+    period = script.sample_period
     for s in script.steps:
-        n = max(1, round(s.hold / script.sample_period))
+        v_f, force = s.v_f, s.force
         # one draw per hold: the same values as n scalar draws, in order
-        for dp in rng.normal(0.0, script.noise_pa, n).tolist():
-            g = reconstruct(s.v_f, h2, cfg)
-            p_clean = balance_pressure(g, s.v_f, s.force)
-            h2 = indent(g, s.v_f, p_clean)[0]
-            records.append(TraceRecord(t, s.v_f, p_clean + dp, s.force, h2))
-            t += script.sample_period
+        for dp in rng.normal(0.0, script.noise_pa, max(1, round(s.hold / period))).tolist():
+            g = reconstruct(v_f, h2, cfg)
+            p_clean = balance_pressure(g, v_f, force)
+            h2 = indent(g, v_f, p_clean)[0]
+            records.append(TraceRecord(t, v_f, p_clean + dp, force, h2))
+            t += period
     return records
 
 

@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from scipy.special.cython_special import ellipeinc
+
+_PI = math.pi
+_HALF_PI = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -23,6 +27,7 @@ class YeohCoeffs:
 
     The formal C_0 term multiplies n = 0 and never contributes, so it is
     not stored.  Each must be finite; C_2 is often negative, so any sign goes.
+    `horner` is a cached property: computed once per coefficient set.
     """
 
     c1: float = 0.0
@@ -42,6 +47,11 @@ class YeohCoeffs:
     def scaled(self, s: float) -> "YeohCoeffs":
         return YeohCoeffs(*(s * c for c in self.as_tuple()))
 
+    @cached_property
+    def horner(self) -> tuple[float, ...]:
+        """(C_1, 2 C_2, ..., 6 C_6): n C_n, the Horner coefficients in I1 - 3."""
+        return tuple(n * c for n, c in enumerate(self.as_tuple(), 1))
+
 
 def perimeter(a_d: float, c_d: float, h3: float, theta1: float) -> float:
     """Meridian arc length of the deformed ellipse [m].
@@ -57,9 +67,9 @@ def perimeter(a_d: float, c_d: float, h3: float, theta1: float) -> float:
     """
     if not (a_d > 0 and c_d > 0):
         raise ValueError("deformed semi-axes must be positive")
-    if not (0 <= theta1 <= math.pi / 2):
+    if not (0 <= theta1 <= _HALF_PI):
         raise ValueError("theta1 must lie in [0, pi/2]")
-    upper = math.pi - theta1 if h3 > c_d else theta1
+    upper = _PI - theta1 if h3 > c_d else theta1
     return c_d * ellipeinc(upper, 1.0 - (a_d / c_d) ** 2)
 
 
@@ -68,11 +78,10 @@ def yeoh_energy_density(lam: float, coeffs: YeohCoeffs) -> float:
 
     I1 = lam^2 + 2/lam is the first Cauchy-Green invariant.  The n = 0 term
     is identically zero.  The sum over n = 1..6 is evaluated by Horner's
-    rule in x = I1 - 3.
+    rule in x = I1 - 3, on the coefficients n C_n that `YeohCoeffs.horner` keeps.
     """
     if lam <= 0:
         raise ValueError("stretch must be positive")
     x = lam ** 2 + 2.0 / lam - 3.0   # I1 - 3, I1 = lambda^2 + 2/lambda
-    c = coeffs
-    return 2.0 * (lam - lam ** -2) * (c.c1 + x * (2.0 * c.c2 + x * (3.0 * c.c3 + x * (
-        4.0 * c.c4 + x * (5.0 * c.c5 + 6.0 * c.c6 * x)))))
+    c1, c2, c3, c4, c5, c6 = coeffs.horner
+    return 2.0 * (lam - lam ** -2) * (c1 + x * (c2 + x * (c3 + x * (c4 + x * (c5 + c6 * x)))))

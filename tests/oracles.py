@@ -9,16 +9,19 @@ The closed forms between the estimator's layers are lines of
 Here each is a function of its own, with the checks on its arguments;
 `reconstruct_chain` and `indent_chain` compose them with the package's
 layers, one call per formula, and the property tests hold the package
-equal to these compositions value for value.
+equal to these compositions value for value.  `update` is `step` after its
+input guards, on a reconstruction the caller already holds.
 """
 
 import math
 
 from bma import (
+    BmaError,
     DegenerateGeometry,
     Ellipsoid,
-    NegativeDiscriminant,
+    EstimatorState,
     RingSpec,
+    StateEstimate,
     YeohCoeffs,
     actuator_volume,
     evaluate_height,
@@ -26,7 +29,11 @@ from bma import (
     perimeter,
     solve_axes,
 )
-from bma.estimator import Reconstruction
+from bma.estimator import Reconstruction, balance_pressure, indent
+
+
+class NegativeDiscriminant(BmaError):
+    """Applied force exceeds what the pressurized cross-section can express."""
 
 
 def cap_volume(e: Ellipsoid, h_b: float) -> float:
@@ -202,3 +209,15 @@ def indent_chain(g: Reconstruction, v_f: float, p: float):
     if h2 != h2_raw:
         flags = flags | {"h2_clamped"}
     return h2, h4, force, flags
+
+
+def update(g: Reconstruction, state: EstimatorState, v_f: float,
+           p: float) -> tuple[StateEstimate, EstimatorState]:
+    """`step` after its input guards: `indent`, then the estimate and the next state.
+
+    For a caller that already holds `reconstruct(v_f, state.h2_prev, cfg)`;
+    v_f and p must be finite and v_f in range.
+    """
+    h2, h4, force, flags = indent(g, v_f, p)
+    est = StateEstimate(g.h1, h2, g.h3, h4, force, balance_pressure(g, v_f), g.stretch, flags)
+    return est, EstimatorState(h2, state.step_index + 1)

@@ -13,9 +13,10 @@ from bma import (
     Ellipsoid,
     EstimatorConfig,
     EstimatorState,
+    HeightFit,
     LengthMismatch,
-    NegativeDiscriminant,
     OutOfRange,
+    RingSpec,
     StateEstimate,
     TraceRecord,
     YeohCoeffs,
@@ -29,11 +30,10 @@ from bma import (
     actuator_volume,
 )
 from bma import estimator
-from bma.estimator import (NO_FLAGS, Reconstruction, balance_pressure, indent, reconstruct,
-                           update)
+from bma.estimator import NO_FLAGS, Reconstruction, balance_pressure, indent, reconstruct
 from bma.material import perimeter, yeoh_energy_density
-from oracles import (estimate_force, indent_chain, integration_angle, reconstruct_chain,
-                     slice_indentation, stretch)
+from oracles import (NegativeDiscriminant, estimate_force, indent_chain, integration_angle,
+                     reconstruct_chain, slice_indentation, stretch, update)
 
 
 class TestEstimateForce:
@@ -561,6 +561,43 @@ class TestFoldedChain:
         assert seen >= {"h2_prev_clamped", "v_fm_clamped", "force_exceeds_bound", "h2_clamped",
                         "nonpositive_pressure", "slice_below_ellipsoid",
                         "indent_DegenerateGeometry"}
+
+
+class TestCachedConstants:
+    NAMES = {"ring": ("area", "membrane_volume", "t_i_r2"), "coeffs": ("horner",),
+             "fit": ("evaluation",)}
+
+    def test_follow_their_owner(self, cfg):
+        # each constant is kept on the object it depends on, so a replaced
+        # ring, coefficient set or fit computes its own, as a fresh one does
+        before = {part: [getattr(getattr(cfg, part), n) for n in names]
+                  for part, names in self.NAMES.items()}
+        v_f, h2_prev = 0.5e-6, 1e-3
+        g_before = cold_reconstruct(v_f, h2_prev, cfg)
+        ring, coeffs, fit = cfg.ring, cfg.coeffs, cfg.fit
+        changed = {"ring": replace(ring, r=1.02 * ring.r, t_i=1.1 * ring.t_i),
+                   "coeffs": replace(coeffs, c1=1.1 * coeffs.c1, c2=-coeffs.c2, c6=2.0),
+                   "fit": replace(fit, coeffs=tuple(1.01 * c for c in fit.coeffs),
+                                  v_min=0.9 * fit.v_min, v_scale=1.1 * fit.v_scale)}
+        fresh = {"ring": RingSpec(1.02 * ring.r, 1.1 * ring.t_i),
+                 "coeffs": YeohCoeffs(1.1 * coeffs.c1, -coeffs.c2, coeffs.c3, coeffs.c4,
+                                      coeffs.c5, 2.0),
+                 "fit": HeightFit(tuple(1.01 * c for c in fit.coeffs), 0.9 * fit.v_min,
+                                  fit.v_max, 1.1 * fit.v_scale)}
+        for part, names in self.NAMES.items():
+            got = [getattr(changed[part], n) for n in names]
+            assert got == [getattr(fresh[part], n) for n in names]
+            assert got != before[part]
+        assert yeoh_energy_density(1.3, changed["coeffs"]) == oracles.yeoh_reference(
+            1.3, fresh["coeffs"])
+        assert fresh["fit"].evaluation[2] == tuple(reversed(fresh["fit"].coeffs))
+        for part in self.NAMES:
+            g_changed = cold_reconstruct(v_f, h2_prev, replace(cfg, **{part: changed[part]}))
+            g_fresh = cold_reconstruct(v_f, h2_prev, replace(cfg, **{part: fresh[part]}))
+            assert g_changed == g_fresh != g_before
+        # the original objects keep their own values
+        assert before == {part: [getattr(getattr(cfg, part), n) for n in names]
+                          for part, names in self.NAMES.items()}
 
 
 class TestRmse:

@@ -357,14 +357,15 @@ class TestSimulateReconstructsOnce:
         assert all(a is b for a, b in zip(built, handed))
 
     def test_never_builds_estimates(self, cfg, monkeypatch):
-        # the simulator carries a bare h2: no update, so no estimate or state
+        # the simulator carries a bare h2, so it builds no estimate
         want = repr(simulate_trace(contact_script(), cfg, seed=0))
 
-        def no_update(*args):
-            raise AssertionError("the simulator builds estimates through update")
+        def no_estimate(*args):
+            raise AssertionError("the simulator builds an estimate")
 
-        monkeypatch.setattr(estimator, "update", no_update)
-        monkeypatch.setattr(harness, "update", no_update, raising=False)
+        monkeypatch.setattr(estimator, "StateEstimate", no_estimate)
+        with pytest.raises(AssertionError):   # the patch does reach step's estimate
+            step(EstimatorState(), 0.5e-6, 11000.0, cfg)
         assert repr(simulate_trace(contact_script(), cfg, seed=0)) == want
 
 
@@ -435,6 +436,50 @@ class TestRunTrace:
             assert len(estimates) == 3
             assert all(est.is_null and est.flags == {"step_error", error}
                        for est in estimates)
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples=st.lists(st.tuples(
+        st.one_of(st.floats(), st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-12])),
+        st.one_of(st.floats(), st.floats(-1e5, 1e5))), min_size=1, max_size=20))
+    def test_filter_stays_within_raw_pressures(self, cfg, samples):
+        # any timestamps, repeated, backward or not finite included: the run
+        # never raises, and every pressure the low-pass hands to step lies
+        # within the finite raw pressures seen so far (a non-finite one is
+        # its own raw value, passed on for step to flag)
+        records = [TraceRecord(t=t, v_f=0.5e-6, p=p) for t, p in samples]
+        handed = []
+
+        def recording_step(state, v_f, p, cfg):
+            handed.append(p)
+            return step(state, v_f, p, cfg)
+
+        with mock.patch.object(harness, "step", recording_step):
+            estimates = run_trace(records, replace(cfg, pressure_filter_tau=0.5))
+        assert len(estimates) == len(handed) == len(records)
+        finite = []
+        for rec, p in zip(records, handed):
+            if math.isfinite(rec.p):
+                finite.append(rec.p)
+                assert min(finite) <= p <= max(finite)
+            else:
+                assert p is rec.p
+
+    def test_filter_restarts_on_backward_time(self, cfg):
+        # tau = 0.5 s: t from 1.0 to 0.5 made dt / (tau + dt) divide by zero,
+        # and to 0.4 an alpha of 6 that turned a +100 Pa step into +600 Pa
+        filtered_cfg = replace(cfg, pressure_filter_tau=0.5)
+        for t_back in (0.5, 0.4, 1.0, math.nan):
+            records = [TraceRecord(t=1.0, v_f=0.5e-6, p=11000.0),
+                       TraceRecord(t=t_back, v_f=0.5e-6, p=11100.0)]
+            handed = []
+
+            def recording_step(state, v_f, p, cfg):
+                handed.append(p)
+                return step(state, v_f, p, cfg)
+
+            with mock.patch.object(harness, "step", recording_step):
+                run_trace(records, filtered_cfg)
+            assert handed == [11000.0, 11100.0]
 
     def test_pressure_filter(self, cfg):
         filtered_cfg = replace(cfg, pressure_filter_tau=0.1)
