@@ -232,11 +232,11 @@ def run_trace(records, cfg: EstimatorConfig,
         state = EstimatorState()
     estimates = []
     tau = cfg.pressure_filter_tau
-    p_filt = prev_t = None
+    p_filt, prev_t = None, math.nan   # NaN: no dt before the first finite pressure
     for rec in records:
         p = rec.p
         if tau > 0 and math.isfinite(p):
-            dt = rec.t - prev_t if p_filt is not None else math.nan
+            dt = rec.t - prev_t
             if 0.0 < dt < math.inf:
                 lo, hi = (p_filt, p) if p_filt < p else (p, p_filt)
                 p = min(max(p_filt + dt / (tau + dt) * (p - p_filt), lo), hi)
