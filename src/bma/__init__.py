@@ -25,7 +25,6 @@ from .geometry import (
     Ellipsoid,
     RingSpec,
     actuator_volume,
-    membrane_volume,
     profile_polyline,
     solve_axes,
     sphere_baseline,

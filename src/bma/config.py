@@ -1,4 +1,4 @@
-"""YAML configuration: actuator geometry, material, height fit, estimator knobs.
+"""YAML configuration: actuator geometry, material, height fit, modeled volume floor.
 
 The file speaks the bench units (mm, ml, Pa); loading converts to SI.
 """
@@ -21,7 +21,7 @@ class ConfigError(BmaError):
     """Missing or malformed configuration."""
 
 
-ESTIMATOR_KEYS = frozenset({"v_min_model_ml", "pressure_filter_tau_s"})
+ESTIMATOR_KEYS = frozenset({"v_min_model_ml"})
 
 
 def load_raw(path) -> dict:
@@ -99,7 +99,6 @@ def load_config(path, require_fit: bool = True) -> EstimatorConfig:
             fit=fit,
             v_min_model=float(est.get("v_min_model_ml",
                                       DEFAULT_V_MIN_MODEL / ML_TO_M3)) * ML_TO_M3,
-            pressure_filter_tau=float(est.get("pressure_filter_tau_s", 0.0)),
         )
 
 

@@ -48,13 +48,10 @@ class EstimatorConfig:
     coeffs: YeohCoeffs
     fit: HeightFit
     v_min_model: float = DEFAULT_V_MIN_MODEL   # minimum modeled injected volume [m3]
-    pressure_filter_tau: float = 0.0   # first-order low-pass on p [s]; 0 disables
 
     def __post_init__(self):
-        for name in ("v_min_model", "pressure_filter_tau"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        if not (math.isfinite(self.v_min_model) and self.v_min_model >= 0):
+            raise ValueError(f"v_min_model must be finite and nonnegative, got {self.v_min_model}")
 
 
 # The flags of an unflagged sample.  Flags are added with ``flags | {name}``
@@ -83,6 +80,9 @@ class StateEstimate:
     per-instance ``__dict__``.  An unflagged estimate shares the one empty
     frozenset `NO_FLAGS`, so it is a single object for the garbage
     collector, and a long trace's estimates trigger few collection passes.
+
+    p_hat is the F = 0 energy balance at the carried shape; it is the
+    free-inflation `predict_pressure` only where the carried h2 is 0.
     """
 
     h1: float
@@ -90,7 +90,7 @@ class StateEstimate:
     h3: float
     h4: float
     force: float        # external planar force F [N]
-    p_hat: float        # pressure predicted from the free-inflation balance [Pa]
+    p_hat: float        # F = 0 balance pressure at the carried shape [Pa]
     stretch: float
     flags: frozenset = NO_FLAGS
 

@@ -89,11 +89,6 @@ class Ellipsoid(_Axes):
         return tuple.__new__(cls, (a, c))
 
 
-def membrane_volume(ring: RingSpec) -> float:
-    """Volume of the undeformed membrane disc, r^2 * pi * t_i [m3]."""
-    return ring.membrane_volume
-
-
 def actuator_volume(v_f: float, ring: RingSpec) -> float:
     """Total actuator volume: injected liquid plus membrane material [m3]."""
     if v_f < 0:

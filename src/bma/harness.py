@@ -221,28 +221,16 @@ def run_trace(records, cfg: EstimatorConfig,
               state: EstimatorState | None = None) -> list[StateEstimate]:
     """Run the estimator over a trace; never aborts.
 
-    Applies the optional first-order pressure low-pass, and converts any
-    per-sample model error into a flagged null estimate so adversarial
-    inputs cannot kill the run.  A non-finite pressure skips the low-pass,
-    raw for `step` to flag.  The low-pass steps by dt / (tau + dt), clamped
-    against rounding, only when dt is positive and finite; on a repeated,
-    backward or non-finite timestamp it restarts from the raw pressure.
+    Hands `step` each record's own volume and pressure, in order, and
+    converts any per-sample model error into a flagged null estimate so
+    adversarial inputs cannot kill the run.  Timestamps are not read.
     """
     if state is None:
         state = EstimatorState()
     estimates = []
-    tau = cfg.pressure_filter_tau
-    p_filt, prev_t = None, math.nan   # NaN: no dt before the first finite pressure
     for rec in records:
-        p = rec.p
-        if tau > 0 and math.isfinite(p):
-            dt = rec.t - prev_t
-            if 0.0 < dt < math.inf:
-                lo, hi = (p_filt, p) if p_filt < p else (p, p_filt)
-                p = min(max(p_filt + dt / (tau + dt) * (p - p_filt), lo), hi)
-            p_filt, prev_t = p, rec.t
         try:
-            est, state = step(state, rec.v_f, p, cfg)
+            est, state = step(state, rec.v_f, rec.p, cfg)
         except BmaError as exc:
             est = null_estimate({"step_error", type(exc).__name__})
         estimates.append(est)
@@ -308,7 +296,7 @@ class EvalReport:
     n_null: int
     rmse_f: float                 # [N]
     rmse_h2: float                # [m]
-    rmse_p: float | None          # pressure prediction error, |F| <= NO_CONTACT_FORCE_N [Pa]
+    rmse_p: float | None          # p_hat error, |F| <= NO_CONTACT_FORCE_N [Pa]
     window_rmse_f: float | None = None
     window_rmse_h2: float | None = None
 
@@ -317,8 +305,9 @@ def evaluate(records, cfg: EstimatorConfig,
              contact_window: tuple[float, float] | None = None) -> EvalReport:
     """Run the estimator against a ground-truth trace and report RMSEs.
 
-    rmse_p compares the free-inflation pressure prediction against the
-    measured pressure on samples with |F| <= NO_CONTACT_FORCE_N.  The
+    rmse_p compares each estimate's p_hat (the F = 0 balance at its carried
+    shape, see `StateEstimate`) against the measured pressure on samples
+    with |F| <= NO_CONTACT_FORCE_N.  The
     optional contact window (t0, t1) additionally restricts the force and
     indentation errors, mirroring the split between the pre-contact region
     and the indentation region; it needs t0 <= t1, and neither may be NaN.

@@ -25,7 +25,6 @@ from bma import (
     YeohCoeffs,
     actuator_volume,
     evaluate_height,
-    membrane_volume,
     perimeter,
     solve_axes,
 )
@@ -185,7 +184,7 @@ def reconstruct_chain(v_f: float, h2_prev: float, cfg) -> Reconstruction:
     arc = perimeter(d.a, d.c, h3, integration_angle(ring.r, h3, d.c))
     lam = stretch(arc, ring)
     w = yeoh_reference(lam, cfg.coeffs)
-    v_fm, clamped = free_membrane_volume(membrane_volume(ring), k, inflated_thickness(ring, arc))
+    v_fm, clamped = free_membrane_volume(ring.membrane_volume, k, inflated_thickness(ring, arc))
     flags = {name for name, on in (("v_fm_clamped", clamped), ("h2_prev_clamped", restart)) if on}
     return Reconstruction(h1, free.a, free.c, h3, d.a, d.c, c_c, k, lam, w, v_fm,
                           frozenset(flags))

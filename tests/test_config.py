@@ -29,20 +29,19 @@ def test_sample_config_loads():
     assert cfg.ring.t_i == pytest.approx(0.5e-3, rel=1e-12)
     assert cfg.coeffs.c1 == 30000.0
     assert cfg.v_min_model == pytest.approx(0.1e-6, rel=1e-12)
-    assert cfg.pressure_filter_tau == 0.0
     assert cfg.fit is None
 
 
 def test_empty_estimator_section_takes_defaults(tmp_path):
     cfg = load_config(config_with_estimator(tmp_path, None), require_fit=False)
     assert cfg.v_min_model == pytest.approx(0.1e-6, rel=1e-12)
-    assert cfg.pressure_filter_tau == 0.0
 
 
 @pytest.mark.parametrize("key", [
     "pressure_filter_tau",    # misspelt: the unit suffix is missing
     "quad_rel_tol",           # removed with the closed-form arc length
     "inner_iterations",       # removed with the single reconstruction path
+    "pressure_filter_tau_s",  # removed with the pressure low-pass
 ])
 def test_unknown_estimator_key_rejected(tmp_path, key):
     path = config_with_estimator(tmp_path, {"v_min_model_ml": 0.1, key: 0.5})
@@ -51,9 +50,6 @@ def test_unknown_estimator_key_rejected(tmp_path, key):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("pressure_filter_tau_s", math.nan),
-    ("pressure_filter_tau_s", -1.0),
-    ("pressure_filter_tau_s", math.inf),
     ("v_min_model_ml", math.nan),
     ("v_min_model_ml", math.inf),
 ])

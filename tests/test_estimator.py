@@ -21,7 +21,6 @@ from bma import (
     TraceRecord,
     YeohCoeffs,
     evaluate_height,
-    membrane_volume,
     predict_pressure,
     rmse,
     run_trace,
@@ -106,7 +105,7 @@ class TestPredictPressure:
         arc = perimeter(u.a, u.c, h1, theta1)
         lam = stretch(arc, ring)
         w = yeoh_energy_density(lam, cfg.coeffs)
-        want = membrane_volume(ring) * w / v_f
+        want = ring.membrane_volume * w / v_f
         assert predict_pressure(v_f, cfg) == pytest.approx(want, rel=1e-12)
 
 

@@ -11,7 +11,6 @@ from bma import (
     RingSpec,
     actuator_volume,
     evaluate_height,
-    membrane_volume,
     profile_polyline,
     solve_axes,
     sphere_baseline,
@@ -29,13 +28,13 @@ def cap_volume_oracle(a, c, h_b):
 class TestMembraneVolume:
     def test_bench_actuator(self):
         ring = RingSpec(r=5e-3, t_i=0.5e-3)
-        assert membrane_volume(ring) == pytest.approx(39.2699082e-9, rel=1e-7)
+        assert ring.membrane_volume == pytest.approx(39.2699082e-9, rel=1e-7)
 
     def test_unit_normalizing(self):
-        assert membrane_volume(RingSpec(r=1.0, t_i=1 / math.pi)) == pytest.approx(1.0, rel=1e-15)
+        assert RingSpec(r=1.0, t_i=1 / math.pi).membrane_volume == pytest.approx(1.0, rel=1e-15)
 
     def test_hand_value(self):
-        assert membrane_volume(RingSpec(r=2.0, t_i=3.0)) == pytest.approx(12 * math.pi, rel=1e-15)
+        assert RingSpec(r=2.0, t_i=3.0).membrane_volume == pytest.approx(12 * math.pi, rel=1e-15)
 
     def test_invalid_ring(self):
         with pytest.raises(ValueError):
@@ -58,7 +57,7 @@ class TestMembraneVolume:
 class TestActuatorVolume:
     def test_empty(self):
         ring = RingSpec(r=5e-3, t_i=0.5e-3)
-        assert actuator_volume(0.0, ring) == membrane_volume(ring)
+        assert actuator_volume(0.0, ring) == ring.membrane_volume
 
     def test_sum_of_parts(self):
         ring = RingSpec(r=5e-3, t_i=0.5e-3)
