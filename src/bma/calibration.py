@@ -1,9 +1,11 @@
 """Volume-to-unindented-height calibration fit.
 
 A 7th-order (configurable) polynomial is fitted by ordinary least squares
-to the mean of inflation and deflation height measurements.  Volumes are
-normalized by their maximum before fitting: a raw high-degree fit in m3
-magnitudes (~1e-7) is catastrophically ill-conditioned.
+to the mean height at each distinct volume: a run reads the inflation and
+deflation strokes at the same commanded volumes, so this is the midline of
+the hysteresis loop.  Volumes are normalized by their maximum before
+fitting: a raw high-degree fit in m3 magnitudes (~1e-7) is catastrophically
+ill-conditioned.
 """
 
 from __future__ import annotations
@@ -17,9 +19,6 @@ import numpy as np
 from .errors import IllConditioned, InsufficientData, OutOfRange
 
 DEFAULT_DEGREE = 7
-
-# pairing tolerance for inflate/deflate samples, fraction of the volume range
-PAIRING_TOL = 0.01
 
 # condition-number ceiling for the normalized Vandermonde system
 COND_LIMIT = 1e10
@@ -60,45 +59,12 @@ class HeightFit:
         return self.v_min - eps, self.v_max + eps, tuple(reversed(self.coeffs))
 
 
-def _pair_hysteresis(samples):
-    """Average inflate/deflate heights at matching volumes.
-
-    Nearest-volume pairing within PAIRING_TOL of the volume range; unpaired
-    samples enter the mean with weight 1.  Returns (volumes, heights).
-    """
-    inflate = [(v, h) for v, h, phase in samples if phase == "inflate"]
-    deflate = [(v, h) for v, h, phase in samples if phase == "deflate"]
-    volumes = [v for v, _, _ in samples]
-    span = max(volumes) - min(volumes)
-    tol = PAIRING_TOL * span if span > 0 else 0.0
-
-    paired_v, paired_h = [], []
-    used = [False] * len(deflate)
-    for v_i, h_i in inflate:
-        best, best_gap = None, tol
-        for j, (v_d, _) in enumerate(deflate):
-            if not used[j] and abs(v_d - v_i) <= best_gap:
-                best, best_gap = j, abs(v_d - v_i)
-        if best is not None:
-            used[best] = True
-            v_d, h_d = deflate[best]
-            paired_v.append(0.5 * (v_i + v_d))
-            paired_h.append(0.5 * (h_i + h_d))
-        else:
-            paired_v.append(v_i)
-            paired_h.append(h_i)
-    for j, (v_d, h_d) in enumerate(deflate):
-        if not used[j]:
-            paired_v.append(v_d)
-            paired_h.append(h_d)
-    return np.asarray(paired_v), np.asarray(paired_h)
-
-
 def fit_height_poly(samples, degree: int = DEFAULT_DEGREE) -> HeightFit:
-    """Least-squares polynomial fit of height against normalized volume.
+    """Least-squares polynomial fit of the mean height at each distinct volume.
 
-    samples: iterable of (V_f [m3], h [m], phase) with phase in
-    {"inflate", "deflate"}.
+    samples: iterable of (V_f [m3], h [m], phase); phase carries no weight.
+    A volume read more than once enters once, as the mean of its readings,
+    so sample order moves only the rounding of a mean over three or more.
     """
     if degree < 0:
         raise ValueError(f"polynomial degree must be nonnegative, got {degree}")
@@ -110,10 +76,12 @@ def fit_height_poly(samples, degree: int = DEFAULT_DEGREE) -> HeightFit:
     if not samples:
         raise InsufficientData("no calibration samples")
 
-    volumes, heights = _pair_hysteresis(samples)
-    if len(np.unique(volumes)) < degree + 1:
+    vols, hs = np.array([(v, h) for v, h, _ in samples]).T
+    volumes, group = np.unique(vols, return_inverse=True)
+    heights = np.bincount(group, hs) / np.bincount(group)
+    if len(volumes) < degree + 1:
         raise InsufficientData(
-            f"need at least {degree + 1} distinct volumes, got {len(np.unique(volumes))}"
+            f"need at least {degree + 1} distinct volumes, got {len(volumes)}"
         )
 
     v_scale = float(volumes.max())

@@ -2,7 +2,7 @@
 
 Subcommands: calibrate, estimate, simulate, predict-pressure, eval,
 export-shape.  Exit codes: 0 success, 1 validation, model or configuration
-error, 2 I/O error.  The config path comes from --config or the
+error or a request that does not fit in memory, 2 I/O error.  The config path comes from --config or the
 BMA_CONFIG environment variable.  Every CSV file is read and written by
 `harness`.
 """
@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, PermissionError, IsADirectoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (BmaError, ValueError) as exc:
+    except (BmaError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -177,7 +177,9 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
         a, c = free
         h3 = h1 - h2_prev
         a_d, c_d = solve_axes(v_bma, h3, ring)
-        c_c = c - c_d   # center shift of the polar axis; may be negative transiently
+        # center shift, >= 0 up to rounding: c = (h/3)(1 + 1/(2 - h pi r^2/V)) grows
+        # with h at a fixed V over the valid h pi r^2 <= 2V, and h3 <= h1
+        c_c = c - c_d
         # contact radius: the slice at depth h2_prev - c_c below the unindented
         # apex, through the unindented ellipsoid; no slice contact at depth <= 0
         depth = h2_prev - c_c

@@ -88,6 +88,8 @@ class SimScript:
         for s in self.steps:
             if s.hold <= 0:
                 raise ValueError("hold durations must be positive")
+            if not math.isfinite(s.hold / self.sample_period):
+                raise ValueError(f"hold {s.hold} s is not a finite number of sample periods")
 
 
 def parse_float(text, line: int) -> float:
@@ -193,7 +195,7 @@ def ingest_trace(path) -> list[TraceRecord]:
 
 def write_trace(path, records) -> None:
     """Write records back to CSV, lossless at 9 significant digits."""
-    if not any(r.has_truth for r in records):
+    if all(r.f_true is None and r.h2_true is None for r in records):
         write_rows(path, TRACE_COLUMNS, map(trace_cells, records))
         return
     write_rows(path, (*TRACE_COLUMNS, "force_n", "indent_mm"), (trace_cells(r) + [

@@ -55,7 +55,10 @@ def ellipsoid_volume_above_ring(e: Ellipsoid, h: float) -> float:
 def center_shift(c: float, c_d: float) -> float:
     """Shift of the polar axis between unindented and deformed shapes [m].
 
-    May be negative transiently; downstream clamping handles it.
+    Not negative, up to rounding: at a fixed volume V the polar semi-axis
+    c = (h/3)(1 + 1/(2 - h pi r^2 / V)) grows with the apex height h over the
+    valid range h pi r^2 <= 2V, and the deformed apex is not above the
+    unindented one.
     """
     return c - c_d
 

@@ -1,8 +1,10 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bma import (
     IllConditioned,
@@ -11,6 +13,10 @@ from bma import (
     evaluate_height,
     fit_height_poly,
 )
+from bma.harness import read_calibration
+
+SAMPLE_ROWS = read_calibration(Path(__file__).resolve().parent.parent
+                               / "data" / "sample_calibration.csv")
 
 # an arbitrary degree-7 polynomial over normalized volume, heights in meters
 GEN_COEFFS = (2e-3, 5e-3, -1e-3, 3e-3, -2e-3, 1e-3, 0.5e-3, -0.2e-3)
@@ -49,6 +55,31 @@ class TestFit:
         for v in np.linspace(0.06e-6, 0.99e-6, 19):
             assert evaluate_height(fit_sym, v) == pytest.approx(
                 evaluate_height(fit_ref, v), rel=1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_row_order_and_phase_carry_no_weight(self, data):
+        # the fit is of the mean height at each volume, so neither the order of
+        # the rows nor their phase labels move a bit of it
+        rows = data.draw(st.permutations(SAMPLE_ROWS))
+        phases = data.draw(st.lists(st.sampled_from(["inflate", "deflate"]),
+                                    min_size=len(rows), max_size=len(rows)))
+        relabelled = [(v, h, phase) for (v, h, _), phase in zip(rows, phases)]
+        assert fit_height_poly(relabelled) == fit_height_poly(SAMPLE_ROWS)
+
+    def test_volume_read_three_times_enters_as_its_mean(self):
+        # a third reading enters the mean at its volume too; the sum at one
+        # volume follows input order, so the match is to rounding, not bitwise
+        v, h_a, _ = SAMPLE_ROWS[20]
+        _, h_b, _ = SAMPLE_ROWS[21]
+        h_c = h_a + 0.2e-3
+        assert SAMPLE_ROWS[21][0] == v
+        rest = SAMPLE_ROWS[:20] + SAMPLE_ROWS[22:]
+        fit = fit_height_poly(rest + [(v, h_a, "inflate"), (v, h_b, "deflate"),
+                                      (v, h_c, "inflate")])
+        want = fit_height_poly(rest + [(v, (h_a + h_b + h_c) / 3, "inflate")])
+        assert fit.coeffs == pytest.approx(want.coeffs, rel=1e-12, abs=0)
+        assert (fit.v_min, fit.v_max, fit.v_scale) == (want.v_min, want.v_max, want.v_scale)
 
     def test_insufficient_data(self):
         vols = np.linspace(0.1e-6, 1e-6, 5)

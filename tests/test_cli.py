@@ -258,6 +258,33 @@ class TestExitCodes:
         assert run(["eval", trace, "--config", cfg]) == 1
         assert f"line 3: non-finite {cell}" in capsys.readouterr().err
 
+    def test_nonfinite_sample_count_rejected(self, workdir, capsys):
+        # round(inf) in simulate_trace used to escape as an OverflowError traceback
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        script = workdir / "huge.yaml"
+        script.write_text("sample_period_s: 1.0e-300\nsteps:\n"
+                          "  - {volume_ml: 0.5, force_n: 0.0, hold_s: 1.0e+300}\n")
+        out = workdir / "trace.csv"
+        assert run(["simulate", script, "--config", cfg, "--out", out]) == 1
+        assert "error: script: hold 1e+300 s is not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_memory_error_exits_1(self, workdir, capsys, monkeypatch):
+        # a finite but huge sample count, such as hold_s: 1.0e+12 at 0.01 s,
+        # leaves numpy unable to allocate the noise draws
+        def no_memory(script, cfg, seed):
+            raise MemoryError("Unable to allocate 728. TiB for an array")
+
+        monkeypatch.setattr("bma.cli.simulate_trace", no_memory)
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        capsys.readouterr()
+        out = workdir / "trace.csv"
+        assert run(["simulate", workdir / "script.yaml", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 728. TiB for an array\n"
+        assert not out.exists()
+
     def test_uncalibrated_config(self, workdir):
         # config without a height fit cannot estimate
         assert run(["estimate", workdir / "calibration.csv",

@@ -1,6 +1,7 @@
 import math
 from contextlib import contextmanager
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ from bma import (
     step,
     actuator_volume,
 )
-from bma import estimator
+from bma import estimator, fit_height_poly
+from bma.config import load_config
+from bma.harness import read_calibration
 from bma.estimator import NO_FLAGS, Reconstruction, balance_pressure, indent, reconstruct
 from bma.material import perimeter, yeoh_energy_density
 from oracles import (NegativeDiscriminant, estimate_force, indent_chain, integration_angle,
@@ -560,6 +563,40 @@ class TestFoldedChain:
         assert seen >= {"h2_prev_clamped", "v_fm_clamped", "force_exceeds_bound", "h2_clamped",
                         "nonpositive_pressure", "slice_below_ellipsoid",
                         "indent_DegenerateGeometry"}
+
+
+class TestCenterShift:
+    """c_c = c - c_d from the real `solve_axes`, on the fixture config and on
+    the sample config calibrated on the sample rows."""
+
+    @pytest.fixture(scope="class")
+    def configs(self, cfg):
+        repo = Path(__file__).resolve().parent.parent
+        sample = load_config(repo / "configs" / "sample.yaml", require_fit=False)
+        fit = fit_height_poly(read_calibration(repo / "data" / "sample_calibration.csv"))
+        return cfg, replace(sample, fit=fit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(which=st.integers(0, 1), x=st.floats(0.0, 1.0),
+           share=st.floats(0.0, 1.0, exclude_max=True))
+    def test_not_negative_and_slice_above_bottom(self, configs, which, x, share):
+        # c grows with the apex height at a fixed volume and h3 <= h1, so
+        # c_c >= 0 up to rounding, and the slice at depth h2_prev - c_c stays
+        # within 2c: the slice-below-ellipsoid refusal does not fire
+        cfg = configs[which]
+        lo = max(cfg.v_min_model, cfg.fit.v_min)
+        v_f = lo + x * (cfg.fit.v_max - lo)
+        h1 = evaluate_height(cfg.fit, v_f)
+        h2_prev = share * h1
+        v_bma = actuator_volume(v_f, cfg.ring)
+        try:
+            _, c = solve_axes(v_bma, h1, cfg.ring)
+            _, c_d = solve_axes(v_bma, h1 - h2_prev, cfg.ring)
+        except DegenerateGeometry:   # no reconstruction, so no slice
+            return
+        c_c = c - c_d
+        assert c_c >= -4 * math.ulp(c)
+        assert h2_prev - c_c <= 2 * c
 
 
 class TestCachedConstants:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bma import (
     MissingGroundTruth,
@@ -40,6 +40,26 @@ def basic_script(noise=0.0):
         sample_period=0.01,
         noise_pa=noise,
     )
+
+
+def nine_digits(x, unit=1.0):
+    """x as its trace cell reads back: x / unit at 9 significant digits, times unit."""
+    return float(f"{x / unit:.9g}") * unit
+
+
+# None or finite; an indentation in mm stays finite
+TRUTH = st.one_of(st.none(), st.floats(-1e300, 1e300))
+
+
+@st.composite
+def trace_records(draw):
+    """Records at any timestamps, sorted or not, finite nonnegative volumes,
+    any pressure, and each truth cell None or finite on its own."""
+    times = draw(st.lists(st.floats(), max_size=6))
+    if draw(st.booleans()):
+        times.sort()
+    return [TraceRecord(t, draw(st.floats(0.0, 1e300)), draw(st.floats()), draw(TRUTH),
+                        draw(TRUTH)) for t in times]
 
 
 class TestIngest:
@@ -162,6 +182,34 @@ class TestIngest:
             assert b.p == pytest.approx(a.p, rel=1e-9)
             assert b.f_true == pytest.approx(a.f_true, rel=1e-9)
             assert b.h2_true == pytest.approx(a.h2_true, rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=trace_records())
+    # partial truth beside no truth: write_trace used to drop the force column
+    @example(records=[TraceRecord(0.0, 0.3e-6, 1e4, f_true=0.2),
+                      TraceRecord(0.01, 0.3e-6, 1e4)])
+    def test_write_then_ingest_rounds_to_9_digits(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        write_trace(path, records)
+        times = [nine_digits(r.t) for r in records]
+        # the first line whose timestamp is non-finite or not after the last one
+        for line, (prev, t) in enumerate(zip([-math.inf, *times], times), start=2):
+            if not math.isfinite(t):
+                with pytest.raises(ParseError) as exc_info:
+                    ingest_trace(path)
+                assert exc_info.value.line == line
+                return
+            if t <= prev:
+                with pytest.raises(NonMonotoneTime, match=f"^line {line}: "):
+                    ingest_trace(path)
+                return
+        want = [TraceRecord(
+            t, nine_digits(r.v_f, harness.ML_TO_M3), nine_digits(r.p),
+            None if r.f_true is None else nine_digits(r.f_true),
+            None if r.h2_true is None else nine_digits(r.h2_true, harness.MM_TO_M),
+        ) for t, r in zip(times, records)]
+        # repr: a NaN pressure equals itself, and -0.0 differs from 0.0
+        assert repr(ingest_trace(path)) == repr(want)
 
 
 FLAG_NAMES = ["step_error", "DegenerateGeometry", "h2_clamped", "h2_prev_clamped",
