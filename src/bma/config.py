@@ -1,4 +1,4 @@
-"""YAML configuration: actuator geometry, material, height fit, modeled volume floor.
+"""YAML configuration: actuator geometry, material and height fit; simulation scripts.
 
 The file speaks the bench units (mm, ml, Pa); loading converts to SI.
 """
@@ -11,7 +11,7 @@ import yaml
 
 from .calibration import HeightFit
 from .errors import BmaError
-from .estimator import DEFAULT_V_MIN_MODEL, EstimatorConfig
+from .estimator import EstimatorConfig
 from .geometry import RingSpec
 from .harness import ML_TO_M3, MM_TO_M, SimScript, SimStep
 from .material import YeohCoeffs
@@ -21,14 +21,24 @@ class ConfigError(BmaError):
     """Missing or malformed configuration."""
 
 
-ESTIMATOR_KEYS = frozenset({"v_min_model_ml"})
+SECTIONS = frozenset({"ring", "material", "height_fit"})
+SCRIPT_KEYS = frozenset({"sample_period_s", "pressure_noise_pa", "steps"})
+STEP_KEYS = frozenset({"volume_ml", "force_n", "hold_s"})
 
 
 def load_raw(path) -> dict:
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            if mark is None:   # a reader error: its text gives the position
+                raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
+            context = (f" ({exc.context} from line {exc.context_mark.line + 1})"
+                       if exc.context and exc.context_mark else "")
+            raise ConfigError(f"{path}, line {mark.line + 1}: {exc.problem}{context}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"config {path} is not a mapping")
+        raise ConfigError(f"{path} is not a mapping")
     return data
 
 
@@ -45,6 +55,12 @@ def _section(name: str):
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"{name}: {detail}") from exc
+
+
+def _check_keys(d: dict, allowed: frozenset, what: str) -> None:
+    unknown = sorted(map(str, set(d) - allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} {unknown}; expected a subset of {sorted(allowed)}")
 
 
 def _height_fit_from_dict(d: dict) -> HeightFit:
@@ -71,6 +87,8 @@ def height_fit_to_dict(fit: HeightFit) -> dict:
 
 def load_config(path, require_fit: bool = True) -> EstimatorConfig:
     data = load_raw(path)
+    with _section("config"):
+        _check_keys(data, SECTIONS, "section(s)")
     with _section("ring"):
         ring = RingSpec(r=float(data["ring"]["radius_mm"]) * MM_TO_M,
                         t_i=float(data["ring"]["thickness_mm"]) * MM_TO_M)
@@ -86,25 +104,17 @@ def load_config(path, require_fit: bool = True) -> EstimatorConfig:
             fit = _height_fit_from_dict(data["height_fit"])
     elif require_fit:
         raise ConfigError("config has no height_fit; run `calibrate` first")
-
-    with _section("estimator"):
-        est = data.get("estimator") or {}
-        unknown = sorted(set(est) - ESTIMATOR_KEYS)
-        if unknown:
-            raise ValueError(f"unknown key(s) {unknown}; "
-                             f"expected a subset of {sorted(ESTIMATOR_KEYS)}")
-        return EstimatorConfig(
-            ring=ring,
-            coeffs=coeffs,
-            fit=fit,
-            v_min_model=float(est.get("v_min_model_ml",
-                                      DEFAULT_V_MIN_MODEL / ML_TO_M3)) * ML_TO_M3,
-        )
+    return EstimatorConfig(ring=ring, coeffs=coeffs, fit=fit)
 
 
 def load_script(path) -> SimScript:
     data = load_raw(path)
     with _section("script"):
+        _check_keys(data, SCRIPT_KEYS, "key(s)")
+        for i, s in enumerate(data["steps"]):
+            if not isinstance(s, dict):
+                raise TypeError(f"step {i} is not a mapping: {s!r}")
+            _check_keys(s, STEP_KEYS, f"key(s) in step {i}")
         steps = tuple(
             SimStep(
                 v_f=float(s["volume_ml"]) * ML_TO_M3,

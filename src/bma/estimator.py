@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,6 @@ from .calibration import HeightFit, evaluate_height
 from .errors import DegenerateGeometry, LengthMismatch
 from .geometry import RingSpec, actuator_volume, solve_axes
 from .material import YeohCoeffs, perimeter, yeoh_energy_density
-
-DEFAULT_V_MIN_MODEL = 0.1e-6  # 0.1 ml in m3; the model is unreliable below this
 
 _PI = math.pi
 _HALF_PI = math.pi / 2
@@ -47,11 +45,8 @@ class EstimatorConfig:
     ring: RingSpec
     coeffs: YeohCoeffs
     fit: HeightFit
-    v_min_model: float = DEFAULT_V_MIN_MODEL   # minimum modeled injected volume [m3]
-
-    def __post_init__(self):
-        if not (math.isfinite(self.v_min_model) and self.v_min_model >= 0):
-            raise ValueError(f"v_min_model must be finite and nonnegative, got {self.v_min_model}")
+    # minimum modeled injected volume, 0.1 ml [m3]; the model is unreliable below it
+    v_min_model: ClassVar[float] = 0.1e-6
 
 
 # The flags of an unflagged sample.  Flags are added with ``flags | {name}``

@@ -10,7 +10,9 @@ Here each is a function of its own, with the checks on its arguments;
 `reconstruct_chain` and `indent_chain` compose them with the package's
 layers, one call per formula, and the property tests hold the package
 equal to these compositions value for value.  `update` is `step` after its
-input guards, on a reconstruction the caller already holds.
+input guards, on a reconstruction the caller already holds.  `equilibrium`
+is the closed form of a fixed point of `step`: the (p, F) that leave a
+carried (V_f, h2) where it is.
 """
 
 import math
@@ -28,7 +30,7 @@ from bma import (
     perimeter,
     solve_axes,
 )
-from bma.estimator import Reconstruction, balance_pressure, indent
+from bma.estimator import Reconstruction, balance_pressure, indent, reconstruct
 
 
 class NegativeDiscriminant(BmaError):
@@ -223,3 +225,18 @@ def update(g: Reconstruction, state: EstimatorState, v_f: float,
     h2, h4, force, flags = indent(g, v_f, p)
     est = StateEstimate(g.h1, h2, g.h3, h4, force, balance_pressure(g, v_f), g.stretch, flags)
     return est, EstimatorState(h2, state.step_index + 1)
+
+
+def equilibrium(v_f: float, h2: float, cfg) -> tuple[float, float]:
+    """(p, F) at which `step` maps the carried h2 at volume v_f to itself.
+
+    From one `reconstruct(v_f, h2, cfg)`: the slice depth h4 = h2 - c_c
+    gives the force's share s = F / (pi a^2 p) = 1 - (1 - h4/c)^2 of the
+    cross-section bound, or 0 for h4 <= 0; with F = s pi a^2 p the energy
+    balance V_f p = V_fm W + F h3 gives p = V_fm W / (V_f - s pi a^2 h3).
+    """
+    g = reconstruct(v_f, h2, cfg)
+    h4 = h2 - g.c_c
+    s = 1 - (1 - h4 / g.c) ** 2 if h4 > 0 else 0.0
+    p = g.v_fm * g.w / (v_f - s * math.pi * g.a ** 2 * g.h3)
+    return p, s * math.pi * g.a ** 2 * p

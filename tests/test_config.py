@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import math
 import operator
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from bma import EstimatorConfig
 from bma.cli import main
 from bma.config import ConfigError, load_config, load_raw, load_script, save_raw
+from bma.harness import ML_TO_M3
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLE_CONFIG = REPO / "configs" / "sample.yaml"
@@ -28,13 +31,17 @@ def test_sample_config_loads():
     assert cfg.ring.r == pytest.approx(5e-3, rel=1e-12)
     assert cfg.ring.t_i == pytest.approx(0.5e-3, rel=1e-12)
     assert cfg.coeffs.c1 == 30000.0
-    assert cfg.v_min_model == pytest.approx(0.1e-6, rel=1e-12)
+    assert cfg.v_min_model == 1e-07
     assert cfg.fit is None
 
 
-def test_empty_estimator_section_takes_defaults(tmp_path):
-    cfg = load_config(config_with_estimator(tmp_path, None), require_fit=False)
-    assert cfg.v_min_model == pytest.approx(0.1e-6, rel=1e-12)
+def test_volume_floor_is_a_model_constant():
+    cfg = load_config(SAMPLE_CONFIG, require_fit=False)
+    assert [f.name for f in dataclasses.fields(EstimatorConfig)] == ["ring", "coeffs", "fit"]
+    # bit for bit the floor that the sample's estimator section used to set
+    assert EstimatorConfig.v_min_model == 0.1 * ML_TO_M3
+    with pytest.raises(TypeError):
+        EstimatorConfig(ring=cfg.ring, coeffs=cfg.coeffs, fit=None, v_min_model=0.2e-6)
 
 
 @pytest.mark.parametrize("key", [
@@ -44,18 +51,9 @@ def test_empty_estimator_section_takes_defaults(tmp_path):
     "pressure_filter_tau_s",  # removed with the pressure low-pass
 ])
 def test_unknown_estimator_key_rejected(tmp_path, key):
+    # the whole estimator section is refused, whatever it holds
     path = config_with_estimator(tmp_path, {"v_min_model_ml": 0.1, key: 0.5})
-    with pytest.raises(ConfigError, match=key):
-        load_config(path, require_fit=False)
-
-
-@pytest.mark.parametrize("key, value", [
-    ("v_min_model_ml", math.nan),
-    ("v_min_model_ml", math.inf),
-])
-def test_invalid_estimator_value_rejected(tmp_path, key, value):
-    path = config_with_estimator(tmp_path, {key: value})
-    with pytest.raises(ConfigError, match="finite and nonnegative"):
+    with pytest.raises(ConfigError, match="'estimator'"):
         load_config(path, require_fit=False)
 
 
@@ -64,7 +62,7 @@ def test_estimate_exits_1_on_unknown_key(tmp_path):
     shutil.copy(SAMPLE_CONFIG, cfg)
     assert main(["calibrate", str(SAMPLE_CALIBRATION), "--config", str(cfg)]) == 0
     data = load_raw(cfg)
-    data["estimator"]["pressure_filter_tau"] = 0.5
+    data["estimator"] = {"pressure_filter_tau": 0.5}
     save_raw(cfg, data)
     trace = tmp_path / "trace.csv"
     trace.write_text("t_s,volume_ml,pressure_pa\n0.0,0.4,9000\n")
@@ -85,6 +83,35 @@ def test_nonfinite_script_value_rejected(tmp_path, key, bad):
     path = tmp_path / "script.yaml"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match="must be finite"):
+        load_script(path)
+
+
+@pytest.mark.parametrize("where, key", [
+    ("top", "pressure_noise"),   # misspelt: simulated with no noise at all
+    ("top", "seed"),             # the seed is a CLI option
+    ("step", "hold"),            # misspelt: the step held its default
+    ("step", "indent_mm"),       # the simulator scripts force, not indentation
+])
+def test_unknown_script_key_rejected(tmp_path, where, key):
+    step = {"volume_ml": 0.4, "force_n": 0.1, "hold_s": 0.1}
+    top = {"sample_period_s": 0.01, "pressure_noise_pa": 0.0}
+    (top if where == "top" else step)[key] = 5.0
+    path = tmp_path / "script.yaml"
+    save_raw(path, {**top, "steps": [step]})
+    with pytest.raises(ConfigError, match=f"^script: unknown .*'{key}'"):
+        load_script(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("- {volume_ml: 0.4, force_n: 0.1, hold_s: 0.1}\n",
+                 "script.yaml is not a mapping", id="file-a-list"),
+    pytest.param("sample_period_s: 0.01\nsteps: [volume_ml]\n",
+                 "^script: step 0 is not a mapping", id="step-a-string"),
+])
+def test_script_not_a_mapping_rejected(tmp_path, text, message):
+    path = tmp_path / "script.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
         load_script(path)
 
 
@@ -114,15 +141,15 @@ def calibrated(tmp_path_factory):
 
 
 DELETE = object()
+ESTIMATOR_REFUSED = "config: unknown section(s) ['estimator']"
 
 
-@pytest.mark.parametrize("section, path, value", [
+@pytest.mark.parametrize("prefix, path, value", [
     pytest.param("ring", ("ring", "radius_mm"), DELETE, id="ring-missing-key"),
     pytest.param("material", ("material", "yeoh_pa"), DELETE, id="material-missing-key"),
     pytest.param("height_fit", ("height_fit", "v_scale_ml"), DELETE, id="fit-missing-key"),
     pytest.param("ring", ("ring",), None, id="ring-null"),
     pytest.param("height_fit", ("height_fit",), None, id="fit-null"),
-    pytest.param("estimator", ("estimator", "v_min_model_ml"), None, id="estimator-null-value"),
     pytest.param("ring", ("ring", "thickness_mm"), [0.5], id="ring-wrong-type"),
     pytest.param("material", ("material", "yeoh_pa"), 3.0e4, id="material-wrong-type"),
     pytest.param("material", ("material", "yeoh_pa", 1), math.nan, id="yeoh-nan"),
@@ -134,8 +161,22 @@ DELETE = object()
     pytest.param("height_fit", ("height_fit", "coeffs_m"), [1e-3, 2e-3, 3e-3],
                  id="fit-short-coeffs"),
     pytest.param("height_fit", ("height_fit", "degree"), 2, id="fit-degree-mismatch"),
+    # the estimator section is gone: refused at any value, its old default included
+    pytest.param(ESTIMATOR_REFUSED, ("estimator",), None, id="estimator-null"),
+    pytest.param(ESTIMATOR_REFUSED, ("estimator",), {"v_min_model_ml": None},
+                 id="estimator-null-value"),
+    pytest.param(ESTIMATOR_REFUSED, ("estimator",), {"v_min_model_ml": 0.1},
+                 id="estimator-default"),
+    pytest.param(ESTIMATOR_REFUSED, ("estimator",), {"v_min_model_ml": 0.05},
+                 id="estimator-lower"),
+    pytest.param(ESTIMATOR_REFUSED, ("estimator",), {"v_min_model_ml": math.nan},
+                 id="estimator-nan"),
+    pytest.param(ESTIMATOR_REFUSED, ("estimator",), {"v_min_model_ml": math.inf},
+                 id="estimator-inf"),
+    pytest.param("config: unknown section(s) ['estimatr']", ("estimatr",),
+                 {"v_min_model_ml": 0.1}, id="misspelt-section"),
 ])
-def test_malformed_config_rejected(tmp_path, capsys, calibrated, section, path, value):
+def test_malformed_config_rejected(tmp_path, capsys, calibrated, prefix, path, value):
     data = copy.deepcopy(calibrated)
     *parents, last = path
     target = functools.reduce(operator.getitem, parents, data)
@@ -147,7 +188,7 @@ def test_malformed_config_rejected(tmp_path, capsys, calibrated, section, path, 
     save_raw(cfg, data)
     with pytest.raises(ConfigError) as exc:
         load_config(cfg)
-    assert str(exc.value).startswith(section)
+    assert str(exc.value).startswith(prefix)
 
     trace = tmp_path / "trace.csv"
     trace.write_text("t_s,volume_ml,pressure_pa\n0.0,0.4,9000\n")

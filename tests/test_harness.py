@@ -26,6 +26,7 @@ from bma import (
 from bma import EstimatorState, StateEstimate, harness
 from bma import estimator
 from bma.estimator import balance_pressure, indent, reconstruct
+from oracles import equilibrium
 
 
 def basic_script(noise=0.0):
@@ -345,6 +346,26 @@ class TestSimulate:
         script = SimScript(steps=(SimStep(0.05e-6, 0.0, 0.1),), sample_period=0.01)
         with pytest.raises(Exception):
             simulate_trace(script, cfg, seed=0)
+
+    def test_held_records_match_equilibrium_closed_form(self, cfg):
+        # a record whose volume and indentation equal the previous record's is
+        # a fixed point of the update: the closed form from one reconstruction
+        # gives its pressure and its scripted force (the closed-loop
+        # acceptance script)
+        script = SimScript(steps=(SimStep(0.30e-6, 0.00, 20.0),
+                                  SimStep(0.50e-6, 0.20, 20.0),
+                                  SimStep(0.50e-6, 0.55, 20.0),
+                                  SimStep(0.80e-6, 0.35, 20.0),
+                                  SimStep(0.80e-6, 0.00, 20.0)),
+                           sample_period=0.01)
+        records = simulate_trace(script, cfg, seed=0)
+        held = [r for prev, r in zip(records, records[1:])
+                if (r.v_f, r.h2_true) == (prev.v_f, prev.h2_true)]
+        assert len(held) > len(records) // 2 and any(r.f_true > 0 for r in held)
+        for r in held:
+            p, force = equilibrium(r.v_f, r.h2_true, cfg)
+            assert abs(p - r.p) <= 1e-15 * r.p
+            assert abs(force - r.f_true) <= 2e-15
 
 
 def contact_script():
