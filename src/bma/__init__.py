@@ -9,7 +9,6 @@ from .errors import (
     LengthMismatch,
     MissingGroundTruth,
     NoConvergence,
-    NonMonotoneTime,
     OutOfRange,
     ParseError,
 )
@@ -22,7 +21,6 @@ from .estimator import (
     step,
 )
 from .geometry import (
-    Ellipsoid,
     RingSpec,
     actuator_volume,
     profile_polyline,

@@ -5,7 +5,8 @@ to the mean height at each distinct volume: a run reads the inflation and
 deflation strokes at the same commanded volumes, so this is the midline of
 the hysteresis loop.  Volumes are normalized by their maximum before
 fitting: a raw high-degree fit in m3 magnitudes (~1e-7) is catastrophically
-ill-conditioned.
+ill-conditioned.  The maximum is the fit's own v_max, so a `HeightFit` is
+its coefficients and its validity range, nothing more.
 """
 
 from __future__ import annotations
@@ -31,22 +32,21 @@ _RANGE_EPS = 1e-12
 class HeightFit:
     """Polynomial map from injected volume to unindented apex height.
 
-    Coefficients are over volume normalized by v_scale (ascending powers).
+    Coefficients are over volume normalized by v_max (ascending powers).
     Evaluation outside [v_min, v_max] is rejected, never extrapolated.
     `evaluation` is a cached property: computed once per fit.
     """
 
-    coeffs: tuple[float, ...]   # ascending powers of V_f / v_scale
+    coeffs: tuple[float, ...]   # ascending powers of V_f / v_max
     v_min: float                # validity range lower bound [m3]
-    v_max: float                # validity range upper bound [m3]
-    v_scale: float              # normalization divisor [m3]
+    v_max: float                # validity range upper bound and normalization divisor [m3]
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (*self.coeffs, self.v_min, self.v_max, self.v_scale))):
+        if not all(map(math.isfinite, (*self.coeffs, self.v_min, self.v_max))):
             raise ValueError("height fit coefficients and ranges must be finite")
-        if not (self.coeffs and 0 <= self.v_min <= self.v_max and self.v_scale > 0):
-            raise ValueError("height fit needs a coefficient, 0 <= v_min <= v_max "
-                             "and v_scale > 0")
+        if not (self.coeffs and 0 <= self.v_min <= self.v_max and self.v_max > 0):
+            raise ValueError("height fit needs a coefficient and 0 <= v_min <= v_max "
+                             "with v_max > 0")
 
     @property
     def degree(self) -> int:
@@ -55,7 +55,7 @@ class HeightFit:
     @cached_property
     def evaluation(self) -> tuple[float, float, tuple[float, ...]]:
         """Range guard v_min - eps, v_max + eps and the coefficients highest power first."""
-        eps = _RANGE_EPS * self.v_scale
+        eps = _RANGE_EPS * self.v_max
         return self.v_min - eps, self.v_max + eps, tuple(reversed(self.coeffs))
 
 
@@ -84,10 +84,10 @@ def fit_height_poly(samples, degree: int = DEFAULT_DEGREE) -> HeightFit:
             f"need at least {degree + 1} distinct volumes, got {len(volumes)}"
         )
 
-    v_scale = float(volumes.max())
-    if v_scale <= 0:
+    v_max = float(volumes.max())
+    if v_max <= 0:
         raise InsufficientData("all calibration volumes are zero")
-    x = volumes / v_scale
+    x = volumes / v_max
     vander = np.vander(x, degree + 1, increasing=True)
     cond = np.linalg.cond(vander)
     if cond > COND_LIMIT:
@@ -98,8 +98,7 @@ def fit_height_poly(samples, degree: int = DEFAULT_DEGREE) -> HeightFit:
     return HeightFit(
         coeffs=tuple(float(c) for c in coeffs),
         v_min=float(volumes.min()),
-        v_max=float(volumes.max()),
-        v_scale=v_scale,
+        v_max=v_max,
     )
 
 
@@ -111,7 +110,7 @@ def evaluate_height(fit: HeightFit, v_f: float) -> float:
             f"volume {v_f} outside calibrated range [{fit.v_min}, {fit.v_max}]"
         )
     # Horner's rule in the order polyval uses, without its array set-up
-    x = v_f / fit.v_scale
+    x = v_f / fit.v_max
     h = 0.0
     for c in coeffs:
         h = h * x + c

@@ -18,7 +18,7 @@ from . import config as cfgmod
 from .calibration import DEFAULT_DEGREE, fit_height_poly
 from .errors import BmaError, DegenerateGeometry
 from .estimator import predict_pressure, reconstruct
-from .geometry import actuator_volume, profile_polyline, sphere_profile
+from .geometry import actuator_volume, profile_polyline, sphere_baseline
 from .harness import (
     ML_TO_M3,
     MM_TO_M,
@@ -53,6 +53,7 @@ def cmd_calibrate(args) -> int:
     fit = fit_height_poly(read_calibration(args.csv), degree=args.degree)
     raw = cfgmod.load_raw(cfg_path)
     raw["height_fit"] = cfgmod.height_fit_to_dict(fit)
+    cfgmod.parse_config(raw)   # write no config that the other subcommands refuse
     cfgmod.save_raw(cfg_path, raw)
     print(f"fitted degree-{fit.degree} height polynomial over "
           f"[{fit.v_min / ML_TO_M3:.4g}, {fit.v_max / ML_TO_M3:.4g}] ml; "
@@ -160,8 +161,9 @@ def cmd_export_shape(args) -> int:
     if args.out.lower().endswith(".csv"):
         write_rows(args.out, ("x_mm", "z_mm"), ([f"{x:.6f}", f"{z:.6f}"] for x, z in pts_mm))
     else:
-        sphere = sphere_profile(actuator_volume(v_f, cfg.ring), cfg.ring, args.points)
-        sphere_mm = [(x / MM_TO_M, z / MM_TO_M) for x, z in sphere]
+        radius, cap_h = sphere_baseline(actuator_volume(v_f, cfg.ring), cfg.ring)
+        sphere_mm = [(x / MM_TO_M, z / MM_TO_M)
+                     for x, z in profile_polyline(radius, radius, cap_h, 0.0, args.points)]
         r_mm = cfg.ring.r / MM_TO_M
         ring_mm = [(-1.5 * r_mm, 0.0), (1.5 * r_mm, 0.0)]
         _svg(pts_mm, sphere_mm, ring_mm, slice_mm, args.out)

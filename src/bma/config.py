@@ -1,6 +1,7 @@
 """YAML configuration: actuator geometry, material and height fit; simulation scripts.
 
-The file speaks the bench units (mm, ml, Pa); loading converts to SI.
+The file speaks the bench units (mm, ml, Pa); loading converts to SI.  A key
+repeated in one mapping, or one that its section does not read, is refused.
 """
 
 from __future__ import annotations
@@ -22,14 +23,34 @@ class ConfigError(BmaError):
 
 
 SECTIONS = frozenset({"ring", "material", "height_fit"})
+RING_KEYS = frozenset({"radius_mm", "thickness_mm"})
+MATERIAL_KEYS = frozenset({"yeoh_pa"})
+FIT_KEYS = frozenset({"coeffs_m", "v_min_ml", "v_max_ml"})
 SCRIPT_KEYS = frozenset({"sample_period_s", "pressure_noise_pa", "steps"})
 STEP_KEYS = frozenset({"volume_ml", "force_n", "hold_s"})
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that refuses a key repeated in one mapping instead of keeping the last."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if not isinstance(key_node, yaml.ScalarNode) or key_node.tag.endswith(":merge"):
+                continue   # a merge key or an unhashable one, left to SafeLoader
+            key = self.construct_object(key_node)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep)
 
 
 def load_raw(path) -> dict:
     with open(path) as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             if mark is None:   # a reader error: its text gives the position
@@ -63,37 +84,36 @@ def _check_keys(d: dict, allowed: frozenset, what: str) -> None:
         raise ValueError(f"unknown {what} {unknown}; expected a subset of {sorted(allowed)}")
 
 
-def _height_fit_from_dict(d: dict) -> HeightFit:
-    fit = HeightFit(
-        coeffs=tuple(float(c) for c in d["coeffs_m"]),
-        v_min=float(d["v_min_ml"]) * ML_TO_M3,
-        v_max=float(d["v_max_ml"]) * ML_TO_M3,
-        v_scale=float(d["v_scale_ml"]) * ML_TO_M3,
-    )
-    if d["degree"] != fit.degree:
-        raise ValueError(f"degree {d['degree']} does not match {len(fit.coeffs)} coefficients")
-    return fit
+def _mapping(data: dict, name: str, allowed: frozenset) -> dict:
+    """Section `name` of data, refused unless a mapping of keys from `allowed`."""
+    d = data[name]
+    if not isinstance(d, dict):
+        raise TypeError(f"expected a mapping, got {d!r}")
+    _check_keys(d, allowed, "key(s)")
+    return d
 
 
 def height_fit_to_dict(fit: HeightFit) -> dict:
     return {
-        "degree": fit.degree,
         "coeffs_m": [float(c) for c in fit.coeffs],
         "v_min_ml": fit.v_min / ML_TO_M3,
         "v_max_ml": fit.v_max / ML_TO_M3,
-        "v_scale_ml": fit.v_scale / ML_TO_M3,
     }
 
 
 def load_config(path, require_fit: bool = True) -> EstimatorConfig:
-    data = load_raw(path)
+    return parse_config(load_raw(path), require_fit)
+
+
+def parse_config(data: dict, require_fit: bool = True) -> EstimatorConfig:
+    """Check a config mapping, as `load_raw` reads it, and convert it to SI."""
     with _section("config"):
         _check_keys(data, SECTIONS, "section(s)")
     with _section("ring"):
-        ring = RingSpec(r=float(data["ring"]["radius_mm"]) * MM_TO_M,
-                        t_i=float(data["ring"]["thickness_mm"]) * MM_TO_M)
+        d = _mapping(data, "ring", RING_KEYS)
+        ring = RingSpec(r=float(d["radius_mm"]) * MM_TO_M, t_i=float(d["thickness_mm"]) * MM_TO_M)
     with _section("material"):
-        yeoh = data["material"]["yeoh_pa"]
+        yeoh = _mapping(data, "material", MATERIAL_KEYS)["yeoh_pa"]
         if len(yeoh) != 6:
             raise ValueError("yeoh_pa must list exactly 6 coefficients")
         coeffs = YeohCoeffs(*(float(c) for c in yeoh))
@@ -101,7 +121,10 @@ def load_config(path, require_fit: bool = True) -> EstimatorConfig:
     fit = None
     if "height_fit" in data:
         with _section("height_fit"):
-            fit = _height_fit_from_dict(data["height_fit"])
+            d = _mapping(data, "height_fit", FIT_KEYS)
+            fit = HeightFit(coeffs=tuple(float(c) for c in d["coeffs_m"]),
+                            v_min=float(d["v_min_ml"]) * ML_TO_M3,
+                            v_max=float(d["v_max_ml"]) * ML_TO_M3)
     elif require_fit:
         raise ConfigError("config has no height_fit; run `calibrate` first")
     return EstimatorConfig(ring=ring, coeffs=coeffs, fit=fit)

@@ -31,10 +31,6 @@ class ParseError(BmaError):
         self.line = line
 
 
-class NonMonotoneTime(BmaError):
-    """Trace timestamps are not strictly increasing."""
-
-
 class MissingGroundTruth(BmaError):
     """Evaluation requested on a trace without ground-truth columns."""
 

@@ -140,8 +140,9 @@ def _volume_stage(v_f: float, cfg: EstimatorConfig) -> tuple:
     h1 = evaluate_height(cfg.fit, v_f)
     v_bma = actuator_volume(v_f, cfg.ring)
     free = solve_axes(v_bma, h1, cfg.ring)
-    if h1 > 2 * free.c:
-        raise DegenerateGeometry(f"apex height {h1} exceeds ellipsoid extent {2 * free.c}")
+    c = free[1]
+    if h1 > 2 * c:
+        raise DegenerateGeometry(f"apex height {h1} exceeds ellipsoid extent {2 * c}")
     stage = (h1, v_bma, free, None)
     _volume_memo = (cfg, v_f, stage)
     return stage

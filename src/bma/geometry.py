@@ -1,15 +1,16 @@
-"""Ellipsoid reconstruction of the ballooned membrane.
+"""Spheroid reconstruction of the ballooned membrane.
 
 All quantities are strict SI (m, m3).  The membrane clamped in a retainer
 ring of inner radius ``r`` balloons into an axisymmetric ellipsoid whose
 portion below the ring plane is a virtual cap; the visible actuator volume
 is the full ellipsoid minus that cap.  Both the unindented and the
 contact-deformed shapes are recovered from (volume, apex height) by the
-same closed form, `solve_axes`, which returns a bare `Ellipsoid`; the
-per-sample record of both shapes is the flat `estimator.Reconstruction`
-of floats, and `profile_polyline` draws a shape from its floats
-(a, c, h, k).  The center shift c - c_d and the contact radius of the
-indenter's slice through the unindented shape are lines of
+same closed form, `solve_axes`, which returns the semi-axes as a plain
+(a, c) tuple; the per-sample record of both shapes is the flat
+`estimator.Reconstruction` of floats, and `profile_polyline` draws a shape
+from its floats (a, c, h, k).  It draws the `sphere_baseline` cap too, as
+the spheroid a = c = R.  The center shift c - c_d and the contact radius of
+the indenter's slice through the unindented shape are lines of
 `estimator.reconstruct`; `tests/oracles.py` keeps them as reference
 functions.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,30 +65,6 @@ class RingSpec:
         return self.t_i * self.r ** 2
 
 
-# A NamedTuple class cannot define its own __new__, so the checked
-# constructor lives in the subclass `Ellipsoid`.
-class _Axes(NamedTuple):
-    a: float  # equatorial semi-axis [m]
-    c: float  # polar semi-axis [m]
-
-
-class Ellipsoid(_Axes):
-    """Axisymmetric ellipsoid: equatorial semi-axis a, polar semi-axis c.
-
-    Both oblate (a > c) and prolate (c > a) shapes occur; no ordering is
-    imposed.  Built directly, it checks that both semi-axes are positive;
-    `solve_axes`, which has just made that check, builds it with
-    ``tuple.__new__`` instead, so the check does not run twice.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, a: float, c: float):
-        if not (a > 0 and c > 0):
-            raise ValueError("semi-axes must be positive")
-        return tuple.__new__(cls, (a, c))
-
-
 def actuator_volume(v_f: float, ring: RingSpec) -> float:
     """Total actuator volume: injected liquid plus membrane material [m3]."""
     if v_f < 0:
@@ -96,13 +72,15 @@ def actuator_volume(v_f: float, ring: RingSpec) -> float:
     return v_f + ring.membrane_volume
 
 
-def solve_axes(v_bma: float, h: float, ring: RingSpec) -> Ellipsoid:
-    """Recover the ellipsoid axes from actuator volume and apex height.
+def solve_axes(v_bma: float, h: float, ring: RingSpec) -> tuple[float, float]:
+    """Recover the ellipsoid axes (a, c) from actuator volume and apex height.
 
-    Serves both the unindented shape (h = h1) and the contact-deformed
-    shape (h = h3).  Raises DegenerateGeometry when the pair lies outside
-    the model's validity region (near-flat membrane, singular denominator,
-    negative radicand, or axes that are not both positive).
+    a is the equatorial and c the polar semi-axis [m]; both oblate (a > c)
+    and prolate (c > a) shapes occur.  Serves both the unindented shape
+    (h = h1) and the contact-deformed shape (h = h3).  Raises
+    DegenerateGeometry when the pair lies outside the model's validity
+    region (near-flat membrane, singular denominator, negative radicand,
+    or axes that are not both positive).
     """
     if h <= 0:
         raise DegenerateGeometry(f"apex height must be positive, got {h}")
@@ -128,7 +106,7 @@ def solve_axes(v_bma: float, h: float, ring: RingSpec) -> Ellipsoid:
         raise DegenerateGeometry(
             f"flat-membrane solution a={a} out of proportion to r={ring.r}, c={c}"
         )
-    return tuple.__new__(Ellipsoid, (a, c))
+    return a, c
 
 
 def sphere_baseline(v_bma: float, ring: RingSpec) -> tuple[float, float]:
@@ -145,15 +123,6 @@ def sphere_baseline(v_bma: float, ring: RingSpec) -> tuple[float, float]:
     h = max(x.real for x in roots if abs(x.imag) < 1e-9 * max(1.0, abs(x.real)))
     radius = (r * r + h * h) / (2 * h)
     return radius, h
-
-
-def sphere_profile(v_bma: float, ring: RingSpec, n_points: int) -> np.ndarray:
-    """Cross-section polyline of the sphere_baseline cap, (n, 2) points (x, z) [m]."""
-    radius, cap_h = sphere_baseline(v_bma, ring)
-    zc = cap_h - radius   # sphere center height above the ring plane
-    t_max = math.acos(max(-1.0, min(1.0, -zc / radius)))
-    t = np.linspace(-t_max, t_max, n_points)
-    return np.column_stack([radius * np.sin(t), zc + radius * np.cos(t)])
 
 
 def profile_polyline(a: float, c: float, h: float, k: float,

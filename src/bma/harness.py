@@ -23,7 +23,6 @@ from .errors import (
     BmaError,
     MissingGroundTruth,
     NoConvergence,
-    NonMonotoneTime,
     ParseError,
 )
 from .estimator import (
@@ -184,7 +183,7 @@ def ingest_trace(path) -> list[TraceRecord]:
         if v_ml < 0:
             raise ParseError(f"negative volume {v_ml}", line=i)
         if prev_t is not None and t <= prev_t:
-            raise NonMonotoneTime(f"line {i}: timestamp {t} not greater than previous {prev_t}")
+            raise ParseError(f"timestamp {t} not greater than previous {prev_t}", line=i)
         prev_t = t
         f_true = parse_truth(f, i, "force_n")
         h_mm = parse_truth(h, i, "indent_mm")

@@ -20,7 +20,6 @@ import math
 from bma import (
     BmaError,
     DegenerateGeometry,
-    Ellipsoid,
     EstimatorState,
     RingSpec,
     StateEstimate,
@@ -37,20 +36,20 @@ class NegativeDiscriminant(BmaError):
     """Applied force exceeds what the pressurized cross-section can express."""
 
 
-def cap_volume(e: Ellipsoid, h_b: float) -> float:
-    """Volume of the ellipsoid cap of height h_b measured from an apex [m3]."""
-    if not (0 <= h_b <= 2 * e.c):
+def cap_volume(a: float, c: float, h_b: float) -> float:
+    """Volume of the cap of height h_b, measured from an apex, of the ellipsoid (a, c) [m3]."""
+    if not (0 <= h_b <= 2 * c):
         raise DegenerateGeometry(
-            f"cap height {h_b} outside [0, 2c] for c={e.c}"
+            f"cap height {h_b} outside [0, 2c] for c={c}"
         )
-    return e.a ** 2 * (3 * e.c - h_b) * h_b ** 2 * math.pi / (3 * e.c ** 2)
+    return a ** 2 * (3 * c - h_b) * h_b ** 2 * math.pi / (3 * c ** 2)
 
 
-def ellipsoid_volume_above_ring(e: Ellipsoid, h: float) -> float:
+def ellipsoid_volume_above_ring(a: float, c: float, h: float) -> float:
     """Actuator volume enclosed above the ring plane for apex height h [m3]."""
     return (
-        -e.a ** 2 * (2 * e.c - h) ** 2 * (h + e.c) * math.pi / (3 * e.c ** 2)
-        + 4 * math.pi * e.a ** 2 * e.c / 3
+        -a ** 2 * (2 * c - h) ** 2 * (h + c) * math.pi / (3 * c ** 2)
+        + 4 * math.pi * a ** 2 * c / 3
     )
 
 
@@ -65,8 +64,8 @@ def center_shift(c: float, c_d: float) -> float:
     return c - c_d
 
 
-def contact_radius(e: Ellipsoid, h2_prev: float, c_c: float) -> float:
-    """Contact-patch radius from slicing the unindented ellipsoid e [m].
+def contact_radius(a: float, c: float, h2_prev: float, c_c: float) -> float:
+    """Contact-patch radius from slicing the unindented ellipsoid (a, c) [m].
 
     Slice depth is d = h2_prev - c_c below the apex; d <= 0 means no slice
     contact yet and returns 0.
@@ -74,7 +73,6 @@ def contact_radius(e: Ellipsoid, h2_prev: float, c_c: float) -> float:
     d = h2_prev - c_c
     if d <= 0:
         return 0.0
-    a, c = e.a, e.c
     if d > 2 * c:
         raise DegenerateGeometry(f"slice depth {d} below the entire ellipsoid (2c={2 * c})")
     k = a * math.sqrt(2 * c * d - d * d) / c
@@ -177,21 +175,21 @@ def reconstruct_chain(v_f: float, h2_prev: float, cfg) -> Reconstruction:
     ring = cfg.ring
     h1 = evaluate_height(cfg.fit, v_f)
     v_bma = actuator_volume(v_f, ring)
-    free = solve_axes(v_bma, h1, ring)
-    if h1 > 2 * free.c:
-        raise DegenerateGeometry(f"apex height {h1} exceeds ellipsoid extent {2 * free.c}")
+    a, c = solve_axes(v_bma, h1, ring)
+    if h1 > 2 * c:
+        raise DegenerateGeometry(f"apex height {h1} exceeds ellipsoid extent {2 * c}")
     restart = not 0.0 <= h2_prev < h1
     h2_prev = 0.0 if restart else h2_prev
     h3 = h1 - h2_prev
-    d = solve_axes(v_bma, h3, ring)
-    c_c = center_shift(free.c, d.c)
-    k = contact_radius(free, h2_prev, c_c)
-    arc = perimeter(d.a, d.c, h3, integration_angle(ring.r, h3, d.c))
+    a_d, c_d = solve_axes(v_bma, h3, ring)
+    c_c = center_shift(c, c_d)
+    k = contact_radius(a, c, h2_prev, c_c)
+    arc = perimeter(a_d, c_d, h3, integration_angle(ring.r, h3, c_d))
     lam = stretch(arc, ring)
     w = yeoh_reference(lam, cfg.coeffs)
     v_fm, clamped = free_membrane_volume(ring.membrane_volume, k, inflated_thickness(ring, arc))
     flags = {name for name, on in (("v_fm_clamped", clamped), ("h2_prev_clamped", restart)) if on}
-    return Reconstruction(h1, free.a, free.c, h3, d.a, d.c, c_c, k, lam, w, v_fm,
+    return Reconstruction(h1, a, c, h3, a_d, c_d, c_c, k, lam, w, v_fm,
                           frozenset(flags))
 
 

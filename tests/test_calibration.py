@@ -79,7 +79,7 @@ class TestFit:
                                       (v, h_c, "inflate")])
         want = fit_height_poly(rest + [(v, (h_a + h_b + h_c) / 3, "inflate")])
         assert fit.coeffs == pytest.approx(want.coeffs, rel=1e-12, abs=0)
-        assert (fit.v_min, fit.v_max, fit.v_scale) == (want.v_min, want.v_max, want.v_scale)
+        assert (fit.v_min, fit.v_max) == (want.v_min, want.v_max)
 
     def test_insufficient_data(self):
         vols = np.linspace(0.1e-6, 1e-6, 5)
@@ -140,14 +140,15 @@ class TestFit:
 
 class TestHeightFit:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["coeffs", "v_min", "v_max", "v_scale"])
+    @pytest.mark.parametrize("field", ["coeffs", "v_min", "v_max"])
     def test_nonfinite_rejected(self, field, bad):
         fit = fit_height_poly(make_samples(), degree=7)
         with pytest.raises(ValueError, match="must be finite"):
             replace(fit, **{field: (*fit.coeffs[:-1], bad) if field == "coeffs" else bad})
 
     @pytest.mark.parametrize("change", [
-        {"coeffs": ()}, {"v_min": -1e-9}, {"v_min": 2e-6}, {"v_scale": 0.0}, {"v_scale": -1e-6},
+        {"coeffs": ()}, {"v_min": -1e-9}, {"v_min": 2e-6}, {"v_min": 0.0, "v_max": 0.0},
+        {"v_max": -1e-6},
     ])
     def test_invalid_fit_rejected(self, change):
         fit = fit_height_poly(make_samples(), degree=7)
@@ -176,7 +177,7 @@ class TestEvaluate:
             vols = np.linspace(f.v_min, f.v_max, 10_001)
             assert vols[0] == f.v_min and vols[-1] == f.v_max
             for v in vols.tolist():
-                want = float(np.polynomial.polynomial.polyval(v / f.v_scale, f.coeffs))
+                want = float(np.polynomial.polynomial.polyval(v / f.v_max, f.coeffs))
                 assert evaluate_height(f, v) == want
 
     def test_nan_coefficients_out_of_range(self):

@@ -6,11 +6,14 @@ import operator
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from bma import EstimatorConfig
+from bma import BmaError, EstimatorConfig, IllConditioned, evaluate_height, fit_height_poly
 from bma.cli import main
-from bma.config import ConfigError, load_config, load_raw, load_script, save_raw
+from bma.config import (ConfigError, height_fit_to_dict, load_config, load_raw, load_script,
+                        save_raw)
 from bma.harness import ML_TO_M3
 
 REPO = Path(__file__).resolve().parent.parent
@@ -116,7 +119,7 @@ def test_script_not_a_mapping_rejected(tmp_path, text, message):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("key", ["coeffs_m", "v_min_ml", "v_max_ml", "v_scale_ml"])
+@pytest.mark.parametrize("key", ["coeffs_m", "v_min_ml", "v_max_ml"])
 def test_nonfinite_height_fit_rejected(tmp_path, key, bad):
     cfg = tmp_path / "config.yaml"
     shutil.copy(SAMPLE_CONFIG, cfg)
@@ -147,7 +150,7 @@ ESTIMATOR_REFUSED = "config: unknown section(s) ['estimator']"
 @pytest.mark.parametrize("prefix, path, value", [
     pytest.param("ring", ("ring", "radius_mm"), DELETE, id="ring-missing-key"),
     pytest.param("material", ("material", "yeoh_pa"), DELETE, id="material-missing-key"),
-    pytest.param("height_fit", ("height_fit", "v_scale_ml"), DELETE, id="fit-missing-key"),
+    pytest.param("height_fit", ("height_fit", "v_max_ml"), DELETE, id="fit-missing-key"),
     pytest.param("ring", ("ring",), None, id="ring-null"),
     pytest.param("height_fit", ("height_fit",), None, id="fit-null"),
     pytest.param("ring", ("ring", "thickness_mm"), [0.5], id="ring-wrong-type"),
@@ -156,11 +159,22 @@ ESTIMATOR_REFUSED = "config: unknown section(s) ['estimator']"
     pytest.param("ring", ("ring", "radius_mm"), math.inf, id="ring-inf"),
     pytest.param("ring", ("ring", "radius_mm"), 10 ** 400, id="ring-huge-int"),
     pytest.param("ring", ("ring", "radius_mm"), 1.0e+203, id="ring-overflowing-volume"),
-    pytest.param("height_fit", ("height_fit", "v_scale_ml"), 0, id="fit-zero-scale"),
+    # each section refuses a key it does not read, and names it; the height
+    # fit's retired keys at any value too: the volume scale is v_max_ml, the
+    # degree the coefficient count
+    pytest.param("ring: unknown key(s) ['radius']", ("ring", "radius"), 5.0,
+                 id="ring-unknown-key"),
+    pytest.param("material: unknown key(s) ['density']", ("material", "density"), 1070.0,
+                 id="material-unknown-key"),
+    pytest.param("height_fit: unknown key(s) ['coeffs']", ("height_fit", "coeffs"), [1e-3],
+                 id="fit-unknown-key"),
+    pytest.param("height_fit: unknown key(s) ['v_scale_ml']", ("height_fit", "v_scale_ml"), 0,
+                 id="fit-zero-scale"),
+    pytest.param("height_fit: unknown key(s) ['degree']", ("height_fit", "degree"), 2,
+                 id="fit-degree-mismatch"),
     pytest.param("height_fit", ("height_fit", "v_min_ml"), 2.0, id="fit-min-above-max"),
-    pytest.param("height_fit", ("height_fit", "coeffs_m"), [1e-3, 2e-3, 3e-3],
-                 id="fit-short-coeffs"),
-    pytest.param("height_fit", ("height_fit", "degree"), 2, id="fit-degree-mismatch"),
+    # any nonempty list is a fit of its own degree; an empty one is none
+    pytest.param("height_fit", ("height_fit", "coeffs_m"), [], id="fit-short-coeffs"),
     # the estimator section is gone: refused at any value, its old default included
     pytest.param(ESTIMATOR_REFUSED, ("estimator",), None, id="estimator-null"),
     pytest.param(ESTIMATOR_REFUSED, ("estimator",), {"v_min_model_ml": None},
@@ -195,5 +209,106 @@ def test_malformed_config_rejected(tmp_path, capsys, calibrated, prefix, path, v
     out = tmp_path / "estimates.csv"
     capsys.readouterr()
     assert main(["estimate", str(trace), "--config", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_duplicate_config_section_refused(tmp_path, capsys):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("ring:\n  radius_mm: 5.0\n  thickness_mm: 0.5\n"
+                   "material:\n  yeoh_pa: [30000.0, 1000.0, 50.0, 0.0, 0.0, 0.0]\n"
+                   "ring:\n  radius_mm: 6.0\n  thickness_mm: 0.5\n")
+    want = (f"{cfg}, line 6: found duplicate key 'ring' "
+            f"(while constructing a mapping from line 1)")
+    with pytest.raises(ConfigError) as exc:
+        load_config(cfg, require_fit=False)
+    assert str(exc.value) == want
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t_s,volume_ml,pressure_pa\n0.0,0.4,9000\n")
+    capsys.readouterr()
+    out = tmp_path / "estimates.csv"
+    assert main(["estimate", str(trace), "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {want}\n"
+
+
+def test_duplicate_step_key_refused(tmp_path):
+    path = tmp_path / "script.yaml"
+    path.write_text("sample_period_s: 0.01\nsteps:\n"
+                    "  - {volume_ml: 0.4, force_n: 0.0, hold_s: 0.5}\n"
+                    "  - {volume_ml: 0.4, force_n: 0.1, hold_s: 0.5, hold_s: 2.0}\n")
+    with pytest.raises(ConfigError, match=(r", line 4: found duplicate key 'hold_s' "
+                                           r"\(while constructing a mapping from line 4\)$")):
+        load_script(path)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    pytest.param(None, "estimator", {"v_min_model_ml": 0.1}, id="top-level"),
+    pytest.param("ring", "radius", 5.0, id="ring-unknown-key"),
+    pytest.param("ring", "radius_mm", -5.0, id="ring-invalid"),
+    pytest.param("material", "yeoh_pa", [3e4], id="material-invalid"),
+])
+def test_calibrate_refuses_a_config_it_cannot_fix(tmp_path, capsys, section, key, value):
+    # calibrate writes only the height fit, so a fault elsewhere would stay in
+    # the file it writes; it exits 1 and leaves the file as it was
+    data = load_raw(SAMPLE_CONFIG)
+    (data if section is None else data[section])[key] = value
+    cfg = tmp_path / "config.yaml"
+    save_raw(cfg, data)
+    before = cfg.read_bytes()
+    capsys.readouterr()
+    assert main(["calibrate", str(SAMPLE_CALIBRATION), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {section or 'config'}: ") and err.count("\n") == 1
+    assert cfg.read_bytes() == before
+
+
+@pytest.mark.parametrize("fit", [
+    pytest.param({"degree": 7, "coeffs_m": [1e-3] * 8, "v_min_ml": 0.05, "v_max_ml": 1.0,
+                  "v_scale_ml": 1.0}, id="old-format"),
+    pytest.param({"coeffs_m": [1e-3, math.nan], "v_min_ml": 2.0}, id="broken"),
+    pytest.param(None, id="null"),
+])
+def test_calibrate_replaces_a_refused_height_fit(tmp_path, calibrated, fit):
+    # re-running calibrate is how a config in an older format is migrated
+    data = load_raw(SAMPLE_CONFIG)
+    data["height_fit"] = fit
+    cfg = tmp_path / "config.yaml"
+    save_raw(cfg, data)
+    with pytest.raises(ConfigError, match="^height_fit: "):
+        load_config(cfg)
+    assert main(["calibrate", str(SAMPLE_CALIBRATION), "--config", str(cfg)]) == 0
+    assert load_raw(cfg) == calibrated
+    load_config(cfg)
+
+
+def evaluation(fit, v):
+    """The fitted height at v, or the type of the error that evaluating it raises."""
+    try:
+        return evaluate_height(fit, v)
+    except BmaError as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(0, 7), scale_ml=st.floats(1e-3, 1e3),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=30, unique=True),
+       heights=st.lists(st.floats(1e-4, 5e-2), min_size=30, max_size=30))
+def test_height_fit_round_trips_through_the_file(tmp_path_factory, degree, scale_ml,
+                                                 fractions, heights):
+    # calibration volumes as `read_calibration` makes them: ml times ML_TO_M3.
+    # Only such volumes are sure to survive the ml the file holds: about 4 %
+    # of doubles are not v_ml * 1e-6 for any float v_ml
+    samples = [(f * scale_ml * ML_TO_M3, h, "inflate") for f, h in zip(fractions, heights)]
+    try:
+        fit = fit_height_poly(samples, degree=degree)
+    except IllConditioned:
+        reject()
+    data = load_raw(SAMPLE_CONFIG)
+    data["height_fit"] = height_fit_to_dict(fit)
+    cfg = tmp_path_factory.mktemp("fit") / "config.yaml"
+    save_raw(cfg, data)
+    loaded = load_config(cfg).fit
+    assert loaded == fit
+    for v in np.linspace(fit.v_min, fit.v_max, 41).tolist():
+        assert evaluation(loaded, v) == evaluation(fit, v)

@@ -7,7 +7,6 @@ from scipy.optimize import brentq
 
 from bma import (
     DegenerateGeometry,
-    Ellipsoid,
     RingSpec,
     actuator_volume,
     evaluate_height,
@@ -71,66 +70,56 @@ class TestActuatorVolume:
 
 class TestCapVolume:
     def test_zero_height(self):
-        assert cap_volume(Ellipsoid(1.0, 1.0), 0.0) == 0.0
+        assert cap_volume(1.0, 1.0, 0.0) == 0.0
 
     def test_full_body(self):
-        e = Ellipsoid(a=2.0, c=1.5)
-        assert cap_volume(e, 2 * e.c) == pytest.approx(4 / 3 * math.pi * e.a ** 2 * e.c, rel=1e-14)
+        a, c = 2.0, 1.5
+        assert cap_volume(a, c, 2 * c) == pytest.approx(4 / 3 * math.pi * a ** 2 * c, rel=1e-14)
 
     def test_unit_sphere_half_cap(self):
         # frozen from the slice-integration oracle
-        assert cap_volume(Ellipsoid(1.0, 1.0), 0.5) == pytest.approx(0.6544984694978736, rel=1e-12)
+        assert cap_volume(1.0, 1.0, 0.5) == pytest.approx(0.6544984694978736, rel=1e-12)
         assert cap_volume_oracle(1.0, 1.0, 0.5) == pytest.approx(0.6544984694978736, rel=1e-10)
 
     def test_rejects_impossible_cap(self):
         with pytest.raises(DegenerateGeometry):
-            cap_volume(Ellipsoid(1.0, 1.0), 2.1)
+            cap_volume(1.0, 1.0, 2.1)
         with pytest.raises(DegenerateGeometry):
-            cap_volume(Ellipsoid(1.0, 1.0), -0.1)
+            cap_volume(1.0, 1.0, -0.1)
 
     def test_oracle_spot_grid(self):
         for a in (0.5, 1.0, 3.0):
             for c in (0.4, 1.0, 2.5):
                 for frac in (0.1, 0.5, 0.9, 1.7):
                     h_b = frac * c
-                    got = cap_volume(Ellipsoid(a, c), h_b)
+                    got = cap_volume(a, c, h_b)
                     want = cap_volume_oracle(a, c, h_b)
                     assert got == pytest.approx(want, rel=1e-10)
 
 
-class TestEllipsoid:
-    @pytest.mark.parametrize("a, c", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -1e-300),
-                                      (math.nan, 1.0), (1.0, math.nan)])
-    def test_direct_build_rejects_bad_axes(self, a, c):
-        with pytest.raises(ValueError, match="semi-axes must be positive"):
-            Ellipsoid(a, c)
-
-    def test_solve_axes_builds_the_same_record(self, ring):
-        # solve_axes skips the repeated check, not the type or the fields
-        e = solve_axes(400e-9, 8e-3, ring)
-        assert type(e) is Ellipsoid
-        assert e == Ellipsoid(e.a, e.c) and (e.a, e.c) == tuple(e)
-
-
 class TestSolveAxes:
+    def test_returns_a_float_pair(self, ring):
+        axes = solve_axes(400e-9, 8e-3, ring)
+        assert type(axes) is tuple and [type(x) for x in axes] == [float, float]
+
     def test_hemisphere(self):
         ring = RingSpec(r=5e-3, t_i=0.5e-3)
-        e = solve_axes(2 * math.pi * (5e-3) ** 3 / 3, 5e-3, ring)
-        assert e.a == pytest.approx(5e-3, rel=1e-9)
-        assert e.c == pytest.approx(5e-3, rel=1e-9)
+        a, c = solve_axes(2 * math.pi * (5e-3) ** 3 / 3, 5e-3, ring)
+        assert a == pytest.approx(5e-3, rel=1e-9)
+        assert c == pytest.approx(5e-3, rel=1e-9)
 
     def test_back_substitution(self):
         # r=5 mm, V=400 mm3, h=8 mm must satisfy both the volume identity
         # and the ring boundary condition
         ring = RingSpec(r=5e-3, t_i=0.5e-3)
         v, h = 400e-9, 8e-3
-        e = solve_axes(v, h, ring)
-        assert e.a == pytest.approx(5.02471978e-3, rel=1e-6)
-        assert e.c == pytest.approx(8.87972316e-3, rel=1e-6)
-        v_back = ellipsoid_volume_above_ring(e, h)
+        a, c = solve_axes(v, h, ring)
+        assert a == pytest.approx(5.02471978e-3, rel=1e-6)
+        assert c == pytest.approx(8.87972316e-3, rel=1e-6)
+        v_back = ellipsoid_volume_above_ring(a, c, h)
         assert abs(v_back - v) / v <= 1e-8
-        h_b = 2 * e.c - h
-        area = e.a ** 2 * (1 - (1 - h_b / e.c) ** 2) * math.pi
+        h_b = 2 * c - h
+        area = a ** 2 * (1 - (1 - h_b / c) ** 2) * math.pi
         assert abs(area - ring.area) / ring.area <= 1e-8
 
     def test_flat_membrane_degenerate(self):
@@ -144,7 +133,7 @@ class TestSolveAxes:
                                           (1e-6, math.inf), (-math.inf, 3e-3)])
     def test_nonfinite_input_degenerate(self, ring, v_bma, h):
         # NaN passes every ordered comparison, so the axes are checked by
-        # "not (a > 0 and c > 0)": a model error, not Ellipsoid's ValueError
+        # "not (a > 0 and c > 0)": a model error, not a ValueError
         with pytest.raises(DegenerateGeometry):
             solve_axes(v_bma, h, ring)
 
@@ -156,27 +145,25 @@ class TestSolveAxes:
             c = rng.uniform(3e-3, 15e-3)
             h = rng.uniform(0.4, 1.9) * c
             a = ring.r * c / math.sqrt(h * (2 * c - h))
-            v = ellipsoid_volume_above_ring(Ellipsoid(a, c), h)
+            v = ellipsoid_volume_above_ring(a, c, h)
             if v <= 0:
                 continue
-            e = solve_axes(v, h, ring)
-            assert e.a == pytest.approx(a, rel=1e-8)
-            assert e.c == pytest.approx(c, rel=1e-8)
+            assert solve_axes(v, h, ring) == pytest.approx((a, c), rel=1e-8)
 
     def test_unindented_shape_invariants(self):
         ring = RingSpec(r=5e-3, t_i=0.5e-3)
         v_bma, h1 = 400e-9, 8e-3
-        e = solve_axes(v_bma, h1, ring)
-        assert 0 < h1 <= 2 * e.c
-        v_back = ellipsoid_volume_above_ring(e, h1)
+        a, c = solve_axes(v_bma, h1, ring)
+        assert 0 < h1 <= 2 * c
+        v_back = ellipsoid_volume_above_ring(a, c, h1)
         assert abs(v_back - v_bma) / v_bma <= 1e-9
 
     def test_cap_additivity(self):
         ring = RingSpec(r=5e-3, t_i=0.5e-3)
         h1 = 8e-3
-        e = solve_axes(400e-9, h1, ring)
-        full = 4 / 3 * math.pi * e.a ** 2 * e.c
-        total = cap_volume(e, 2 * e.c - h1) + ellipsoid_volume_above_ring(e, h1)
+        a, c = solve_axes(400e-9, h1, ring)
+        full = 4 / 3 * math.pi * a ** 2 * c
+        total = cap_volume(a, c, 2 * c - h1) + ellipsoid_volume_above_ring(a, c, h1)
         assert total == pytest.approx(full, rel=1e-9)
 
     def test_monotone_volume_chain(self, ring, cfg):
@@ -185,8 +172,8 @@ class TestSolveAxes:
         enclosed = []
         for v_f in vols:
             h1 = evaluate_height(cfg.fit, v_f)
-            e = solve_axes(actuator_volume(v_f, ring), h1, ring)
-            enclosed.append(ellipsoid_volume_above_ring(e, h1))
+            a, c = solve_axes(actuator_volume(v_f, ring), h1, ring)
+            enclosed.append(ellipsoid_volume_above_ring(a, c, h1))
         assert all(b >= a for a, b in zip(enclosed, enclosed[1:]))
 
 
@@ -203,29 +190,29 @@ class TestCenterShift:
 
 class TestContactRadius:
     def test_zero_depth(self, ring):
-        e = solve_axes(400e-9, 8e-3, ring)
-        assert contact_radius(e, 1e-3, 1e-3) == 0.0
-        assert contact_radius(e, 0.5e-3, 1e-3) == 0.0  # transient c_c > h2_prev
+        a, c = solve_axes(400e-9, 8e-3, ring)
+        assert contact_radius(a, c, 1e-3, 1e-3) == 0.0
+        assert contact_radius(a, c, 0.5e-3, 1e-3) == 0.0  # transient c_c > h2_prev
 
     def test_sphere_equatorial(self, ring):
         # hemisphere: a = c = R; slice at depth R hits the equator
-        e = solve_axes(2 * math.pi * ring.r ** 3 / 3, ring.r, ring)
-        k = contact_radius(e, ring.r, 0.0)
+        a, c = solve_axes(2 * math.pi * ring.r ** 3 / 3, ring.r, ring)
+        k = contact_radius(a, c, ring.r, 0.0)
         assert k == pytest.approx(ring.r, rel=1e-9)
 
     def test_independent_root(self, ring):
         # ellipse cross-section x^2/a^2 + z^2/c^2 = 1 at z = c - d,
         # root found independently by bracketing
-        e = solve_axes(400e-9, 8e-3, ring)
-        a, c, d = e.a, e.c, 1e-3
+        a, c = solve_axes(400e-9, 8e-3, ring)
+        d = 1e-3
         z = c - d
         x_root = brentq(lambda x: x * x / (a * a) + z * z / (c * c) - 1, 0.0, a)
-        assert contact_radius(e, d, 0.0) == pytest.approx(x_root, rel=1e-10)
+        assert contact_radius(a, c, d, 0.0) == pytest.approx(x_root, rel=1e-10)
 
     def test_too_deep(self, ring):
-        e = solve_axes(400e-9, 8e-3, ring)
+        a, c = solve_axes(400e-9, 8e-3, ring)
         with pytest.raises(DegenerateGeometry):
-            contact_radius(e, 2 * e.c + 1e-3, 0.0)
+            contact_radius(a, c, 2 * c + 1e-3, 0.0)
 
 
 class TestSphereBaseline:
@@ -251,22 +238,31 @@ class TestSphereBaseline:
 
 class TestProfilePolyline:
     def test_hemisphere_three_points(self, ring):
-        e = solve_axes(2 * math.pi * ring.r ** 3 / 3, ring.r, ring)
-        pts = profile_polyline(e.a, e.c, ring.r, 0.0, 3)
+        a, c = solve_axes(2 * math.pi * ring.r ** 3 / 3, ring.r, ring)
+        pts = profile_polyline(a, c, ring.r, 0.0, 3)
         np.testing.assert_allclose(
             pts, [(-ring.r, 0.0), (0.0, ring.r), (ring.r, 0.0)], atol=1e-12)
 
+    def test_sphere_baseline_cap(self, ring):
+        # export-shape's overlay: the sphere_baseline cap is the spheroid a = c = R
+        radius, cap_h = sphere_baseline(400e-9, ring)
+        pts = profile_polyline(radius, radius, cap_h, 0.0, 51)
+        np.testing.assert_allclose(np.hypot(pts[:, 0], pts[:, 1] - (cap_h - radius)), radius,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(pts[[0, 25, -1]],
+                                   [(-ring.r, 0.0), (0.0, cap_h), (ring.r, 0.0)], atol=1e-15)
+
     def test_ring_anchoring(self, ring):
-        e = solve_axes(400e-9, 8e-3, ring)
-        pts = profile_polyline(e.a, e.c, 8e-3, 0.0, 101)
+        a, c = solve_axes(400e-9, 8e-3, ring)
+        pts = profile_polyline(a, c, 8e-3, 0.0, 101)
         assert pts[0][0] == pytest.approx(-ring.r, abs=1e-9)
         assert pts[-1][0] == pytest.approx(ring.r, abs=1e-9)
         assert abs(pts[0][1]) <= 1e-9 and abs(pts[-1][1]) <= 1e-9
 
     def test_contact_flat_segment(self, ring):
-        e = solve_axes(400e-9, 8e-3, ring)
+        a, c = solve_axes(400e-9, 8e-3, ring)
         k = 2e-3
-        pts = profile_polyline(e.a, e.c, 8e-3, k, 64)
+        pts = profile_polyline(a, c, 8e-3, k, 64)
         flat = [p for p in pts if abs(p[0]) <= k + 1e-12]
         zs = {round(z, 12) for _, z in flat}
         assert len(zs) == 1  # constant height across the contact patch
@@ -274,15 +270,15 @@ class TestProfilePolyline:
 
     @pytest.mark.parametrize("n", [4, 10, 11, 64, 201])
     def test_contact_exact_point_count(self, ring, n):
-        e = solve_axes(400e-9, 8e-3, ring)
-        pts = profile_polyline(e.a, e.c, 8e-3, 2e-3, n)
+        a, c = solve_axes(400e-9, 8e-3, ring)
+        pts = profile_polyline(a, c, 8e-3, 2e-3, n)
         assert pts.shape == (n, 2)
         assert np.all(np.any(np.diff(pts, axis=0) != 0, axis=1))  # no repeats
         np.testing.assert_allclose(pts[:, 0], -pts[::-1, 0], rtol=0, atol=1e-15)
         with pytest.raises(ValueError):
-            profile_polyline(e.a, e.c, 8e-3, 2e-3, 3)
+            profile_polyline(a, c, 8e-3, 2e-3, 3)
 
     def test_too_few_points(self, ring):
-        e = solve_axes(400e-9, 8e-3, ring)
+        a, c = solve_axes(400e-9, 8e-3, ring)
         with pytest.raises(ValueError):
-            profile_polyline(e.a, e.c, 8e-3, 0.0, 1)
+            profile_polyline(a, c, 8e-3, 0.0, 1)
