@@ -40,4 +40,4 @@ class LengthMismatch(BmaError):
 
 
 class NoConvergence(BmaError):
-    """Simulator fixed point failed to converge within the iteration cap."""
+    """A simulated hold's equilibrium is one the simulator's update does not contract to."""

@@ -218,6 +218,18 @@ def predict_pressure(v_f: float, cfg: EstimatorConfig) -> float:
     return balance_pressure(reconstruct(v_f, 0.0, cfg), v_f)
 
 
+def equilibrium(v_f: float, h2: float, cfg: EstimatorConfig) -> tuple[float, float]:
+    """(p, F) at which `indent` maps a carried h2 at v_f to itself, from one `reconstruct`.
+
+    F = s pi a^2 p, s = 1 - (1 - h4/c)^2 (0 if h4 = h2 - c_c <= 0), V_f p = V_fm W + F h3.
+    """
+    g = reconstruct(v_f, h2, cfg)
+    h4 = h2 - g.c_c
+    bound = (1 - (1 - h4 / g.c) ** 2 if h4 > 0 else 0.0) * _PI * g.a ** 2   # F / p
+    p = g.v_fm * g.w / (v_f - bound * g.h3)
+    return p, bound * p
+
+
 def step(state: EstimatorState, v_f: float, p: float,
          cfg: EstimatorConfig) -> tuple[StateEstimate, EstimatorState]:
     """One estimator update for a sensor sample (v_f [m3], p [Pa]).

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     BmaError,
+    DegenerateGeometry,
     MissingGroundTruth,
     NoConvergence,
     ParseError,
@@ -30,6 +31,7 @@ from .estimator import (
     EstimatorState,
     StateEstimate,
     balance_pressure,
+    equilibrium,
     indent,
     null_estimate,
     reconstruct,
@@ -41,8 +43,7 @@ ML_TO_M3 = 1e-6
 MM_TO_M = 1e-3
 TRACE_COLUMNS = ("t_s", "volume_ml", "pressure_pa")
 
-SIM_FIXED_POINT_TOL = 1e-10   # [m]
-SIM_FIXED_POINT_CAP = 100
+SIM_ROOT_TOL = 1e-13   # root tolerance of a hold's equilibrium h2 [m]
 
 
 @dataclass(slots=True)
@@ -238,35 +239,52 @@ def run_trace(records, cfg: EstimatorConfig,
     return estimates
 
 
-def _check_fixed_point(v_f: float, force: float, cfg: EstimatorConfig) -> None:
-    """Verify the float h2 <- `indent` iteration from rest converges for (v_f, F)."""
-    h2 = 0.0
-    for _ in range(SIM_FIXED_POINT_CAP):
-        g = reconstruct(v_f, h2, cfg)
-        h2_next = indent(g, v_f, balance_pressure(g, v_f, force))[0]
-        if abs(h2_next - h2) <= SIM_FIXED_POINT_TOL:
-            return
-        h2 = h2_next
-    raise NoConvergence(
-        f"indentation fixed point did not converge for V_f={v_f}, F={force}"
-    )
+def _hold_equilibrium(v_f: float, force: float, cfg: EstimatorConfig) -> float:
+    """The h2 at which a hold of (v_f, F) rests, checked stable.
+
+    It is 0 where the update h2 <- `indent` moves h2 off rest by at most tol, as for any
+    F <= 0; near rest F_eq is rounding.  Else Illinois false position on [0, h1] solves
+    F = F_eq(h2), the force of `equilibrium`: 0 up to contact onset, then rising strictly
+    up to where `reconstruct` refuses; a refused point, or a step lost to rounding, is
+    bisected.  The update must contract at the root: |slope| < 1 over [lo, lo + tol].
+    """
+    g = reconstruct(v_f, 0.0, cfg)   # a volume outside the model raises here
+    if indent(g, v_f, balance_pressure(g, v_f, force))[0] <= SIM_ROOT_TOL:
+        return 0.0
+    lo, hi, f_lo, f_hi, side = 0.0, g.h1, -force, math.inf, 0
+    while hi - lo > SIM_ROOT_TOL:
+        h2 = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)   # NaN while the upper end is refused
+        h2 = h2 if lo < h2 < hi else (lo + hi) / 2
+        try:
+            f = equilibrium(v_f, h2, cfg)[1] - force
+        except DegenerateGeometry:   # past the flat-membrane end of the curve
+            f = math.inf
+        if f > 0:   # halve the value kept at the other end if it is kept twice running
+            hi, f_hi, f_lo, side = h2, f, f_lo / 2 if side > 0 else f_lo, 1
+        else:
+            lo, f_lo, f_hi, side = h2, f, f_hi / 2 if side < 0 else f_hi, -1
+    if f_hi == math.inf:
+        raise DegenerateGeometry(f"no indentation in [0, h1) balances F={force} at V_f={v_f}")
+    phi = [indent(g, v_f, balance_pressure(g, v_f, force))[0]
+           for g in (reconstruct(v_f, h, cfg) for h in (lo, lo + SIM_ROOT_TOL))]
+    if not abs(phi[1] - phi[0]) < SIM_ROOT_TOL:
+        raise NoConvergence(f"unstable equilibrium h2={lo} for V_f={v_f}, F={force}")
+    return lo
 
 
 def simulate_trace(script: SimScript, cfg: EstimatorConfig,
                    seed: int) -> list[TraceRecord]:
     """Generate a synthetic trace by running the model forward.
 
-    For each sample the shape is reconstructed once at the carried
-    indentation, a bare float h2; the energy balance is inverted on it at
-    the scripted (volume, force) to produce the pressure, and the core of
-    the estimator's `step` (`estimator.indent`) advances h2 from the same
-    reconstruction, building no estimate or state; the resulting h2 and
-    the scripted force are recorded as ground truth.  This closes the loop
-    with the model itself, so a noise-free replay through the estimator is
-    an internal-consistency check, not a physical validation.
+    Every hold is checked first (`_hold_equilibrium`).  Then each sample
+    reconstructs the shape once at the carried indentation, a bare float h2:
+    the energy balance inverted on it at the scripted (volume, force) gives the
+    pressure, and `estimator.indent`, the core of `step`, advances h2 from the
+    same reconstruction, building no estimate or state.  h2 and the scripted
+    force are the ground truth of a loop closed on the model itself.
     """
-    for s in script.steps:   # a volume below cfg.v_min_model: DegenerateGeometry
-        _check_fixed_point(s.v_f, s.force, cfg)
+    for s in script.steps:
+        _hold_equilibrium(s.v_f, s.force, cfg)
 
     rng = np.random.default_rng(seed)
     records = []

@@ -12,7 +12,9 @@ layers, one call per formula, and the property tests hold the package
 equal to these compositions value for value.  `update` is `step` after its
 input guards, on a reconstruction the caller already holds.  `equilibrium`
 is the closed form of a fixed point of `step`: the (p, F) that leave a
-carried (V_f, h2) where it is.
+carried (V_f, h2) where it is; the package's own is `estimator.equilibrium`.
+`from_rest_converges` iterates the simulator's update from rest, the
+reference that the simulator's hold check on that curve is held against.
 """
 
 import math
@@ -238,3 +240,19 @@ def equilibrium(v_f: float, h2: float, cfg) -> tuple[float, float]:
     s = 1 - (1 - h4 / g.c) ** 2 if h4 > 0 else 0.0
     p = g.v_fm * g.w / (v_f - s * math.pi * g.a ** 2 * g.h3)
     return p, s * math.pi * g.a ** 2 * p
+
+
+def from_rest_converges(v_f: float, force: float, cfg, tol: float = 1e-10,
+                        cap: int = 100) -> float | None:
+    """Last iterate of h2 <- `indent` at (v_f, F) from h2 = 0, or None if it does not settle.
+
+    It settles once a step moves h2 by at most tol [m], within cap iterations.
+    """
+    h2 = 0.0
+    for _ in range(cap):
+        g = reconstruct(v_f, h2, cfg)
+        h2_next = indent(g, v_f, balance_pressure(g, v_f, force))[0]
+        if abs(h2_next - h2) <= tol:
+            return h2_next
+        h2 = h2_next
+    return None

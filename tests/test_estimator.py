@@ -231,6 +231,30 @@ class TestStep:
         assert est.force == pytest.approx(force, rel=1e-6)
 
 
+class TestEquilibriumCurve:
+    @pytest.mark.parametrize("v_ml", [round(0.30 + 0.05 * i, 2) for i in range(14)])
+    def test_one_minimum_then_strictly_rising(self, cfg, v_ml):
+        # The shape the simulator's hold check brackets on.  Over [0, h1) the
+        # force of the closed form falls to one minimum <= 0 (it is 0 up to
+        # contact onset), rises strictly after it, and ends where reconstruct
+        # refuses the flat membrane, for good, above the 0.5 N that scripts push
+        v_f = v_ml * 1e-6
+        forces = []
+        for h2 in np.linspace(0.0, reconstruct(v_f, 0.0, cfg).h1, 2001)[:-1].tolist():
+            try:
+                forces.append(estimator.equilibrium(v_f, h2, cfg)[1])
+            except DegenerateGeometry:
+                forces.append(None)
+        end = forces.index(None)
+        assert end > 1000 and forces[end:] == [None] * (len(forces) - end)
+        f = np.array(forces[:end])
+        low = np.flatnonzero(f == f.min())
+        first, last = low[0], low[-1]
+        assert f.min() <= 0 and len(low) == last - first + 1
+        assert np.all(np.diff(f[:first + 1]) < 0) and np.all(np.diff(f[last:]) > 0)
+        assert f[-1] > 0.5
+
+
 class TestUpdate:
     def test_step_is_update_of_reconstruct(self, cfg):
         # step = input guards + update(reconstruct(...)), exactly, over free,

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bma import (
+    DegenerateGeometry,
     MissingGroundTruth,
+    NoConvergence,
     ParseError,
     SimScript,
     SimStep,
@@ -24,8 +26,8 @@ from bma import (
 )
 from bma import EstimatorState, StateEstimate, harness
 from bma import estimator
-from bma.estimator import balance_pressure, indent, reconstruct
-from oracles import equilibrium
+from bma.estimator import balance_pressure, equilibrium, indent, reconstruct
+import oracles
 
 
 def basic_script(noise=0.0):
@@ -352,7 +354,7 @@ class TestSimulate:
         # a record whose volume and indentation equal the previous record's is
         # a fixed point of the update: the closed form from one reconstruction
         # gives its pressure and its scripted force (the closed-loop
-        # acceptance script)
+        # acceptance script), and the package's closed form is the oracle's
         script = SimScript(steps=(SimStep(0.30e-6, 0.00, 20.0),
                                   SimStep(0.50e-6, 0.20, 20.0),
                                   SimStep(0.50e-6, 0.55, 20.0),
@@ -365,8 +367,72 @@ class TestSimulate:
         assert len(held) > len(records) // 2 and any(r.f_true > 0 for r in held)
         for r in held:
             p, force = equilibrium(r.v_f, r.h2_true, cfg)
+            assert (p, force) == oracles.equilibrium(r.v_f, r.h2_true, cfg)
             assert abs(p - r.p) <= 1e-15 * r.p
             assert abs(force - r.f_true) <= 2e-15
+
+
+class TestHoldCheck:
+    """Each hold is checked on the equilibrium curve before any sample."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(v_ml=st.floats(0.30, 0.95), force=st.floats(0.0, 0.5, exclude_min=True))
+    def test_accepts_what_the_update_from_rest_settles_on(self, cfg, v_ml, force):
+        v_f = v_ml * harness.ML_TO_M3
+        last = oracles.from_rest_converges(v_f, force, cfg)
+        if last is None:
+            return
+        h2 = harness._hold_equilibrium(v_f, force, cfg)
+        # A first step from rest below the 1e-10 m stopping step ends the
+        # iteration at once, which says nothing of where the hold rests: short
+        # of contact onset the update climbs away from h2 = 0 by such steps.
+        # Otherwise compare with the iteration run on to 1e-15 m steps: the
+        # 1e-10 m stop alone leaves up to about 2e-9 m where dPhi/dh2 is near 0.95.
+        if last > 1e-10:
+            limit = oracles.from_rest_converges(v_f, force, cfg, tol=1e-15, cap=10_000)
+            assert abs(h2 - limit) <= 1e-9
+
+    def test_slow_hold_simulates(self, cfg):
+        # the update from rest approaches this equilibrium too slowly to settle
+        # within 100 iterations (dPhi/dh2 = 0.87), but it does contract there
+        v_f, force = 0.70e-6, 0.027
+        assert oracles.from_rest_converges(v_f, force, cfg) is None
+        h2 = harness._hold_equilibrium(v_f, force, cfg)
+        assert equilibrium(v_f, h2, cfg)[1] == pytest.approx(force, rel=1e-9)
+        records = simulate_trace(SimScript((SimStep(v_f, force, 0.5),), 0.01), cfg, seed=0)
+        assert len(records) == 50
+        assert all(math.isfinite(r.p) and math.isfinite(r.h2_true) for r in records)
+        # the emitted indentation closes in on the equilibrium, by 13 % a sample
+        assert 0 < h2 - records[-1].h2_true < 1e-2 * h2
+
+    @pytest.mark.parametrize("v_ml, force", [(0.35, 100.0), (0.20, 0.1)])
+    def test_force_out_of_reach_names_volume_and_force(self, cfg, v_ml, force):
+        # no indentation balances 100 N at 0.35 ml before reconstruct refuses
+        # the flat membrane, and at 0.20 ml no indentation pushes at all
+        v_f = v_ml * harness.ML_TO_M3
+        with pytest.raises(DegenerateGeometry, match=f"F={force} at V_f={v_f}"):
+            harness._hold_equilibrium(v_f, force, cfg)
+
+    def test_unstable_equilibrium_refused(self, cfg):
+        # 5 N at 0.35 ml balances at 0.95 h1, near the flat-membrane end,
+        # where the update overshoots: dPhi/dh2 is about -6.2 there
+        script = SimScript(steps=(SimStep(0.35e-6, 5.0, 0.1),), sample_period=0.01)
+        with pytest.raises(NoConvergence, match="F=5.0"):
+            simulate_trace(script, cfg, seed=0)
+
+    @pytest.mark.parametrize("force", [0.0, -0.1, 1e-285, 1e-12])
+    def test_no_push_needs_no_solve(self, cfg, monkeypatch, force):
+        # A hold with F <= 0 rests at h2 = 0, as the update from rest does at
+        # once, and so does a push that moves h2 off rest by at most 1e-13 m.
+        # Near rest the curve is rounding: below about 1e-18 m, h3 = h1 - h2
+        # rounds to h1, so the center shift is 0 and F(h2) > 0 even short of
+        # contact onset, and a solve for 1e-285 N ends on a root there that
+        # the stability test refuses
+        def no_solve(*args):
+            raise AssertionError("solved a hold without a push")
+
+        monkeypatch.setattr(harness, "equilibrium", no_solve)
+        assert harness._hold_equilibrium(0.5e-6, force, cfg) == 0.0
 
 
 def contact_script():
@@ -417,13 +483,23 @@ class TestSimulateReconstructsOnce:
         def no_step(*args):
             raise AssertionError("the simulator rebuilds through step")
 
+        def checked_hold(*args):
+            # the hold checks run before the first sample; count only the
+            # emission loop's reconstructions
+            h2 = hold_equilibrium(*args)
+            built.clear()
+            handed.clear()
+            return h2
+
+        hold_equilibrium = harness._hold_equilibrium
         monkeypatch.setattr(harness, "reconstruct", counting_reconstruct)
         monkeypatch.setattr(harness, "indent", recording_indent)
         monkeypatch.setattr(harness, "step", no_step)
+        monkeypatch.setattr(harness, "_hold_equilibrium", checked_hold)
         records = simulate_trace(contact_script(), cfg, seed=0)
-        # every emitted sample and every fixed-point iteration builds one
-        # reconstruction and hands that same object to the indentation core
-        assert len(built) == len(handed) > len(records)
+        # every emitted sample builds one reconstruction and hands that same
+        # object to the indentation core
+        assert len(built) == len(handed) == len(records)
         assert all(a is b for a, b in zip(built, handed))
 
     def test_never_builds_estimates(self, cfg, monkeypatch):
