@@ -106,6 +106,11 @@ def cmd_eval(args) -> int:
     if report.window_rmse_f is not None:
         print(f"window RMSE_F:  {report.window_rmse_f:.6g} N")
         print(f"window RMSE_h2: {report.window_rmse_h2 / MM_TO_M:.6g} mm")
+    for share, error, span in ((report.h2_share_of_indent, "RMSE_h2", "indentation"),
+                               (report.h2_share_of_h1, "RMSE_h2", "h1"),
+                               (report.f_share_of_force, "RMSE_F", "force")):
+        if share is not None:
+            print(f"{error + ' share:':<16}{share:.6g} of the {span} range")
     return EXIT_OK
 
 

@@ -4,10 +4,11 @@ Each sensor sample is treated as an equilibrium state.  The only carried
 state is the previous total indentation h2.  The shape is reconstructed
 in two stages from the calibrated height fit and the ellipsoid closed
 forms: a volume stage (apex height h1 and the unindented spheroid), which
-depends on the injected volume V_f alone and is reused while V_f repeats,
-as it does while the syringe holds a volume, and an indentation stage
-rebuilt per sample at the carried h2 but kept with the volume stage at
-h2 = 0, where it too depends on V_f alone.  The energy balance then yields
+depends on the injected volume V_f alone, and an indentation stage, which
+depends on V_f and the carried h2.  One memo entry keeps the last shape
+built: the volume stage is reused while V_f repeats, as it does while the
+syringe holds a volume, and the whole record while the carried h2 repeats
+too, as it does once a hold has settled.  The energy balance then yields
 the force and the next h2 (`indent`, the core of `step`); the constants of
 one config object (ring, coefficients, fit) are cached properties of it.
 
@@ -120,21 +121,20 @@ class Reconstruction(NamedTuple):
     flags: frozenset
 
 
-# One-entry memo of the volume stage, (cfg, v_f, (h1, v_bma, free, rest)), rest
-# the unflagged free shape or None.  Read and replaced whole, never mutated, so
-# concurrent callers can at worst miss.  Its strong reference to its config
-# keeps that config's id from reuse meanwhile.
+# One-entry memo, (cfg, v_f, (h1, v_bma, free, h2, g)): the volume stage and g,
+# the last record built at that volume, at the carried h2 after the restart rule.
+# Read and replaced whole, never mutated, so concurrent callers can at worst
+# miss.  Its strong reference to its config keeps that config's id from reuse.
 _volume_memo: tuple = (None, None, None)
 
 
 def _volume_stage(v_f: float, cfg: EstimatorConfig) -> tuple:
-    """Apex height, actuator volume, unindented spheroid, rest; put in the memo.
+    """Apex height, actuator volume and unindented spheroid, with no record yet.
 
-    Runs on a memo miss.  Only a successful result is stored: a volume that
-    raises raises every time.  rest starts as None; `reconstruct` fills it.
+    Runs on a memo miss and stores nothing: `reconstruct` stores the stage
+    with the record it builds, so a volume that raises raises every time.
     v_f is a float: `reconstruct` converts it, so no numpy scalar keys the memo.
     """
-    global _volume_memo
     if v_f < cfg.v_min_model:
         raise DegenerateGeometry(f"volume {v_f} below modeled minimum {cfg.v_min_model}")
     h1 = evaluate_height(cfg.fit, v_f)
@@ -143,32 +143,31 @@ def _volume_stage(v_f: float, cfg: EstimatorConfig) -> tuple:
     c = free[1]
     if h1 > 2 * c:
         raise DegenerateGeometry(f"apex height {h1} exceeds ellipsoid extent {2 * c}")
-    stage = (h1, v_bma, free, None)
-    _volume_memo = (cfg, v_f, stage)
-    return stage
+    return h1, v_bma, free, None, None
 
 
 def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruction:
     """Height fit -> unindented and deformed spheroids -> stretch -> W and V_fm.
 
     The volume stage, up to the unindented spheroid, is the memo's, or on a
-    miss `_volume_stage`'s; the indentation stage from the carried h2_prev
-    on runs per call but at h2_prev = 0, where the first call at a volume
-    fills the memo's free shape.  Numpy scalar inputs are converted, so
-    every field is a float.
+    miss `_volume_stage`'s.  The indentation stage from the carried h2_prev
+    on is the memo's record where the config, the volume and the carried h2
+    (after the restart rule) are the last call's, as while a hold settles;
+    else it is built and, with the volume stage, replaces the memo.  Numpy
+    scalar inputs are converted, so every field is a float.
     """
     global _volume_memo
     v_f, h2_prev = float(v_f), float(h2_prev)
     memo_cfg, memo_v_f, stage = _volume_memo
     if memo_cfg is not cfg or memo_v_f != v_f:
         stage = _volume_stage(v_f, cfg)
-    h1, v_bma, free, rest = stage
+    h1, v_bma, free, memo_h2, g = stage
     # h1 can shrink between samples: a carried indentation that reaches the
     # ring plane means contact was lost, so restart from the free shape, as
     # from a negative or non-finite carried state, which no step produces
     restart = not 0.0 <= h2_prev < h1
     h2_prev = 0.0 if restart else h2_prev
-    if h2_prev != 0.0 or rest is None:
+    if h2_prev != memo_h2:
         ring = cfg.ring
         a, c = free
         h3 = h1 - h2_prev
@@ -201,11 +200,8 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
             v_fm, flags = 0.0, NO_FLAGS | {"v_fm_clamped"}
         g = _new_tuple(Reconstruction,
                        (h1, a, c, h3, a_d, c_d, c_c, k, lam, w, v_fm, flags))
-        if h2_prev != 0.0:
-            return g
-        rest = g
-        _volume_memo = (cfg, v_f, (h1, v_bma, free, rest))
-    return rest._replace(flags=rest.flags | {"h2_prev_clamped"}) if restart else rest
+        _volume_memo = (cfg, v_f, (h1, v_bma, free, h2_prev, g))
+    return g._replace(flags=g.flags | {"h2_prev_clamped"}) if restart else g
 
 
 def balance_pressure(g: Reconstruction, v_f: float, force: float = 0.0) -> float:

@@ -318,6 +318,11 @@ class EvalReport:
     rmse_p: float | None          # p_hat error, |F| <= NO_CONTACT_FORCE_N [Pa]
     window_rmse_f: float | None = None
     window_rmse_h2: float | None = None
+    # the paper's units: an RMSE over the range that the same (non-null)
+    # samples span, None where that range is 0
+    h2_share_of_indent: float | None = None   # rmse_h2 / ground-truth h2 range
+    h2_share_of_h1: float | None = None       # rmse_h2 / the estimates' h1 range
+    f_share_of_force: float | None = None     # rmse_f / ground-truth force range
 
 
 def evaluate(records, cfg: EstimatorConfig,
@@ -330,6 +335,7 @@ def evaluate(records, cfg: EstimatorConfig,
     optional contact window (t0, t1) additionally restricts the force and
     indentation errors, mirroring the split between the pre-contact region
     and the indentation region; it needs t0 <= t1, and neither may be NaN.
+    The three shares give RMSE_h2 and RMSE_F in the paper's units.
     """
     if contact_window is not None and not contact_window[0] <= contact_window[1]:
         raise ValueError(f"contact window {contact_window} needs t0 <= t1")
@@ -360,4 +366,13 @@ def evaluate(records, cfg: EstimatorConfig,
                                   [r.h2_true for r, _ in inside])
     return EvalReport(n_samples=len(records), n_null=n_null,
                       rmse_f=rmse_f, rmse_h2=rmse_h2, rmse_p=rmse_p,
-                      window_rmse_f=window_rmse_f, window_rmse_h2=window_rmse_h2)
+                      window_rmse_f=window_rmse_f, window_rmse_h2=window_rmse_h2,
+                      h2_share_of_indent=_share(rmse_h2, [r.h2_true for r, _ in pairs]),
+                      h2_share_of_h1=_share(rmse_h2, [e.h1 for _, e in pairs]),
+                      f_share_of_force=_share(rmse_f, [r.f_true for r, _ in pairs]))
+
+
+def _share(error: float, values) -> float | None:
+    """error over the range of values, or None where that range is 0."""
+    span = max(values) - min(values)
+    return error / span if span > 0 else None

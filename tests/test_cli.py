@@ -12,6 +12,7 @@ import pytest
 from bma.cli import main
 from bma.config import load_config
 from bma.estimator import reconstruct
+from bma.harness import evaluate, ingest_trace, run_trace
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLE_CONFIG = REPO / "configs" / "sample.yaml"
@@ -73,6 +74,57 @@ class TestPipeline:
         # walkthrough's trace.
         assert rmse_f <= 1e-6
         assert rmse_h2 <= 1e-6  # mm
+
+    def test_eval_shares_equal_hand_computation(self, workdir, capsys):
+        # the README walkthrough's trace: each share is an RMSE over the
+        # non-null samples divided by the range those samples span
+        cfg_path = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg_path])
+        trace = workdir / "trace.csv"
+        run(["simulate", workdir / "script.yaml", "--config", cfg_path, "--seed", 7,
+             "--out", trace])
+        capsys.readouterr()
+        assert run(["eval", trace, "--config", cfg_path, "--window", 0.5, 2.0]) == 0
+        shares = [l for l in capsys.readouterr().out.splitlines() if " share:" in l]
+
+        records = ingest_trace(trace)
+        estimates = run_trace(records, load_config(cfg_path))
+        assert not any(e.is_null for e in estimates)
+
+        def rms(got, truth):
+            return math.sqrt(sum((g - t) ** 2 for g, t in zip(got, truth)) / len(got))
+
+        def span(values):
+            return max(values) - min(values)
+
+        h2_true, f_true = [r.h2_true for r in records], [r.f_true for r in records]
+        rmse_h2 = rms([e.h2 for e in estimates], h2_true)
+        rmse_f = rms([e.force for e in estimates], f_true)
+        want = (rmse_h2 / span(h2_true), rmse_h2 / span([e.h1 for e in estimates]),
+                rmse_f / span(f_true))
+        report = evaluate(records, load_config(cfg_path))
+        got = (report.h2_share_of_indent, report.h2_share_of_h1, report.f_share_of_force)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert shares == [f"RMSE_h2 share:  {want[0]:.6g} of the indentation range",
+                          f"RMSE_h2 share:  {want[1]:.6g} of the h1 range",
+                          f"RMSE_F share:   {want[2]:.6g} of the force range"]
+
+    def test_eval_prints_no_share_over_a_zero_range(self, workdir, capsys):
+        # one free hold: one volume, and h2 and F are 0 throughout
+        cfg_path = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg_path])
+        script = workdir / "free.yaml"
+        script.write_text("sample_period_s: 0.01\n"
+                          "steps:\n  - {volume_ml: 0.5, force_n: 0.0, hold_s: 0.2}\n")
+        trace = workdir / "trace.csv"
+        run(["simulate", script, "--config", cfg_path, "--seed", 7, "--out", trace])
+        capsys.readouterr()
+        assert run(["eval", trace, "--config", cfg_path]) == 0
+        out = capsys.readouterr().out
+        assert "RMSE_h2:" in out and "share" not in out
+        report = evaluate(ingest_trace(trace), load_config(cfg_path))
+        assert (report.h2_share_of_indent, report.h2_share_of_h1,
+                report.f_share_of_force) == (None, None, None)
 
 
 class TestCalibrate:

@@ -17,6 +17,8 @@ from bma import (
     LengthMismatch,
     OutOfRange,
     RingSpec,
+    SimScript,
+    SimStep,
     StateEstimate,
     TraceRecord,
     YeohCoeffs,
@@ -24,11 +26,12 @@ from bma import (
     predict_pressure,
     rmse,
     run_trace,
+    simulate_trace,
     solve_axes,
     step,
     actuator_volume,
 )
-from bma import estimator, fit_height_poly
+from bma import estimator, fit_height_poly, harness
 from bma.config import load_config
 from bma.harness import read_calibration
 from bma.estimator import NO_FLAGS, Reconstruction, balance_pressure, indent, reconstruct
@@ -231,7 +234,56 @@ class TestStep:
         assert est.force == pytest.approx(force, rel=1e-6)
 
 
+def fixed_point_pressure(v_f, h2, cfg):
+    """p at which `indent` maps h2 to itself: `estimator.equilibrium` without its
+    F = 0 floor, so below contact onset (h4 < 0) the force is a pull, F < 0."""
+    g = reconstruct(v_f, h2, cfg)
+    bound = (1 - (1 - (h2 - g.c_c) / g.c) ** 2) * math.pi * g.a ** 2
+    return g.v_fm * g.w / (v_f - bound * g.h3)
+
+
+# (V_f ml, dip h2 mm, h2 mm where p is back at p_free) measured on the fixture
+# with a 2000-point grid.  The fixed-point values are the ROADMAP item 2 table;
+# estimator.equilibrium agrees with them where the dip is past contact onset
+# (0.6 ml up) and otherwise has its dip at or before onset, on the F = 0 floor.
+PRESSURE_DIPS = {
+    "equilibrium": [(0.2, 0.78, 1.50), (0.3, 1.18, 2.28), (0.4, 1.55, 2.96), (0.5, 1.74, 2.79),
+                    (0.6, 1.07, 2.37), (0.7, 0.83, 1.77), (0.8, 0.52, 1.07), (0.9, 0.17, 0.34)],
+    "fixed_point": [(0.2, 1.01, 2.77), (0.3, 1.22, 3.03), (0.4, 1.26, 2.96), (0.5, 1.15, 2.79),
+                    (0.6, 1.07, 2.37), (0.7, 0.83, 1.77), (0.8, 0.52, 1.07), (0.9, 0.17, 0.34)],
+}
+
+
 class TestEquilibriumCurve:
+    @pytest.mark.parametrize("curve,v_ml,dip_mm,back_mm",
+                             [(curve, *row) for curve, rows in PRESSURE_DIPS.items()
+                              for row in rows])
+    def test_pressure_has_one_dip(self, cfg, curve, v_ml, dip_mm, back_mm):
+        # The shape a curve solve of p(h2) = p splits into two segments: from
+        # p_free at h2 = 0, p falls strictly to one minimum below p_free, then
+        # rises strictly up to where reconstruct refuses the flat membrane
+        v_f = v_ml * 1e-6
+        pressure = {"equilibrium": lambda h2: estimator.equilibrium(v_f, h2, cfg)[0],
+                    "fixed_point": lambda h2: fixed_point_pressure(v_f, h2, cfg)}[curve]
+        grid = np.linspace(0.0, reconstruct(v_f, 0.0, cfg).h1, 2001)[:-1].tolist()
+        p = []
+        for h2 in grid:
+            try:
+                p.append(pressure(h2))
+            except DegenerateGeometry:
+                break
+        assert len(p) > 1900
+        p, p_free = np.array(p), predict_pressure(v_f, cfg)
+        dip = int(np.argmin(p))
+        back = dip + int(np.argmax(p[dip:] >= p_free))
+        assert p[0] == pytest.approx(p_free, rel=1e-12) and p[dip] < p_free <= p[back]
+        assert np.all(np.diff(p[:dip + 1]) < 0) and np.all(np.diff(p[dip:]) > 0)
+        assert grid[dip] * 1e3 == pytest.approx(dip_mm, abs=0.01)
+        assert grid[back] * 1e3 == pytest.approx(back_mm, abs=0.01)
+        if curve == "fixed_point":   # the update holds the dip's h2 in place
+            g = reconstruct(v_f, grid[dip], cfg)
+            assert indent(g, v_f, p[dip])[0] == pytest.approx(grid[dip], abs=1e-15)
+
     @pytest.mark.parametrize("v_ml", [round(0.30 + 0.05 * i, 2) for i in range(14)])
     def test_one_minimum_then_strictly_rising(self, cfg, v_ml):
         # The shape the simulator's hold check brackets on.  Over [0, h1) the
@@ -359,6 +411,8 @@ def outcome(fn, v_f, h2_prev, cfg):
 
 # 0.05 ml is below v_min_model, 1.2 ml above the fit's v_max
 MEMO_VOLUMES = [v * 1e-6 for v in (0.05, 0.15, 0.3, 0.5, 0.8, 1.0, 1.2)]
+# carried indentations that repeat, restart (NaN, negative, past h1) or are -0.0
+MEMO_H2 = [0.0, -0.0, 1e-3, 4e-3, math.nan, -1e-3, 1.0]
 
 
 class TestVolumeMemo:
@@ -371,23 +425,48 @@ class TestVolumeMemo:
     @settings(max_examples=40, deadline=None)
     @given(calls=st.lists(st.tuples(st.integers(0, 1),
                                     st.sampled_from(MEMO_VOLUMES),
-                                    st.floats(0.0, 9e-3)),
+                                    st.floats(0.0, 9e-3) | st.sampled_from(MEMO_H2)),
                           min_size=1, max_size=12))
     def test_interleaved_calls_match_cold_calls(self, configs, calls):
         warm = [outcome(reconstruct, v_f, h2_prev, configs[i]) for i, v_f, h2_prev in calls]
         cold = [outcome(cold_reconstruct, v_f, h2_prev, configs[i]) for i, v_f, h2_prev in calls]
-        assert warm == cold
+        assert warm == cold and repr(warm) == repr(cold)
 
     def test_repeats_and_alternation_match_cold_calls(self, configs):
+        # each h2 twice running, so every other call may return the kept
+        # shape; -0.0 after 0.0 and the reverse, NaN, h1 itself and 1 m (past
+        # h1) restarting at 0.0; the same volumes under the two configs in turn
         v1, v2 = 0.3e-6, 0.8e-6
-        seen = set()
-        for i, v_f in [(0, v1), (0, v1), (1, v1), (1, v1), (0, v1), (0, v2),
-                       (1, v2), (0, v2), (0, v2), (0, v1)]:
-            for h2_prev in (0.0, 1e-3, 4e-3, 1.0):   # 1 m: past h1, clamped
-                got = reconstruct(v_f, h2_prev, configs[i])
-                seen |= got.flags
-                assert got == cold_reconstruct(v_f, h2_prev, configs[i])
-        assert "h2_prev_clamped" in seen
+        calls = [(i, v_f, h2_prev)
+                 for i, v_f in [(0, v1), (0, v1), (1, v1), (1, v1), (0, v1), (0, v2),
+                                (1, v2), (0, v2), (0, v2), (0, v1), (1, v1), (0, v1)]
+                 for h2_prev in (0.0, 0.0, -0.0, -0.0, 0.0, 1e-3, 1e-3, 4e-3, 4e-3, math.nan,
+                                 math.nan, 0.0, evaluate_height(configs[i].fit, v_f),
+                                 1.0, 1.0, 4e-3, 1e-3)]
+        warm = [reconstruct(v_f, h2_prev, configs[i]) for i, v_f, h2_prev in calls]
+        cold = [cold_reconstruct(v_f, h2_prev, configs[i]) for i, v_f, h2_prev in calls]
+        for got, want in zip(warm, cold):
+            assert got == want and repr(got) == repr(want)
+        restarts = [g.flags == {"h2_prev_clamped"} for g in warm]
+        assert restarts == [not 0.0 <= h2_prev < evaluate_height(configs[i].fit, v_f)
+                            for i, v_f, h2_prev in calls]
+        assert 0 < sum(restarts) < len(calls)
+
+    def test_kept_shape_serves_only_its_config_volume_and_h2(self, cfg):
+        # the same config object, volume and carried h2 (after the restart
+        # rule) return the kept record itself; any other call builds one
+        v_f = 0.5e-6
+        estimator._volume_memo = (None, None, None)
+        for call in ((v_f, 1e-3, replace(cfg)), (np.nextafter(v_f, 1.0), 1e-3, cfg),
+                     (v_f, np.nextafter(1e-3, 1.0), cfg)):
+            g = reconstruct(v_f, 1e-3, cfg)
+            assert reconstruct(v_f, 1e-3, cfg) is g
+            other = reconstruct(*call)
+            assert other is not g and reconstruct(*call) is other
+        free = reconstruct(v_f, 0.0, cfg)
+        for bad in (math.nan, -1e-3, 1.0):
+            assert reconstruct(v_f, bad, cfg) == free._replace(flags={"h2_prev_clamped"})
+            assert reconstruct(v_f, 0.0, cfg) is free
 
     def test_raising_volumes_raise_on_repeat(self, cfg):
         valid = cold_reconstruct(0.5e-6, 1e-3, cfg)
@@ -400,8 +479,8 @@ class TestVolumeMemo:
 
     @pytest.mark.parametrize("bad", [math.nan, -1e-3, 1.0])
     def test_restart_flag_does_not_leak_into_free_shape(self, cfg, bad):
-        # the restart returns the kept free shape flagged; the flag stays on
-        # that copy, whether the restart fills the memo or reads it
+        # the restart returns the free shape flagged; the flag stays on that
+        # copy, whether the restart fills the memo or reads it
         v_f = 0.5e-6
         free = cold_reconstruct(v_f, 0.0, cfg)
         for first in (lambda: cold_reconstruct(v_f, bad, cfg),
@@ -414,7 +493,7 @@ class TestVolumeMemo:
             assert reconstruct(v_f, bad, cfg) == free._replace(flags={"h2_prev_clamped"})
 
     def test_predict_pressure_warm_matches_cold(self, configs):
-        # a kept free shape serves only its own config and volume
+        # a kept shape serves only its own config, volume and carried h2
         def cold(v_f, cfg):
             estimator._volume_memo = (None, None, None)
             return predict_pressure(v_f, cfg)
@@ -426,8 +505,8 @@ class TestVolumeMemo:
             assert predict_pressure(v_f, configs[i]) == warm == cold(v_f, configs[i])
 
     def test_raising_free_shape_raises_on_repeat(self, cfg, monkeypatch):
-        # a volume stage that succeeds under a free shape that raises keeps
-        # no free shape: the second call raises as the first did
+        # a build that raises replaces nothing in the memo: the second call
+        # raises as the first did, and the shape kept before it still serves
         def broken(lam, coeffs):
             raise DegenerateGeometry("no energy term")
 
@@ -457,7 +536,7 @@ class TestVolumeMemo:
         monkeypatch.setattr(estimator, "solve_axes", counting)
         estimator._volume_memo = (None, None, None)
         if path == "reconstruct":
-            reconstruct(0.3e-6, 1e-3, cfg)   # a contact sample keeps no free shape
+            reconstruct(0.3e-6, 1e-3, cfg)   # kept, but at another volume
             assert len(calls) == 2
             calls.clear()
             for _ in range(n):
@@ -466,6 +545,34 @@ class TestVolumeMemo:
             estimates = run_trace([TraceRecord(0.01 * i, v_f, p) for i in range(n)], cfg)
             assert all(est.h2 == 0.0 and "h2_clamped" in est.flags for est in estimates)
         assert len(calls) == 2
+
+    def test_settled_contact_hold_stops_solving_axes(self, cfg, monkeypatch):
+        # a noise-free contact hold settles on a fixed point; from the sample
+        # after the first that repeats its predecessor's h2, each sample
+        # carries the h2 of the one before and returns the kept shape
+        v_f, n = 0.5e-6, 400
+        records = simulate_trace(SimScript((SimStep(v_f, 0.2, n * 0.01),), 0.01), cfg, seed=0)
+        estimates = run_trace(records, cfg)
+        settled = next(j for j in range(1, n) if estimates[j].h2 == estimates[j - 1].h2)
+        assert 10 < settled < n - 100 and estimates[settled].force > 0.1
+        calls, per_sample = [], []
+
+        def counting(*args):
+            calls.append(args)
+            return solve_axes(*args)
+
+        def counted_step(*args):
+            calls.clear()
+            out = step(*args)
+            per_sample.append(len(calls))
+            return out
+
+        monkeypatch.setattr(estimator, "solve_axes", counting)
+        monkeypatch.setattr(harness, "step", counted_step)
+        estimator._volume_memo = (None, None, None)
+        assert run_trace(records, cfg) == estimates
+        # volume stage and shape, then one shape per new carried h2, then none
+        assert per_sample == [2] + [1] * settled + [0] * (n - settled - 1)
 
     def test_numpy_volume_does_not_stand_in_for_float(self, cfg):
         # an equal numpy scalar must not hand its numpy-typed shape to a float call
@@ -510,7 +617,7 @@ def substituted_axes(h1, free, deformed):
     """solve_axes replaced by fixed axes: free ones at apex height h1, else deformed.
 
     Replaced where `reconstruct` and the oracle chain look it up; the volume
-    memo, which would keep the replaced free shape, is emptied on both ends.
+    memo, which would keep a shape built on the replaced axes, is emptied on both ends.
     """
     def stub(v_bma, h, ring):
         return free if h == h1 else deformed
