@@ -153,7 +153,7 @@ def cmd_export_shape(args) -> int:
     h2 = (args.indent_mm or 0.0) * MM_TO_M
     g = reconstruct(v_f, h2, cfg)
     # reconstruct restarts an indentation outside [0, h1) from the free shape
-    if "h2_prev_clamped" in g.flags:
+    if not 0.0 <= h2 < g.h1:
         raise DegenerateGeometry(f"indentation {h2 / MM_TO_M:.6g} mm outside [0, "
                                  f"{g.h1 / MM_TO_M:.6g}) mm at {args.volume_ml:.6g} ml")
     pts_mm = [(x / MM_TO_M, z / MM_TO_M)
@@ -235,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, PermissionError, IsADirectoryError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (BmaError, ValueError, MemoryError) as exc:

@@ -217,11 +217,11 @@ def predict_pressure(v_f: float, cfg: EstimatorConfig) -> float:
 def equilibrium(v_f: float, h2: float, cfg: EstimatorConfig) -> tuple[float, float]:
     """(p, F) at which `indent` maps a carried h2 at v_f to itself, from one `reconstruct`.
 
-    F = s pi a^2 p, s = 1 - (1 - h4/c)^2 (0 if h4 = h2 - c_c <= 0), V_f p = V_fm W + F h3.
+    F = s pi a^2 p, s = 1 - (1 - h4/c)^2 with h4 = h2 - c_c, V_f p = V_fm W + F h3.
+    On all of [0, h1): below contact onset (h4 < 0) F is a pull, F < 0.
     """
     g = reconstruct(v_f, h2, cfg)
-    h4 = h2 - g.c_c
-    bound = (1 - (1 - h4 / g.c) ** 2 if h4 > 0 else 0.0) * _PI * g.a ** 2   # F / p
+    bound = (1 - (1 - (h2 - g.c_c) / g.c) ** 2) * _PI * g.a ** 2   # F / p
     p = g.v_fm * g.w / (v_f - bound * g.h3)
     return p, bound * p
 

@@ -118,9 +118,8 @@ def sphere_baseline(v_bma: float, ring: RingSpec) -> tuple[float, float]:
     if v_bma <= 0:
         raise ValueError("actuator volume must be positive")
     r = ring.r
-    # monotone cubic (pi/6) h^3 + (pi r^2 / 2) h - V = 0: single positive root
-    roots = np.roots([math.pi / 6, 0.0, math.pi * r * r / 2, -v_bma])
-    h = max(x.real for x in roots if abs(x.imag) < 1e-9 * max(1.0, abs(x.real)))
+    # the one real root of the monotone cubic h^3 + 3 r^2 h - 6V/pi = 0
+    h = 2 * r * math.sinh(math.asinh(3 * v_bma / (math.pi * r ** 3)) / 3)
     radius = (r * r + h * h) / (2 * h)
     return radius, h
 

@@ -244,9 +244,10 @@ def _hold_equilibrium(v_f: float, force: float, cfg: EstimatorConfig) -> float:
 
     It is 0 where the update h2 <- `indent` moves h2 off rest by at most tol, as for any
     F <= 0; near rest F_eq is rounding.  Else Illinois false position on [0, h1] solves
-    F = F_eq(h2), the force of `equilibrium`: 0 up to contact onset, then rising strictly
-    up to where `reconstruct` refuses; a refused point, or a step lost to rounding, is
-    bisected.  The update must contract at the root: |slope| < 1 over [lo, lo + tol].
+    F = F_eq(h2), the force of `equilibrium`: from 0 at rest it falls as a pull to one
+    minimum <= 0, then rises strictly up to where `reconstruct` refuses, so for F > 0,
+    F_eq - F changes sign once, at the root; a refused point, or a step lost to rounding,
+    is bisected.  The update must contract at the root: |slope| < 1 over [lo, lo + tol].
     """
     g = reconstruct(v_f, 0.0, cfg)   # a volume outside the model raises here
     if indent(g, v_f, balance_pressure(g, v_f, force))[0] <= SIM_ROOT_TOL:

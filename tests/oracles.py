@@ -11,8 +11,10 @@ Here each is a function of its own, with the checks on its arguments;
 layers, one call per formula, and the property tests hold the package
 equal to these compositions value for value.  `update` is `step` after its
 input guards, on a reconstruction the caller already holds.  `equilibrium`
-is the closed form of a fixed point of `step`: the (p, F) that leave a
-carried (V_f, h2) where it is; the package's own is `estimator.equilibrium`.
+is the closed form of the fixed points of `step`: the (p, F) that leave a
+carried (V_f, h2) where it is, for every h2 in [0, h1) that `reconstruct`
+accepts, with a pull (F < 0) below contact onset; the package's own, the
+same one curve, is `estimator.equilibrium`.
 `from_rest_converges` iterates the simulator's update from rest, the
 reference that the simulator's hold check on that curve is held against.
 """
@@ -232,12 +234,13 @@ def equilibrium(v_f: float, h2: float, cfg) -> tuple[float, float]:
 
     From one `reconstruct(v_f, h2, cfg)`: the slice depth h4 = h2 - c_c
     gives the force's share s = F / (pi a^2 p) = 1 - (1 - h4/c)^2 of the
-    cross-section bound, or 0 for h4 <= 0; with F = s pi a^2 p the energy
-    balance V_f p = V_fm W + F h3 gives p = V_fm W / (V_f - s pi a^2 h3).
+    cross-section bound; with F = s pi a^2 p the energy balance
+    V_f p = V_fm W + F h3 gives p = V_fm W / (V_f - s pi a^2 h3).  Below
+    contact onset h4 < 0, so s < 0 and the force is a pull.
     """
     g = reconstruct(v_f, h2, cfg)
     h4 = h2 - g.c_c
-    s = 1 - (1 - h4 / g.c) ** 2 if h4 > 0 else 0.0
+    s = 1 - (1 - h4 / g.c) ** 2
     p = g.v_fm * g.w / (v_f - s * math.pi * g.a ** 2 * g.h3)
     return p, s * math.pi * g.a ** 2 * p
 

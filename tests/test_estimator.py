@@ -234,42 +234,48 @@ class TestStep:
         assert est.force == pytest.approx(force, rel=1e-6)
 
 
-def fixed_point_pressure(v_f, h2, cfg):
-    """p at which `indent` maps h2 to itself: `estimator.equilibrium` without its
-    F = 0 floor, so below contact onset (h4 < 0) the force is a pull, F < 0."""
-    g = reconstruct(v_f, h2, cfg)
-    bound = (1 - (1 - (h2 - g.c_c) / g.c) ** 2) * math.pi * g.a ** 2
-    return g.v_fm * g.w / (v_f - bound * g.h3)
-
-
-# (V_f ml, dip h2 mm, h2 mm where p is back at p_free) measured on the fixture
-# with a 2000-point grid.  The fixed-point values are the ROADMAP item 2 table;
-# estimator.equilibrium agrees with them where the dip is past contact onset
-# (0.6 ml up) and otherwise has its dip at or before onset, on the F = 0 floor.
-PRESSURE_DIPS = {
-    "equilibrium": [(0.2, 0.78, 1.50), (0.3, 1.18, 2.28), (0.4, 1.55, 2.96), (0.5, 1.74, 2.79),
-                    (0.6, 1.07, 2.37), (0.7, 0.83, 1.77), (0.8, 0.52, 1.07), (0.9, 0.17, 0.34)],
-    "fixed_point": [(0.2, 1.01, 2.77), (0.3, 1.22, 3.03), (0.4, 1.26, 2.96), (0.5, 1.15, 2.79),
-                    (0.6, 1.07, 2.37), (0.7, 0.83, 1.77), (0.8, 0.52, 1.07), (0.9, 0.17, 0.34)],
-}
+# (V_f ml, dip h2 mm, h2 mm where p is back at p_free) of estimator.equilibrium,
+# the fixed-point curve of indent, measured on the fixture with a 2000-point
+# grid: the ROADMAP item 2 table.  Up to 0.5 ml the dip lies below contact
+# onset, where the curve's force is a pull.
+PRESSURE_DIPS = [(0.2, 1.01, 2.77), (0.3, 1.22, 3.03), (0.4, 1.26, 2.96), (0.5, 1.15, 2.79),
+                 (0.6, 1.07, 2.37), (0.7, 0.83, 1.77), (0.8, 0.52, 1.07), (0.9, 0.17, 0.34)]
 
 
 class TestEquilibriumCurve:
-    @pytest.mark.parametrize("curve,v_ml,dip_mm,back_mm",
-                             [(curve, *row) for curve, rows in PRESSURE_DIPS.items()
-                              for row in rows])
-    def test_pressure_has_one_dip(self, cfg, curve, v_ml, dip_mm, back_mm):
+    @pytest.mark.parametrize("v_ml", [round(0.10 + 0.05 * i, 2) for i in range(19)])
+    def test_indent_holds_every_point_in_place(self, cfg, v_ml):
+        # equilibrium is the fixed point of indent on all of [0, h1) that
+        # reconstruct accepts, below contact onset (h2 < c_c, a pull) as above
+        v_f = v_ml * 1e-6
+        points = below = 0
+        for h2 in np.linspace(0.0, reconstruct(v_f, 0.0, cfg).h1, 401)[:-1].tolist():
+            try:
+                g = reconstruct(v_f, h2, cfg)
+            except DegenerateGeometry:
+                continue
+            p, force = estimator.equilibrium(v_f, h2, cfg)
+            assert p > 0
+            h2_next, _, force_next, _ = indent(g, v_f, p)
+            assert h2_next == pytest.approx(h2, abs=1e-15)
+            assert force_next == pytest.approx(force, abs=1e-11)
+            points += 1
+            below += h2 < g.c_c
+        assert points > 390
+        if v_ml <= 0.6:   # above it contact begins at rest
+            assert below > 0
+
+    @pytest.mark.parametrize("v_ml,dip_mm,back_mm", PRESSURE_DIPS)
+    def test_pressure_has_one_dip(self, cfg, v_ml, dip_mm, back_mm):
         # The shape a curve solve of p(h2) = p splits into two segments: from
         # p_free at h2 = 0, p falls strictly to one minimum below p_free, then
         # rises strictly up to where reconstruct refuses the flat membrane
         v_f = v_ml * 1e-6
-        pressure = {"equilibrium": lambda h2: estimator.equilibrium(v_f, h2, cfg)[0],
-                    "fixed_point": lambda h2: fixed_point_pressure(v_f, h2, cfg)}[curve]
         grid = np.linspace(0.0, reconstruct(v_f, 0.0, cfg).h1, 2001)[:-1].tolist()
         p = []
         for h2 in grid:
             try:
-                p.append(pressure(h2))
+                p.append(estimator.equilibrium(v_f, h2, cfg)[0])
             except DegenerateGeometry:
                 break
         assert len(p) > 1900
@@ -280,16 +286,17 @@ class TestEquilibriumCurve:
         assert np.all(np.diff(p[:dip + 1]) < 0) and np.all(np.diff(p[dip:]) > 0)
         assert grid[dip] * 1e3 == pytest.approx(dip_mm, abs=0.01)
         assert grid[back] * 1e3 == pytest.approx(back_mm, abs=0.01)
-        if curve == "fixed_point":   # the update holds the dip's h2 in place
-            g = reconstruct(v_f, grid[dip], cfg)
-            assert indent(g, v_f, p[dip])[0] == pytest.approx(grid[dip], abs=1e-15)
+        # the update holds the dip's h2 in place
+        g = reconstruct(v_f, grid[dip], cfg)
+        assert indent(g, v_f, p[dip])[0] == pytest.approx(grid[dip], abs=1e-15)
 
     @pytest.mark.parametrize("v_ml", [round(0.30 + 0.05 * i, 2) for i in range(14)])
     def test_one_minimum_then_strictly_rising(self, cfg, v_ml):
         # The shape the simulator's hold check brackets on.  Over [0, h1) the
-        # force of the closed form falls to one minimum <= 0 (it is 0 up to
-        # contact onset), rises strictly after it, and ends where reconstruct
-        # refuses the flat membrane, for good, above the 0.5 N that scripts push
+        # force of the closed form falls from 0 at rest to one minimum <= 0 (a
+        # pull below contact onset), rises strictly after it, and ends where
+        # reconstruct refuses the flat membrane, for good, above the 0.5 N that
+        # scripts push
         v_f = v_ml * 1e-6
         forces = []
         for h2 in np.linspace(0.0, reconstruct(v_f, 0.0, cfg).h1, 2001)[:-1].tolist():
@@ -300,10 +307,9 @@ class TestEquilibriumCurve:
         end = forces.index(None)
         assert end > 1000 and forces[end:] == [None] * (len(forces) - end)
         f = np.array(forces[:end])
-        low = np.flatnonzero(f == f.min())
-        first, last = low[0], low[-1]
-        assert f.min() <= 0 and len(low) == last - first + 1
-        assert np.all(np.diff(f[:first + 1]) < 0) and np.all(np.diff(f[last:]) > 0)
+        low = int(np.argmin(f))
+        assert f[low] <= 0
+        assert np.all(np.diff(f[:low + 1]) < 0) and np.all(np.diff(f[low:]) > 0)
         assert f[-1] > 0.5
 
 
