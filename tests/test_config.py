@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from bma import BmaError, EstimatorConfig, IllConditioned, evaluate_height, fit_height_poly
+from bma import (BmaError, EstimatorConfig, IllConditioned, InsufficientData, evaluate_height,
+                 fit_height_poly)
 from bma.cli import main
 from bma.config import (ConfigError, height_fit_to_dict, load_config, load_raw, load_script,
                         save_raw)
@@ -299,10 +300,12 @@ def test_height_fit_round_trips_through_the_file(tmp_path_factory, degree, scale
     # calibration volumes as `read_calibration` makes them: ml times ML_TO_M3.
     # Only such volumes are sure to survive the ml the file holds: about 4 %
     # of doubles are not v_ml * 1e-6 for any float v_ml
+    # distinct fractions can scale to one volume (0.0 and 5e-324 both give 0.0),
+    # leaving fewer than degree + 1 volumes, which the fit rightly refuses
     samples = [(f * scale_ml * ML_TO_M3, h, "inflate") for f, h in zip(fractions, heights)]
     try:
         fit = fit_height_poly(samples, degree=degree)
-    except IllConditioned:
+    except (IllConditioned, InsufficientData):
         reject()
     data = load_raw(SAMPLE_CONFIG)
     data["height_fit"] = height_fit_to_dict(fit)

@@ -265,7 +265,9 @@ class TestEquilibriumCurve:
         if v_ml <= 0.6:   # above it contact begins at rest
             assert below > 0
 
-    @pytest.mark.parametrize("v_ml,dip_mm,back_mm", PRESSURE_DIPS)
+    # ids name the curve the rows were measured on: the fixed point of indent
+    @pytest.mark.parametrize("v_ml,dip_mm,back_mm", PRESSURE_DIPS,
+                             ids=[f"fixed_point-{v}-{d}-{b}" for v, d, b in PRESSURE_DIPS])
     def test_pressure_has_one_dip(self, cfg, v_ml, dip_mm, back_mm):
         # The shape a curve solve of p(h2) = p splits into two segments: from
         # p_free at h2 = 0, p falls strictly to one minimum below p_free, then
