@@ -24,11 +24,13 @@ class OutOfRange(BmaError):
 class ParseError(BmaError):
     """Malformed trace or calibration file; carries the offending line number."""
 
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    def __init__(self, message, line):
+        # both in args, so pickle and copy rebuild it with its line
+        super().__init__(message, line)
         self.line = line
+
+    def __str__(self):
+        return f"line {self.line}: {self.args[0]}"
 
 
 class MissingGroundTruth(BmaError):

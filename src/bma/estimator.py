@@ -79,15 +79,14 @@ class StateEstimate:
 
     p_hat is the F = 0 energy balance at the carried shape; it is the
     free-inflation `predict_pressure` only where the carried h2 is 0.
+    The README's "Flags" section tables every flag and what sets it.
     """
 
     h1: float
     h2: float
     h3: float
-    h4: float
     force: float        # external planar force F [N]
     p_hat: float        # F = 0 balance pressure at the carried shape [Pa]
-    stretch: float
     flags: frozenset = NO_FLAGS
 
     @property
@@ -97,14 +96,14 @@ class StateEstimate:
 
 def null_estimate(flags) -> StateEstimate:
     nan = float("nan")
-    return StateEstimate(nan, nan, nan, nan, nan, nan, nan, frozenset(flags))
+    return StateEstimate(nan, nan, nan, nan, nan, frozenset(flags))
 
 
 class Reconstruction(NamedTuple):
     """Per-sample shape and material chain at one carried indentation.
 
     Floats only, apart from the flag set: the unindented spheroid, the
-    contact-deformed one, then the membrane's stretch and energy terms.
+    contact-deformed one, then the membrane's energy terms.
     """
 
     h1: float           # unindented apex height [m]
@@ -115,7 +114,6 @@ class Reconstruction(NamedTuple):
     c_d: float          # deformed polar semi-axis [m]
     c_c: float          # center shift of the polar axis, c - c_d [m]
     k: float            # contact-patch radius [m]
-    stretch: float      # principal stretch lambda [-]
     w: float            # Yeoh energy term W [Pa]
     v_fm: float         # membrane volume in the free-inflation region [m3]
     flags: frozenset
@@ -199,7 +197,7 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
         if v_fm < 0:
             v_fm, flags = 0.0, NO_FLAGS | {"v_fm_clamped"}
         g = _new_tuple(Reconstruction,
-                       (h1, a, c, h3, a_d, c_d, c_c, k, lam, w, v_fm, flags))
+                       (h1, a, c, h3, a_d, c_d, c_c, k, w, v_fm, flags))
         _volume_memo = (cfg, v_f, (h1, v_bma, free, h2_prev, g))
     return g._replace(flags=g.flags | {"h2_prev_clamped"}) if restart else g
 
@@ -243,13 +241,13 @@ def step(state: EstimatorState, v_f: float, p: float,
         return null_estimate({skip}), _new_tuple(EstimatorState,
                                                  (state.h2_prev, state.step_index + 1))
     g = reconstruct(v_f, state.h2_prev, cfg)
-    h2, h4, force, flags = indent(g, v_f, p)
-    return (StateEstimate(g.h1, h2, g.h3, h4, force, balance_pressure(g, v_f), g.stretch, flags),
+    h2, force, flags = indent(g, v_f, p)
+    return (StateEstimate(g.h1, h2, g.h3, force, balance_pressure(g, v_f), flags),
             _new_tuple(EstimatorState, (h2, state.step_index + 1)))
 
 
-def indent(g: Reconstruction, v_f: float, p: float) -> tuple[float, float, float, frozenset]:
-    """(h2, h4, force, flags) from a reconstruction: the core of `step`.
+def indent(g: Reconstruction, v_f: float, p: float) -> tuple[float, float, frozenset]:
+    """(h2, force, flags) from a reconstruction: the core of `step`.
 
     The energy balance gives the force F = (V_f p - V_fm W) / h3; slicing
     the pressurized cross-section gives the depth
@@ -257,7 +255,7 @@ def indent(g: Reconstruction, v_f: float, p: float) -> tuple[float, float, float
     -(c sqrt(pi^2 a^2 p^2 - pi F p) - pi a c p) / (pi a p); and
     h2 = h4 + c_c is clamped to [0, h1].  Builds no estimate or state.
     """
-    h1, a, c, h3, _, _, c_c, _, _, w, v_fm, flags = g
+    h1, a, c, h3, _, _, c_c, _, w, v_fm, flags = g
     force = (v_f * p - v_fm * w) / h3
     if p <= 0:
         h4 = 0.0
@@ -276,7 +274,7 @@ def indent(g: Reconstruction, v_f: float, p: float) -> tuple[float, float, float
     if not 0.0 <= h2 <= h1:   # also NaN, which min and max leave NaN
         h2 = min(max(h2, 0.0), h1)
         flags = flags | {"h2_clamped"}
-    return h2, h4, force, flags
+    return h2, force, flags
 
 
 def rmse(estimates, truth) -> float:

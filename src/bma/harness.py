@@ -244,10 +244,11 @@ def _hold_equilibrium(v_f: float, force: float, cfg: EstimatorConfig) -> float:
 
     It is 0 where the update h2 <- `indent` moves h2 off rest by at most tol, as for any
     F <= 0; near rest F_eq is rounding.  Else Illinois false position on [0, h1] solves
-    F = F_eq(h2), the force of `equilibrium`: from 0 at rest it falls as a pull to one
-    minimum <= 0, then rises strictly up to where `reconstruct` refuses, so for F > 0,
-    F_eq - F changes sign once, at the root; a refused point, or a step lost to rounding,
-    is bisected.  The update must contract at the root: |slope| < 1 over [lo, lo + tol].
+    F = F_eq(h2), the force of `equilibrium`.  The bracket keeps F_eq - F <= 0 at its lower
+    end (-F at rest) and > 0, or refused by `reconstruct`, at its upper end (h1); a refused
+    point, or a step lost to rounding, is bisected.  It closes on some h2 where F_eq crosses
+    F upward: not always the first where F_eq - F changes sign more than once, as on a
+    softening material.  The update must contract at the root: |slope| < 1 over [lo, lo + tol].
     """
     g = reconstruct(v_f, 0.0, cfg)   # a volume outside the model raises here
     if indent(g, v_f, balance_pressure(g, v_f, force))[0] <= SIM_ROOT_TOL:
@@ -282,18 +283,19 @@ def simulate_trace(script: SimScript, cfg: EstimatorConfig,
     the energy balance inverted on it at the scripted (volume, force) gives the
     pressure, and `estimator.indent`, the core of `step`, advances h2 from the
     same reconstruction, building no estimate or state.  h2 and the scripted
-    force are the ground truth of a loop closed on the model itself.
+    force are the ground truth of a loop closed on the model itself.  Script
+    values enter as floats, so numpy scalars give the same records.
     """
     for s in script.steps:
-        _hold_equilibrium(s.v_f, s.force, cfg)
+        _hold_equilibrium(float(s.v_f), float(s.force), cfg)
 
     rng = np.random.default_rng(seed)
     records = []
     h2 = 0.0
     t = 0.0
-    period = script.sample_period
+    period = float(script.sample_period)
     for s in script.steps:
-        v_f, force = s.v_f, s.force
+        v_f, force = float(s.v_f), float(s.force)
         # one draw per hold: the same values as n scalar draws, in order
         for dp in rng.normal(0.0, script.noise_pa, max(1, round(s.hold / period))).tolist():
             g = reconstruct(v_f, h2, cfg)

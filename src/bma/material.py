@@ -44,9 +44,6 @@ class YeohCoeffs:
     def as_tuple(self) -> tuple[float, ...]:
         return (self.c1, self.c2, self.c3, self.c4, self.c5, self.c6)
 
-    def scaled(self, s: float) -> "YeohCoeffs":
-        return YeohCoeffs(*(s * c for c in self.as_tuple()))
-
     @cached_property
     def horner(self) -> tuple[float, ...]:
         """(C_1, 2 C_2, ..., 6 C_6): n C_n, the Horner coefficients in I1 - 3."""

@@ -48,3 +48,19 @@ def coeffs():
 @pytest.fixture(scope="session")
 def cfg(ring, coeffs, fit):
     return EstimatorConfig(ring=ring, coeffs=coeffs, fit=fit)
+
+
+@pytest.fixture(scope="session")
+def cfg_a():
+    """Config A, a softening material: the equilibrium force is not monotone past its dip.
+
+    A 7.83 mm ring, a 0.6 mm membrane, 0.83 times the sphere-cap heights fitted
+    at degree 7 over 40 volumes from 0.05 to 1.0 ml, and C = (31 865, -1 830,
+    42) Pa: placeholder coefficients with the negative C_2 of many Yeoh fits.
+    """
+    ring = RingSpec(r=7.83e-3, t_i=0.6e-3)
+    vols = np.linspace(0.05e-6, 1.0e-6, 40)
+    samples = [(v, 0.83 * sphere_baseline(actuator_volume(v, ring), ring)[1], phase)
+               for v in vols for phase in ("inflate", "deflate")]
+    return EstimatorConfig(ring=ring, coeffs=YeohCoeffs(31865.0, -1830.0, 42.0),
+                           fit=fit_height_poly(samples, degree=7))

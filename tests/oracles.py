@@ -189,12 +189,10 @@ def reconstruct_chain(v_f: float, h2_prev: float, cfg) -> Reconstruction:
     c_c = center_shift(c, c_d)
     k = contact_radius(a, c, h2_prev, c_c)
     arc = perimeter(a_d, c_d, h3, integration_angle(ring.r, h3, c_d))
-    lam = stretch(arc, ring)
-    w = yeoh_reference(lam, cfg.coeffs)
+    w = yeoh_reference(stretch(arc, ring), cfg.coeffs)
     v_fm, clamped = free_membrane_volume(ring.membrane_volume, k, inflated_thickness(ring, arc))
     flags = {name for name, on in (("v_fm_clamped", clamped), ("h2_prev_clamped", restart)) if on}
-    return Reconstruction(h1, a, c, h3, a_d, c_d, c_c, k, lam, w, v_fm,
-                          frozenset(flags))
+    return Reconstruction(h1, a, c, h3, a_d, c_d, c_c, k, w, v_fm, frozenset(flags))
 
 
 def indent_chain(g: Reconstruction, v_f: float, p: float):
@@ -214,7 +212,7 @@ def indent_chain(g: Reconstruction, v_f: float, p: float):
     h2 = min(max(h2_raw, 0.0), g.h1)
     if h2 != h2_raw:
         flags = flags | {"h2_clamped"}
-    return h2, h4, force, flags
+    return h2, force, flags
 
 
 def update(g: Reconstruction, state: EstimatorState, v_f: float,
@@ -224,8 +222,8 @@ def update(g: Reconstruction, state: EstimatorState, v_f: float,
     For a caller that already holds `reconstruct(v_f, state.h2_prev, cfg)`;
     v_f and p must be finite and v_f in range.
     """
-    h2, h4, force, flags = indent(g, v_f, p)
-    est = StateEstimate(g.h1, h2, g.h3, h4, force, balance_pressure(g, v_f), g.stretch, flags)
+    h2, force, flags = indent(g, v_f, p)
+    est = StateEstimate(g.h1, h2, g.h3, force, balance_pressure(g, v_f), flags)
     return est, EstimatorState(h2, state.step_index + 1)
 
 

@@ -1,6 +1,9 @@
+import copy
 import csv
 import io
 import math
+import pickle
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bma import (
+    BmaError,
     DegenerateGeometry,
     MissingGroundTruth,
     NoConvergence,
@@ -95,6 +99,12 @@ class TestIngest:
             with pytest.raises(ParseError) as exc_info:
                 ingest_trace(path)
             assert exc_info.value.line == 3
+
+    def test_parse_error_survives_pickle_and_copy(self):
+        error = ParseError("bad cell", line=3)
+        for rebuilt in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
+            assert (type(rebuilt), str(rebuilt), rebuilt.line) == (
+                ParseError, "line 3: bad cell", 3)
 
     def test_truth_columns(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -249,7 +259,7 @@ class TestWriteEstimates:
         assert path.read_bytes() == estimates_the_old_way(records, estimates)
 
     @settings(max_examples=60, deadline=None)
-    @given(rows=st.lists(st.tuples(st.tuples(*[ANY_FLOAT] * 3), st.tuples(*[ANY_FLOAT] * 7),
+    @given(rows=st.lists(st.tuples(st.tuples(*[ANY_FLOAT] * 3), st.tuples(*[ANY_FLOAT] * 5),
                                    st.frozensets(st.sampled_from(FLAG_NAMES), max_size=3)),
                          max_size=8))
     def test_bytes_of_any_values(self, tmp_path_factory, rows):
@@ -350,6 +360,33 @@ class TestSimulate:
         with pytest.raises(Exception):
             simulate_trace(script, cfg, seed=0)
 
+    @pytest.mark.parametrize("v_ml, force, error", [
+        (0.5, 0.55, None), (0.35, 1.0, None),
+        (0.35, 5.0, NoConvergence), (0.35, 100.0, DegenerateGeometry)])
+    def test_numpy_scalar_script_as_float_script(self, cfg, v_ml, force, error):
+        # a script of numpy scalars gives the float script's records, repr for
+        # repr, or its refusal, with no numpy warning on the way
+        script = SimScript((SimStep(0.3e-6, 0.0, 0.05), SimStep(v_ml * 1e-6, force, 0.05)),
+                           sample_period=0.01, noise_pa=2.0)
+        numpy_script = SimScript(
+            tuple(SimStep(*map(np.float64, (s.v_f, s.force, s.hold))) for s in script.steps),
+            np.float64(script.sample_period), np.float64(script.noise_pa))
+
+        def outcome(script):
+            try:
+                return simulate_trace(script, cfg, seed=1)
+            except BmaError as exc:
+                return type(exc), str(exc)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = outcome(numpy_script), outcome(script)
+        assert repr(got) == repr(want)
+        if error:
+            assert want[0] is error
+        else:
+            assert len(want) == 10
+
     def test_held_records_match_equilibrium_closed_form(self, cfg):
         # a record whose volume and indentation equal the previous record's is
         # a fixed point of the update: the closed form from one reconstruction
@@ -433,6 +470,28 @@ class TestHoldCheck:
 
         monkeypatch.setattr(harness, "equilibrium", no_solve)
         assert harness._hold_equilibrium(0.5e-6, force, cfg) == 0.0
+
+    def test_softening_config_pins_todays_verdicts(self, cfg_a):
+        # On config A at 0.575 ml, F_eq - 0.35 N changes sign three times, so
+        # the curve is not one dip and one rise; the bracket closes on the
+        # first crossing at 0.35 N, and 0.45 N is refused as unstable
+        v_f = 0.575e-6
+        h1 = reconstruct(v_f, 0.0, cfg_a).h1
+        grid = np.linspace(0.0, h1, 4001)[:-1].tolist()
+        signs = []
+        for h2 in grid:
+            try:
+                signs.append(equilibrium(v_f, h2, cfg_a)[1] > 0.35)
+            except DegenerateGeometry:
+                signs.append(None)
+        crossings = [(grid[i - 1] + grid[i]) / 2 * 1e3 for i in range(1, len(grid))
+                     if None not in signs[i - 1:i + 1] and signs[i - 1] != signs[i]]
+        assert crossings == pytest.approx([4.197, 4.557, 4.668], abs=2e-3)
+        for force, h2_mm in ((0.35, 4.197), (0.40, 4.335)):
+            assert harness._hold_equilibrium(v_f, force, cfg_a) * 1e3 == pytest.approx(
+                h2_mm, abs=5e-4)
+        with pytest.raises(NoConvergence, match="F=0.45"):
+            harness._hold_equilibrium(v_f, 0.45, cfg_a)
 
 
 def contact_script():
