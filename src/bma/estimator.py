@@ -39,6 +39,8 @@ _HALF_PI = math.pi / 2
 _PI_SQUARED = math.pi ** 2
 _sqrt = math.sqrt
 _atan = math.atan
+_isfinite = math.isfinite
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,9 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
             raise DegenerateGeometry(
                 f"slice depth {depth} below the entire ellipsoid (2c={2 * c})")
         else:
-            k = min(a * _sqrt(2 * c * depth - depth * depth) / c, a)
+            k = a * _sqrt(2 * c * depth - depth * depth) / c
+            if k > a:
+                k = a
         # meridian arc bounded by theta1 = arctan(r / |h3 - c_d|), whose limit
         # pi/2 at h3 = c_d is where the hemisphere sits; stretch lambda = L / r
         gap = abs(h3 - c_d)
@@ -218,9 +222,9 @@ def equilibrium(v_f: float, h2: float, cfg: EstimatorConfig) -> tuple[float, flo
     F = s pi a^2 p, s = 1 - (1 - h4/c)^2 with h4 = h2 - c_c, V_f p = V_fm W + F h3.
     On all of [0, h1): below contact onset (h4 < 0) F is a pull, F < 0.
     """
-    g = reconstruct(v_f, h2, cfg)
-    bound = (1 - (1 - (h2 - g.c_c) / g.c) ** 2) * _PI * g.a ** 2   # F / p
-    p = g.v_fm * g.w / (v_f - bound * g.h3)
+    _, a, c, h3, _, _, c_c, _, w, v_fm, _ = reconstruct(v_f, h2, cfg)
+    bound = (1 - (1 - (h2 - c_c) / c) ** 2) * _PI * a ** 2   # F / p
+    p = v_fm * w / (v_f - bound * h3)
     return p, bound * p
 
 
@@ -235,9 +239,9 @@ def step(state: EstimatorState, v_f: float, p: float,
     the estimate is a float.
     """
     v_f, p = float(v_f), float(p)
-    skip = ("nonfinite_input" if not (math.isfinite(v_f) and math.isfinite(p))
-            else "below_model_range" if v_f < cfg.v_min_model else None)
-    if skip:
+    if not (cfg.v_min_model <= v_f < _INF and _isfinite(p)):
+        skip = ("nonfinite_input" if not (_isfinite(v_f) and _isfinite(p))
+                else "below_model_range")
         return null_estimate({skip}), _new_tuple(EstimatorState,
                                                  (state.h2_prev, state.step_index + 1))
     g = reconstruct(v_f, state.h2_prev, cfg)
@@ -261,7 +265,7 @@ def indent(g: Reconstruction, v_f: float, p: float) -> tuple[float, float, froze
         h4 = 0.0
         flags = flags | {"nonpositive_pressure"}
     else:
-        try:
+        try:   # ** raises OverflowError past p ~ 1e154 Pa; p * p would give inf and a NaN h2
             disc = _PI_SQUARED * a ** 2 * p ** 2 - _PI * force * p
             if disc < 0:   # F beyond the cross-section's bound pi a^2 p
                 h4 = c

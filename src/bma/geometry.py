@@ -33,6 +33,8 @@ _DENOM_REL_EPS = 1e-12
 _ASPECT_LIMIT = 1e3
 
 _SQRT3 = math.sqrt(3)
+_PI = math.pi
+_sqrt = math.sqrt
 
 
 @dataclass(frozen=True)
@@ -85,19 +87,19 @@ def solve_axes(v_bma: float, h: float, ring: RingSpec) -> tuple[float, float]:
     if h <= 0:
         raise DegenerateGeometry(f"apex height must be positive, got {h}")
     r2pi = ring.area
-    denom = 3 * h * r2pi - 6 * v_bma
-    scale = abs(3 * h * r2pi) + abs(6 * v_bma)
-    if abs(denom) < _DENOM_REL_EPS * scale:
+    h3r2pi, v6 = 3 * h * r2pi, 6 * v_bma
+    denom = h3r2pi - v6
+    if abs(denom) < _DENOM_REL_EPS * (abs(h3r2pi) + abs(v6)):
         raise DegenerateGeometry("singular denominator in axis solution")
 
     try:
         c = (h ** 2 * r2pi - 3 * v_bma * h) / denom
     except OverflowError as exc:   # h ** 2 past the float range
         raise DegenerateGeometry(f"apex height {h} is outside the float range") from exc
-    radicand = -(h * r2pi - 2 * v_bma) / (h * math.pi)
+    radicand = -(h * r2pi - 2 * v_bma) / (h * _PI)
     if radicand < 0:
         raise DegenerateGeometry("negative radicand in major-axis solution")
-    a = math.sqrt(radicand) * (_SQRT3 * h * r2pi - 3 ** 1.5 * v_bma) / denom
+    a = _sqrt(radicand) * (_SQRT3 * h * r2pi - 3 ** 1.5 * v_bma) / denom
     if not (a > 0 and c > 0):   # also a NaN axis, from a NaN or infinite input
         raise DegenerateGeometry(f"axes a={a}, c={c} are not both positive")
     # near-flat heights admit a mathematically consistent but absurd

@@ -294,14 +294,16 @@ def simulate_trace(script: SimScript, cfg: EstimatorConfig,
     h2 = 0.0
     t = 0.0
     period = float(script.sample_period)
+    # the sample loop's callables, looked up once per trace, not once per sample
+    shape, pressure, update, emit = reconstruct, balance_pressure, indent, records.append
     for s in script.steps:
         v_f, force = float(s.v_f), float(s.force)
         # one draw per hold: the same values as n scalar draws, in order
         for dp in rng.normal(0.0, script.noise_pa, max(1, round(s.hold / period))).tolist():
-            g = reconstruct(v_f, h2, cfg)
-            p_clean = balance_pressure(g, v_f, force)
-            h2 = indent(g, v_f, p_clean)[0]
-            records.append(TraceRecord(t, v_f, p_clean + dp, force, h2))
+            g = shape(v_f, h2, cfg)
+            p_clean = pressure(g, v_f, force)
+            h2 = update(g, v_f, p_clean)[0]
+            emit(TraceRecord(t, v_f, p_clean + dp, force, h2))
             t += period
     return records
 

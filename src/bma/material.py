@@ -67,6 +67,7 @@ def perimeter(a_d: float, c_d: float, h3: float, theta1: float) -> float:
     if not (0 <= theta1 <= _HALF_PI):
         raise ValueError("theta1 must lie in [0, pi/2]")
     upper = _PI - theta1 if h3 > c_d else theta1
+    # the ufunc form the tests hold it to: q * q for q ** 2 is 1 ulp off on 0.08 % of draws
     return c_d * ellipeinc(upper, 1.0 - (a_d / c_d) ** 2)
 
 

@@ -2,7 +2,9 @@
 
 `solve_axes` inverts `ellipsoid_volume_above_ring`; the package itself
 never evaluates either volume, so they live here, next to the tests that
-check the inversion.
+check the inversion.  `solve_axes_reference` is `solve_axes` in the
+arithmetic it is pinned to, so that a test can see a rounding change
+inside it; the chain compositions below call the package's own.
 
 The closed forms between the estimator's layers are lines of
 `estimator.reconstruct`, `estimator.indent` and `yeoh_energy_density`.
@@ -55,6 +57,38 @@ def ellipsoid_volume_above_ring(a: float, c: float, h: float) -> float:
         -a ** 2 * (2 * c - h) ** 2 * (h + c) * math.pi / (3 * c ** 2)
         + 4 * math.pi * a ** 2 * c / 3
     )
+
+
+def solve_axes_reference(v_bma: float, h: float, ring: RingSpec) -> tuple[float, float]:
+    """`solve_axes` in the arithmetic it is pinned to, bit for bit.
+
+    The package's `solve_axes` must return the same floats, or raise the same
+    exception class with the same message; a rewrite that moves a rounding
+    step is a different function.  The constants are literals here:
+    1e-12 the singular-denominator threshold, 1e3 the flat-membrane aspect limit.
+    """
+    if h <= 0:
+        raise DegenerateGeometry(f"apex height must be positive, got {h}")
+    r2pi = ring.area
+    denom = 3 * h * r2pi - 6 * v_bma
+    scale = abs(3 * h * r2pi) + abs(6 * v_bma)
+    if abs(denom) < 1e-12 * scale:
+        raise DegenerateGeometry("singular denominator in axis solution")
+    try:
+        c = (h ** 2 * r2pi - 3 * v_bma * h) / denom
+    except OverflowError as exc:
+        raise DegenerateGeometry(f"apex height {h} is outside the float range") from exc
+    radicand = -(h * r2pi - 2 * v_bma) / (h * math.pi)
+    if radicand < 0:
+        raise DegenerateGeometry("negative radicand in major-axis solution")
+    a = math.sqrt(radicand) * (math.sqrt(3) * h * r2pi - 3 ** 1.5 * v_bma) / denom
+    if not (a > 0 and c > 0):
+        raise DegenerateGeometry(f"axes a={a}, c={c} are not both positive")
+    if a > 1e3 * ring.r or a > 1e3 * c:
+        raise DegenerateGeometry(
+            f"flat-membrane solution a={a} out of proportion to r={ring.r}, c={c}"
+        )
+    return a, c
 
 
 def center_shift(c: float, c_d: float) -> float:

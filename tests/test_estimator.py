@@ -28,6 +28,7 @@ from bma import (
     run_trace,
     simulate_trace,
     solve_axes,
+    sphere_baseline,
     step,
     actuator_volume,
 )
@@ -736,6 +737,58 @@ class TestCenterShift:
         c_c = c - c_d
         assert c_c >= -4 * math.ulp(c)
         assert h2_prev - c_c <= 2 * c
+
+
+@st.composite
+def configs_over_the_ranges(draw):
+    """A config from the ranges of the ROADMAP's random-config study.
+
+    r 3-10 mm, t_i 0.2-1 mm, a height map 0.8-1.25 times the sphere-cap height
+    fitted at degree 7 over 40 volumes from 0.05 to 1.0 ml, C1 5-60 kPa,
+    |C2| <= 0.1 C1 and 0 <= C3 <= 0.01 C1.
+    """
+    ring = RingSpec(draw(st.floats(3e-3, 10e-3)), draw(st.floats(0.2e-3, 1e-3)))
+    factor = draw(st.floats(0.8, 1.25))
+    c1 = draw(st.floats(5e3, 60e3))
+    coeffs = YeohCoeffs(c1, c1 * draw(st.floats(-0.1, 0.1)), c1 * draw(st.floats(0.0, 0.01)))
+    samples = [(v, factor * sphere_baseline(actuator_volume(v, ring), ring)[1], phase)
+               for v in np.linspace(0.05e-6, 1.0e-6, 40) for phase in ("inflate", "deflate")]
+    return EstimatorConfig(ring=ring, coeffs=coeffs, fit=fit_height_poly(samples, degree=7))
+
+
+class TestGeometryGuards:
+    """The volume stage's h1 > 2c refusal and `reconstruct`'s slice-below-ellipsoid
+    refusal, over the random-config ranges, with the real layers.
+
+    At a fixed volume c = (h/3)(1 + 1/(2 - qh)) with q = pi r^2 / V_bma, so
+    2c - h = (h/3) qh / (2 - qh), and `solve_axes`' radicand check keeps qh < 2:
+    no shape it returns is taller than 2c.
+    """
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(cfg=configs_over_the_ranges(),
+           volumes=st.lists(st.floats(0.1e-6, 1.0e-6), min_size=1, max_size=4),
+           shares=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=6))
+    def test_neither_refusal_fires(self, cfg, volumes, shares):
+        ring = cfg.ring
+        for v_f in volumes:
+            h1 = evaluate_height(cfg.fit, v_f)
+            v_bma = actuator_volume(v_f, ring)
+            try:
+                a, c = solve_axes(v_bma, h1, ring)
+            except DegenerateGeometry:   # refused before the extent is checked
+                continue
+            qh = ring.area / v_bma * h1
+            assert 0 < qh < 2
+            assert 2 * c - h1 == pytest.approx(h1 / 3 * qh / (2 - qh), rel=1e-6)
+            assert estimator._volume_stage(v_f, cfg)[:3] == (h1, v_bma, (a, c))
+            for h2 in (0.0, *(share * h1 for share in shares), math.nextafter(h1, 0.0)):
+                try:
+                    _, c_d = solve_axes(v_bma, h1 - h2, ring)
+                except DegenerateGeometry:   # refused before the slice is taken
+                    continue
+                assert h2 - (c - c_d) <= 2 * c
+                assert reconstruct(v_f, h2, cfg).h3 == h1 - h2
 
 
 class TestCachedConstants:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -14,7 +15,13 @@ from bma import (
     solve_axes,
     sphere_baseline,
 )
-from oracles import cap_volume, center_shift, contact_radius, ellipsoid_volume_above_ring
+from oracles import (
+    cap_volume,
+    center_shift,
+    contact_radius,
+    ellipsoid_volume_above_ring,
+    solve_axes_reference,
+)
 
 
 def cap_volume_oracle(a, c, h_b):
@@ -97,7 +104,54 @@ class TestCapVolume:
                     assert got == pytest.approx(want, rel=1e-10)
 
 
+@st.composite
+def axes_inputs(draw, case):
+    """(v_bma, h, ring) that `solve_axes` takes down one branch, named by case."""
+    ring = RingSpec(draw(st.floats(1e-3, 2e-2)), draw(st.floats(1e-4, 2e-3)))
+    if case == "valid":   # an ellipse through the ring circle, and its volume
+        c = draw(st.floats(1e-3, 3e-2))
+        h = draw(st.floats(0.3, 1.9)) * c
+        v_bma = ellipsoid_volume_above_ring(ring.r * c / math.sqrt(h * (2 * c - h)), c, h)
+    elif case == "singular denominator":   # 3 h pi r^2 = 6 V to within 1e-13
+        h = draw(st.floats(1e-4, 5e-2))
+        v_bma = h * ring.area / 2 * (1 + draw(st.floats(-1e-13, 1e-13)))
+    elif case == "negative radicand":   # h pi r^2 > 2 V
+        h = draw(st.floats(1e-4, 5e-2))
+        v_bma = h * ring.area / 2 * draw(st.floats(0.0, 0.999))
+    elif case == "outside the float range":   # h ** 2 overflows
+        h = draw(st.floats(1e155, 1e300))
+        v_bma = draw(st.floats(0.0, 1e-3))
+    elif case == "flat-membrane":   # a near-flat apex height
+        h = draw(st.floats(1e-12, 1e-6))
+        v_bma = draw(st.floats(1e-8, 1e-5))
+    else:   # any floats at all, NaN and infinities too
+        h, v_bma = draw(st.floats()), draw(st.floats())
+    return v_bma, h, ring
+
+
+def outcome(fn, *args):
+    """("returns", repr of the result) or ("raises", exception class, message)."""
+    try:
+        return "returns", repr(fn(*args))
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+
+
 class TestSolveAxes:
+    # each case but "any" must take its branch, so that no branch goes unchecked
+    @pytest.mark.parametrize("case", ["valid", "singular denominator", "negative radicand",
+                                      "outside the float range", "flat-membrane", "any"])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_bit_for_bit_with_the_reference(self, case, data):
+        v_bma, h, ring = data.draw(axes_inputs(case))
+        want = outcome(solve_axes_reference, v_bma, h, ring)
+        assert outcome(solve_axes, v_bma, h, ring) == want
+        if case == "valid":
+            assert want[0] == "returns"
+        elif case != "any":
+            assert want[0] == "raises" and case in want[2]
+
     def test_returns_a_float_pair(self, ring):
         axes = solve_axes(400e-9, 8e-3, ring)
         assert type(axes) is tuple and [type(x) for x in axes] == [float, float]
