@@ -23,12 +23,13 @@ from .harness import (
     ML_TO_M3,
     MM_TO_M,
     TRACE_COLUMNS,
+    TRACE_ROW,
     evaluate,
     ingest_trace,
     read_calibration,
     run_trace,
     simulate_trace,
-    trace_cells,
+    trace_values,
     write_estimates,
     write_rows,
     write_trace,
@@ -88,8 +89,8 @@ def cmd_predict_pressure(args) -> int:
             p_hat = predict_pressure(rec.v_f, cfg)
         except BmaError:
             p_hat = math.nan
-        rows.append(trace_cells(rec) + [f"{p_hat:.9g}"])
-    write_rows(args.out, (*TRACE_COLUMNS, "p_hat_pa"), rows)
+        rows.append((*trace_values(rec), p_hat))
+    write_rows(args.out, (*TRACE_COLUMNS, "p_hat_pa"), TRACE_ROW + ",%.9g\n", rows)
     return EXIT_OK
 
 
@@ -99,25 +100,23 @@ def cmd_eval(args) -> int:
     window = tuple(args.window) if args.window else None
     report = evaluate(records, cfg, contact_window=window)
     print(f"samples:        {report.n_samples} ({report.n_null} null)")
-    print(f"RMSE_F:         {report.rmse_f:.6g} N")
-    print(f"RMSE_h2:        {report.rmse_h2 / MM_TO_M:.6g} mm")
-    if report.rmse_p is not None:
-        print(f"RMSE_p:         {report.rmse_p:.6g} Pa (no-contact segments)")
-    if report.window_rmse_f is not None:
-        print(f"window RMSE_F:  {report.window_rmse_f:.6g} N")
-        print(f"window RMSE_h2: {report.window_rmse_h2 / MM_TO_M:.6g} mm")
-    for share, error, span in ((report.h2_share_of_indent, "RMSE_h2", "indentation"),
-                               (report.h2_share_of_h1, "RMSE_h2", "h1"),
-                               (report.f_share_of_force, "RMSE_F", "force")):
-        if share is not None:
-            print(f"{error + ' share:':<16}{share:.6g} of the {span} range")
+    for label, value, unit, scale in (
+            ("RMSE_F:", report.rmse_f, "N", 1.0),
+            ("RMSE_h2:", report.rmse_h2, "mm", MM_TO_M),
+            ("RMSE_p:", report.rmse_p, "Pa (no-contact segments)", 1.0),
+            ("window RMSE_F:", report.window_rmse_f, "N", 1.0),
+            ("window RMSE_h2:", report.window_rmse_h2, "mm", MM_TO_M),
+            ("RMSE_h2 share:", report.h2_share_of_indent, "of the indentation range", 1.0),
+            ("RMSE_h2 share:", report.h2_share_of_h1, "of the h1 range", 1.0),
+            ("RMSE_F share:", report.f_share_of_force, "of the force range", 1.0)):
+        if value is not None:
+            print(f"{label:<16}{value / scale:.6g} {unit}")
     return EXIT_OK
 
 
-def _svg(polyline_mm, sphere_mm, ring_mm, slice_mm, path):
-    """Minimal SVG 1.1 overlay: ring line, membrane profile, sphere fit, slice."""
-    xs = [p[0] for p in polyline_mm] + [p[0] for p in sphere_mm]
-    zs = [p[1] for p in polyline_mm] + [p[1] for p in sphere_mm]
+def _svg(paths, frame_mm, path):
+    """Minimal SVG 1.1: (points_mm, stroke, width) paths in order, framing frame_mm and z = 0."""
+    xs, zs = zip(*frame_mm)
     pad = 2.0
     x0, x1 = min(xs) - pad, max(xs) + pad
     z0, z1 = min(min(zs), 0.0) - pad, max(zs) + pad
@@ -128,23 +127,12 @@ def _svg(polyline_mm, sphere_mm, ring_mm, slice_mm, path):
         # flip z so up is up
         return f"{(x - x0) * scale:.3f},{(z1 - z) * scale:.3f}"
 
-    def path_d(points):
-        return "M " + " L ".join(pt(x, z) for x, z in points)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{w * scale:.0f}" height="{h * scale:.0f}">',
-        f'<path d="{path_d(ring_mm)}" stroke="black" fill="none" stroke-width="2"/>',
-        f'<path d="{path_d(sphere_mm)}" stroke="green" fill="none" stroke-width="1.5"/>',
-        f'<path d="{path_d(polyline_mm)}" stroke="blue" fill="none" stroke-width="1.5"/>',
-    ]
-    if slice_mm is not None:
-        parts.append(
-            f'<path d="{path_d(slice_mm)}" stroke="red" fill="none" stroke-width="1.5"/>'
-        )
-    parts.append("</svg>")
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             f'width="{w * scale:.0f}" height="{h * scale:.0f}">']
+    parts += [f'<path d="M {" L ".join(pt(x, z) for x, z in points)}" stroke="{stroke}" '
+              f'fill="none" stroke-width="{width:g}"/>' for points, stroke, width in paths]
     with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write("\n".join(parts) + "\n</svg>\n")
 
 
 def cmd_export_shape(args) -> int:
@@ -156,22 +144,22 @@ def cmd_export_shape(args) -> int:
     if not 0.0 <= h2 < g.h1:
         raise DegenerateGeometry(f"indentation {h2 / MM_TO_M:.6g} mm outside [0, "
                                  f"{g.h1 / MM_TO_M:.6g}) mm at {args.volume_ml:.6g} ml")
-    pts_mm = [(x / MM_TO_M, z / MM_TO_M)
-              for x, z in profile_polyline(g.a_d, g.c_d, g.h3, g.k, args.points)]
-    # the indenter rests on the flat contact segment, the profile's top,
-    # which lies below the deformed apex h3
-    z_mm = max(z for _, z in pts_mm)
-    slice_mm = [(-g.k / MM_TO_M, z_mm), (g.k / MM_TO_M, z_mm)] if g.k > 0 else None
+    pts_mm = list(map(tuple, profile_polyline(g.a_d, g.c_d, g.h3, g.k, args.points) / MM_TO_M))
 
     if args.out.lower().endswith(".csv"):
-        write_rows(args.out, ("x_mm", "z_mm"), ([f"{x:.6f}", f"{z:.6f}"] for x, z in pts_mm))
+        write_rows(args.out, ("x_mm", "z_mm"), "%.6f,%.6f\n", pts_mm)
     else:
         radius, cap_h = sphere_baseline(actuator_volume(v_f, cfg.ring), cfg.ring)
-        sphere_mm = [(x / MM_TO_M, z / MM_TO_M)
-                     for x, z in profile_polyline(radius, radius, cap_h, 0.0, args.points)]
+        sphere_mm = list(profile_polyline(radius, radius, cap_h, 0.0, args.points) / MM_TO_M)
         r_mm = cfg.ring.r / MM_TO_M
-        ring_mm = [(-1.5 * r_mm, 0.0), (1.5 * r_mm, 0.0)]
-        _svg(pts_mm, sphere_mm, ring_mm, slice_mm, args.out)
+        paths = [([(-1.5 * r_mm, 0.0), (1.5 * r_mm, 0.0)], "black", 2),
+                 (sphere_mm, "green", 1.5), (pts_mm, "blue", 1.5)]
+        if g.k > 0:
+            # the indenter rests on the flat contact segment, the profile's
+            # top, which lies below the deformed apex h3
+            z_mm = max(z for _, z in pts_mm)
+            paths.append(([(-g.k / MM_TO_M, z_mm), (g.k / MM_TO_M, z_mm)], "red", 1.5))
+        _svg(paths, pts_mm + sphere_mm, args.out)
     print(f"exported shape -> {args.out}")
     return EXIT_OK
 
@@ -235,12 +223,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, BmaError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (BmaError, ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

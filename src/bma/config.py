@@ -58,6 +58,8 @@ def load_raw(path) -> dict:
             context = (f" ({exc.context} from line {exc.context_mark.line + 1})"
                        if exc.context and exc.context_mark else "")
             raise ConfigError(f"{path}, line {mark.line + 1}: {exc.problem}{context}") from exc
+        except RecursionError as exc:   # a structure nested past the parser's stack
+            raise ConfigError(f"{path}: nested too deeply to read") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path} is not a mapping")
     return data

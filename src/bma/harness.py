@@ -3,9 +3,8 @@
 Traces are CSV files with header ``t_s,volume_ml,pressure_pa`` and optional
 ground-truth columns ``force_n,indent_mm``; calibration files have the
 columns ``volume_ml,height_mm,phase``.  Every CSV file the package reads
-goes through `read_rows`, and every one it writes through `write_rows` or,
-for the estimates, `write_estimates`.  Internally everything is SI;
-conversion happens here at the file boundary.
+goes through `read_rows`, and every one it writes through `write_rows`.
+Internally everything is SI; conversion happens here at the file boundary.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .estimator import (
 ML_TO_M3 = 1e-6
 MM_TO_M = 1e-3
 TRACE_COLUMNS = ("t_s", "volume_ml", "pressure_pa")
+TRACE_ROW = "%.9g,%.9g,%.9g"   # the `trace_values` cells, at 9 significant digits
 
 SIM_ROOT_TOL = 1e-13   # root tolerance of a hold's equilibrium h2 [m]
 
@@ -118,53 +118,54 @@ def read_rows(path, required, optional=()):
     order; an optional column the header lacks reads as None.  Blank lines
     are skipped and not counted in the line numbers, a repeated column name
     means its last column, and the missing cells of a short row read as
-    None.  Cells are picked by column index, with no dict per row.
+    None.  Cells are picked by column index, with no dict per row.  A row that
+    `csv` refuses (an oversized field; a NUL byte before 3.11) is a ParseError.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        if not set(required).issubset(header):
-            raise ParseError(f"missing required columns {sorted(required)}", line=1)
-        width = len(header)
-        col = {name: j for j, name in enumerate(header)}
-        # an absent column reads the None appended to every row at `width`
-        index = [col.get(name, width) for name in (*required, *optional)]
-        pick = itemgetter(*index) if len(index) > 1 else lambda row: (row[index[0]],)
-        line = 1
-        for row in reader:
-            if not row:
-                continue
-            line += 1
-            if len(row) != width:
-                row = (row + [None] * width)[:width]
-            row.append(None)
-            yield line, pick(row)
+        line = 0
+        try:
+            header = next(reader, [])
+            line = 1
+            if not set(required).issubset(header):
+                raise ParseError(f"missing required columns {sorted(required)}", line=1)
+            width = len(header)
+            col = {name: j for j, name in enumerate(header)}
+            # an absent column reads the None appended to every row at `width`
+            index = [col.get(name, width) for name in (*required, *optional)]
+            pick = itemgetter(*index) if len(index) > 1 else lambda row: (row[index[0]],)
+            for row in reader:
+                if not row:
+                    continue
+                line += 1
+                if len(row) != width:
+                    row = (row + [None] * width)[:width]
+                row.append(None)
+                yield line, pick(row)
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=line + 1) from exc
 
 
-def write_rows(path, header, rows) -> None:
-    """Write a header and rows of cells as CSV, to stdout when path is None."""
+def write_rows(path, header, template, rows) -> None:
+    """Write a CSV header, then `template % row` per row tuple; to stdout when path is None.
+
+    No cell the package writes needs quoting, so these are `csv.writer`'s bytes.
+    """
     with open(path, "w", newline="") if path is not None else nullcontext(sys.stdout) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n" + "".join([template % row for row in rows]))
 
 
-def trace_cells(r: TraceRecord) -> list[str]:
-    """A record's t, volume and pressure cells in bench units, at 9 digits."""
-    return [f"{r.t:.9g}", f"{r.v_f / ML_TO_M3:.9g}", f"{r.p:.9g}"]
+def trace_values(r: TraceRecord) -> tuple[float, float, float]:
+    """A record's t, volume and pressure in bench units, the cells of `TRACE_ROW`."""
+    return r.t, r.v_f / ML_TO_M3, r.p
 
 
 def write_estimates(path, records, estimates) -> None:
-    """Write records' trace cells and their estimates in bench units, at 9 digits.
-
-    One % template per row; no cell needs quoting, so the bytes equal `write_rows`'s.
-    """
-    header = (*TRACE_COLUMNS, "h1_mm", "h2_mm", "h3_mm", "force_n", "p_hat_pa", "flags")
-    row = "%.9g," * 8 + "%s\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n" + "".join([row % (
-            r.t, r.v_f / ML_TO_M3, r.p, e.h1 / MM_TO_M, e.h2 / MM_TO_M, e.h3 / MM_TO_M,
-            e.force, e.p_hat, "|".join(sorted(e.flags))) for r, e in zip(records, estimates)]))
+    """Write records' trace cells and their estimates in bench units, at 9 digits."""
+    write_rows(path, (*TRACE_COLUMNS, "h1_mm", "h2_mm", "h3_mm", "force_n", "p_hat_pa", "flags"),
+               TRACE_ROW + ",%.9g" * 5 + ",%s\n",
+               [(*trace_values(r), e.h1 / MM_TO_M, e.h2 / MM_TO_M, e.h3 / MM_TO_M, e.force,
+                 e.p_hat, "|".join(sorted(e.flags))) for r, e in zip(records, estimates)])
 
 
 def ingest_trace(path) -> list[TraceRecord]:
@@ -196,12 +197,11 @@ def ingest_trace(path) -> list[TraceRecord]:
 def write_trace(path, records) -> None:
     """Write records back to CSV, lossless at 9 significant digits."""
     if all(r.f_true is None and r.h2_true is None for r in records):
-        write_rows(path, TRACE_COLUMNS, map(trace_cells, records))
+        write_rows(path, TRACE_COLUMNS, TRACE_ROW + "\n", map(trace_values, records))
         return
-    write_rows(path, (*TRACE_COLUMNS, "force_n", "indent_mm"), (trace_cells(r) + [
-        f"{r.f_true:.9g}" if r.f_true is not None else "",
-        f"{r.h2_true / MM_TO_M:.9g}" if r.h2_true is not None else "",
-    ] for r in records))
+    write_rows(path, (*TRACE_COLUMNS, "force_n", "indent_mm"), TRACE_ROW + ",%s,%s\n", [(
+        *trace_values(r), "" if r.f_true is None else "%.9g" % r.f_true,
+        "" if r.h2_true is None else "%.9g" % (r.h2_true / MM_TO_M)) for r in records])
 
 
 def read_calibration(path) -> list[tuple[float, float, str]]:
@@ -348,36 +348,30 @@ def evaluate(records, cfg: EstimatorConfig,
         raise MissingGroundTruth("trace lacks force_n/indent_mm ground truth")
 
     estimates = run_trace(records, cfg)
-    pairs = [(r, e) for r, e in zip(records, estimates) if not e.is_null]
-    n_null = len(records) - len(pairs)
-    if not pairs:
+    samples = np.array([(r.t, r.f_true, r.h2_true, r.p, e.force, e.h2, e.h1, e.p_hat)
+                        for r, e in zip(records, estimates) if not e.is_null]).reshape(-1, 8)
+    if not len(samples):
         raise MissingGroundTruth("no samples within the modeled volume range")
+    t, f_true, h2_true, p, force, h2, h1, p_hat = samples.T
 
-    rmse_f = rmse([e.force for _, e in pairs], [r.f_true for r, _ in pairs])
-    rmse_h2 = rmse([e.h2 for _, e in pairs], [r.h2_true for r, _ in pairs])
+    rmse_f = rmse(force, f_true)
+    rmse_h2 = rmse(h2, h2_true)
+    free = np.abs(f_true) <= NO_CONTACT_FORCE_N
+    rmse_p = rmse(p_hat[free], p[free]) if free.any() else None
 
-    free = [(r, e) for r, e in pairs if abs(r.f_true) <= NO_CONTACT_FORCE_N]
-    rmse_p = rmse([e.p_hat for _, e in free],
-                  [r.p for r, _ in free]) if free else None
-
-    window_rmse_f = window_rmse_h2 = None
-    if contact_window is not None:
-        t0, t1 = contact_window
-        inside = [(r, e) for r, e in pairs if t0 <= r.t <= t1]
-        if inside:
-            window_rmse_f = rmse([e.force for _, e in inside],
-                                 [r.f_true for r, _ in inside])
-            window_rmse_h2 = rmse([e.h2 for _, e in inside],
-                                  [r.h2_true for r, _ in inside])
-    return EvalReport(n_samples=len(records), n_null=n_null,
+    inside = np.zeros(len(t), bool) if contact_window is None else (
+        (contact_window[0] <= t) & (t <= contact_window[1]))
+    window = inside.any()
+    return EvalReport(n_samples=len(records), n_null=len(records) - len(samples),
                       rmse_f=rmse_f, rmse_h2=rmse_h2, rmse_p=rmse_p,
-                      window_rmse_f=window_rmse_f, window_rmse_h2=window_rmse_h2,
-                      h2_share_of_indent=_share(rmse_h2, [r.h2_true for r, _ in pairs]),
-                      h2_share_of_h1=_share(rmse_h2, [e.h1 for _, e in pairs]),
-                      f_share_of_force=_share(rmse_f, [r.f_true for r, _ in pairs]))
+                      window_rmse_f=rmse(force[inside], f_true[inside]) if window else None,
+                      window_rmse_h2=rmse(h2[inside], h2_true[inside]) if window else None,
+                      h2_share_of_indent=_share(rmse_h2, h2_true),
+                      h2_share_of_h1=_share(rmse_h2, h1),
+                      f_share_of_force=_share(rmse_f, f_true))
 
 
 def _share(error: float, values) -> float | None:
     """error over the range of values, or None where that range is 0."""
-    span = max(values) - min(values)
+    span = float(np.ptp(values))
     return error / span if span > 0 else None

@@ -19,8 +19,12 @@ accepts, with a pull (F < 0) below contact onset; the package's own, the
 same one curve, is `estimator.equilibrium`.
 `from_rest_converges` iterates the simulator's update from rest, the
 reference that the simulator's hold check on that curve is held against.
+`csv_writer_bytes` writes cells through `csv.writer`, the reference for the
+bytes of the package's `%`-template CSV writer.
 """
 
+import csv
+import io
 import math
 
 from bma import (
@@ -291,3 +295,12 @@ def from_rest_converges(v_f: float, force: float, cfg, tol: float = 1e-10,
             return h2_next
         h2 = h2_next
     return None
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    """A header and rows of cells through csv.writer, as a file opened with newline=""."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()

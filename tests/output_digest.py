@@ -1,4 +1,4 @@
-"""Print SHA-256 digests of the simulator's records and the estimator's estimates.
+"""Print SHA-256 digests of the simulator's records, the estimator's estimates and the CLI's files.
 
 A "same outputs" claim is this script run at two checkouts on one machine:
 
@@ -8,7 +8,8 @@ CHECKOUT (default: the checkout this file sits in) names the repository
 whose ``src`` is digested; its ``perfbench/inputs.py`` and its sample
 config and calibration are the inputs, read only.  Equal lines mean that
 every `simulate_trace` record and every `run_trace` estimate is
-repr-identical.  A flag set's repr follows string hashing, hence the fixed
+repr-identical, and that every file of the CLI walkthrough is
+byte-identical.  A flag set's repr follows string hashing, hence the fixed
 PYTHONHASHSEED.  The digests depend on the platform's libm, so no values
 are kept in the repository.
 
@@ -18,14 +19,24 @@ for each of seeds 1-10 (noise seeds as the benchmark draws them) and
 the benchmark's 10 000-row inflate/deflate ramp (seed 1).  All run on
 ``configs/sample.yaml`` calibrated on ``data/sample_calibration.csv``,
 read back from the file as ``bma calibrate`` leaves it.
+
+The CLI walkthrough is the README's, run in-process through ``bma.cli.main``
+in a scratch directory: the calibrated config, the simulated trace (seed 7),
+the estimates, the ``eval`` text (window 0.5-2.0 s), the predict-pressure
+file and its stdout, and the export-shape CSV and SVG at 0.3, 0.5 and
+0.8 ml by 0, 1 and 3 mm and at 0.4 ml with no indentation.  The messages
+that name a scratch path are not digested.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import os
+import shutil
 import sys
 import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 
@@ -45,6 +56,43 @@ def simulate_and_estimate(script, cfg, seed: int) -> tuple[str, str]:
     except BmaError as exc:   # a refused hold is an output too
         return digest([f"{type(exc).__name__}: {exc}"]), "-"
     return digest(map(repr, records)), digest(map(repr, run_trace(records, cfg)))
+
+
+def cli_walkthrough(root: Path) -> list[tuple[str, str]]:
+    """(name, digest of its bytes) for each file and report of the README walkthrough."""
+    from bma.cli import main
+
+    def bma(*args) -> str:
+        """Run one CLI call; its stdout, or SystemExit if it fails."""
+        out = io.StringIO()
+        with redirect_stdout(out):
+            status = main([str(a) for a in args])
+        if status != 0:
+            raise SystemExit(f"bma {' '.join(map(str, args))} exited {status}")
+        return out.getvalue()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        cfg = work / "config.yaml"
+        shutil.copy(root / "configs" / "sample.yaml", cfg)
+        bma("calibrate", root / "data" / "sample_calibration.csv", "--config", cfg)
+        trace, estimates, pred = work / "trace.csv", work / "estimates.csv", work / "pred.csv"
+        bma("simulate", root / "data" / "sample_script.yaml", "--config", cfg, "--seed", 7,
+            "--out", trace)
+        bma("estimate", trace, "--config", cfg, "--out", estimates)
+        reports = {"eval.txt": bma("eval", trace, "--config", cfg, "--window", 0.5, 2.0),
+                   "pred_stdout.csv": bma("predict-pressure", trace, "--config", cfg)}
+        bma("predict-pressure", trace, "--config", cfg, "--out", pred)
+        shapes = [(v, i) for v in (0.3, 0.5, 0.8) for i in (0, 1, 3)] + [(0.4, None)]
+        for v, i in shapes:
+            indent = [] if i is None else ["--indent-mm", i]
+            for ext in ("csv", "svg"):
+                bma("export-shape", "--volume-ml", v, *indent, "--config", cfg,
+                    "--out", work / f"shape_{v}_{i}.{ext}")
+        rows = [(path.name, hashlib.sha256(path.read_bytes()).hexdigest())
+                for path in sorted(work.iterdir())]
+    return rows + [(name, hashlib.sha256(text.encode()).hexdigest())
+                   for name, text in reports.items()]
 
 
 def main(argv: list[str]) -> int:
@@ -80,6 +128,8 @@ def main(argv: list[str]) -> int:
                  digest(map(repr, run_trace(ramp, cfg)))))
     for name, records, estimates in rows:
         print(f"{name:26s} records {records}  estimates {estimates}")
+    for name, bytes_digest in cli_walkthrough(root):
+        print(f"cli {name:22s} bytes {bytes_digest}")
     return 0
 
 

@@ -11,8 +11,11 @@ import pytest
 
 from bma.cli import main
 from bma.config import load_config
-from bma.estimator import reconstruct
+from bma.errors import BmaError
+from bma.estimator import predict_pressure, reconstruct
+from bma.geometry import actuator_volume, profile_polyline, sphere_baseline
 from bma.harness import evaluate, ingest_trace, run_trace
+import oracles
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLE_CONFIG = REPO / "configs" / "sample.yaml"
@@ -30,6 +33,46 @@ def workdir(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def assert_refused(capsys, args):
+    """main exits 1 with one `error:` line on stderr and no traceback."""
+    capsys.readouterr()
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def svg_the_old_way(polyline_mm, sphere_mm, ring_mm, slice_mm):
+    """The export-shape SVG as four fixed paths, the slice only where there is contact."""
+    xs = [p[0] for p in polyline_mm] + [p[0] for p in sphere_mm]
+    zs = [p[1] for p in polyline_mm] + [p[1] for p in sphere_mm]
+    pad = 2.0
+    x0, x1 = min(xs) - pad, max(xs) + pad
+    z0, z1 = min(min(zs), 0.0) - pad, max(zs) + pad
+    w, h = x1 - x0, z1 - z0
+    scale = 20.0
+
+    def pt(x, z):
+        return f"{(x - x0) * scale:.3f},{(z1 - z) * scale:.3f}"
+
+    def path_d(points):
+        return "M " + " L ".join(pt(x, z) for x, z in points)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{w * scale:.0f}" height="{h * scale:.0f}">',
+        f'<path d="{path_d(ring_mm)}" stroke="black" fill="none" stroke-width="2"/>',
+        f'<path d="{path_d(sphere_mm)}" stroke="green" fill="none" stroke-width="1.5"/>',
+        f'<path d="{path_d(polyline_mm)}" stroke="blue" fill="none" stroke-width="1.5"/>',
+    ]
+    if slice_mm is not None:
+        parts.append(
+            f'<path d="{path_d(slice_mm)}" stroke="red" fill="none" stroke-width="1.5"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 class TestPipeline:
@@ -168,6 +211,35 @@ class TestPredictPressure:
         assert written.count(b"\n") == 251
         assert capsys.readouterr().out.encode() == written
 
+    def test_bytes_equal_csv_writer_reference(self, workdir, capsys):
+        # free and contact rows, and volumes below the model floor and past the
+        # calibrated range, whose p_hat cell is nan
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        trace = workdir / "trace.csv"
+        run(["simulate", workdir / "script.yaml", "--config", cfg, "--seed", 7, "--out", trace])
+        with open(trace, "a") as fh:
+            fh.write("100.0,0.05,9000,,\n100.01,5.0,9000,,\n100.02,0.5,-0.0,,\n")
+        records = ingest_trace(trace)
+        config = load_config(cfg)
+
+        def p_hat(v_f):
+            try:
+                return predict_pressure(v_f, config)
+            except BmaError:
+                return math.nan
+
+        want = oracles.csv_writer_bytes(("t_s", "volume_ml", "pressure_pa", "p_hat_pa"), (
+            [f"{r.t:.9g}", f"{r.v_f / 1e-6:.9g}", f"{r.p:.9g}", f"{p_hat(r.v_f):.9g}"]
+            for r in records))
+        assert want.count(b",nan\n") == 2
+        out = workdir / "pred.csv"
+        capsys.readouterr()
+        assert run(["predict-pressure", trace, "--config", cfg, "--out", out]) == 0
+        assert out.read_bytes() == want
+        assert run(["predict-pressure", trace, "--config", cfg]) == 0
+        assert capsys.readouterr().out.encode() == want
+
 
 class TestExportShape:
     def test_csv_export(self, workdir):
@@ -212,6 +284,36 @@ class TestExportShape:
         y_ring = path_ys("black")[0]
         z_slice = [(y_ring - y) / 20.0 for y in path_ys("red")]
         assert z_slice == pytest.approx([z_top, z_top], abs=1e-4)
+
+    @pytest.mark.parametrize("volume_ml, indent_mm, points, contact", [
+        (0.4, None, 201, False), (0.5, 0.0, 201, False), (0.3, 1.0, 201, False),
+        (0.5, 3.0, 201, True), (0.8, 3.0, 201, True), (0.9, 1.0, 7, True)])
+    def test_bytes_equal_reference(self, workdir, volume_ml, indent_mm, points, contact):
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        args = ["export-shape", "--volume-ml", volume_ml, "--points", points, "--config", cfg]
+        if indent_mm is not None:
+            args += ["--indent-mm", indent_mm]
+        assert run(args + ["--out", workdir / "shape.csv"]) == 0
+        assert run(args + ["--out", workdir / "shape.svg"]) == 0
+
+        config = load_config(cfg)
+        v_f = volume_ml * 1e-6
+        g = reconstruct(v_f, (indent_mm or 0.0) * 1e-3, config)
+        assert (g.k > 0) == contact
+        pts_mm = [(x / 1e-3, z / 1e-3)
+                  for x, z in profile_polyline(g.a_d, g.c_d, g.h3, g.k, points)]
+        z_mm = max(z for _, z in pts_mm)
+        slice_mm = [(-g.k / 1e-3, z_mm), (g.k / 1e-3, z_mm)] if g.k > 0 else None
+        radius, cap_h = sphere_baseline(actuator_volume(v_f, config.ring), config.ring)
+        sphere_mm = [(x / 1e-3, z / 1e-3)
+                     for x, z in profile_polyline(radius, radius, cap_h, 0.0, points)]
+        r_mm = config.ring.r / 1e-3
+        ring_mm = [(-1.5 * r_mm, 0.0), (1.5 * r_mm, 0.0)]
+        assert (workdir / "shape.csv").read_bytes() == oracles.csv_writer_bytes(
+            ("x_mm", "z_mm"), ([f"{x:.6f}", f"{z:.6f}"] for x, z in pts_mm))
+        assert (workdir / "shape.svg").read_bytes() == svg_the_old_way(
+            pts_mm, sphere_mm, ring_mm, slice_mm).encode()
 
     def test_indented_csv_flat_contact_segment(self, workdir):
         cfg = workdir / "config.yaml"
@@ -368,6 +470,66 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}, line {line}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "calibrate"])
+    def test_oversized_csv_field_exits_1(self, workdir, capsys, command):
+        # a cell over csv's 131 072-character field limit used to escape
+        # read_rows as a _csv.Error traceback
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        big = workdir / "big.csv"
+        out = workdir / "out.csv"
+        if command == "estimate":
+            big.write_text("t_s,volume_ml,pressure_pa\n0.0,0.4,9000\n\n0.01,0.4,"
+                           + "9" * 140_000 + "\n")
+            args = ["estimate", big, "--config", cfg, "--out", out]
+        else:
+            big.write_text("volume_ml,height_mm,phase\n0.1,3.0,inflate\n\n0.2,"
+                           + "3" * 140_000 + ",inflate\n")
+            args = ["calibrate", big, "--config", cfg]
+        before = cfg.read_bytes()
+        # the blank line is not counted
+        assert assert_refused(capsys, args) == (
+            "error: line 3: field larger than field limit (131072)\n")
+        assert cfg.read_bytes() == before and not out.exists()
+
+    def test_oversized_header_exits_1(self, workdir, capsys):
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        big = workdir / "big.csv"
+        big.write_text("t_s," + "x" * 140_000 + "\n")
+        err = assert_refused(capsys, ["estimate", big, "--config", cfg,
+                                      "--out", workdir / "out.csv"])
+        assert err.startswith("error: line 1: field larger than field limit")
+
+    def test_nul_byte_in_trace_exits_1(self, workdir, capsys):
+        # csv refuses a NUL byte before Python 3.11; from 3.11 the cell is not a number
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        trace = workdir / "nul.csv"
+        trace.write_text("t_s,volume_ml,pressure_pa\n0.0,0.4,90\x0000\n")
+        err = assert_refused(capsys, ["estimate", trace, "--config", cfg,
+                                      "--out", workdir / "out.csv"])
+        assert err.startswith("error: line 2: ")
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_deeply_nested_yaml_exits_1(self, workdir, capsys, command):
+        # 5 000 nested flow sequences used to escape load_raw as a RecursionError
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        deep = "[" * 5000 + "]" * 5000
+        out = workdir / "out.csv"
+        if command == "estimate":
+            bad = workdir / "deep.yaml"
+            bad.write_text(cfg.read_text().replace("ring:\n", f"ring: {deep}\nold_ring:\n"))
+            args = ["estimate", workdir / "calibration.csv", "--config", bad, "--out", out]
+        else:
+            bad = workdir / "deep_script.yaml"
+            bad.write_text(f"sample_period_s: 0.01\nsteps: {deep}\n")
+            args = ["simulate", bad, "--config", cfg, "--out", out]
+        assert 10_000 < bad.stat().st_size < 20_000
+        assert assert_refused(capsys, args) == f"error: {bad}: nested too deeply to read\n"
         assert not out.exists()
 
     def test_uncalibrated_config(self, workdir):

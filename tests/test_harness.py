@@ -1,6 +1,4 @@
 import copy
-import csv
-import io
 import math
 import pickle
 import warnings
@@ -231,17 +229,56 @@ FLAG_NAMES = ["step_error", "DegenerateGeometry", "h2_clamped", "h2_prev_clamped
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
 
+def old_trace_cells(r):
+    """A record's t, volume and pressure as f-string cells at 9 digits."""
+    return [f"{r.t:.9g}", f"{r.v_f / harness.ML_TO_M3:.9g}", f"{r.p:.9g}"]
+
+
 def estimates_the_old_way(records, estimates):
     """The estimates file as nine f-string cells per row through csv.writer."""
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow((*harness.TRACE_COLUMNS, "h1_mm", "h2_mm", "h3_mm", "force_n",
-                     "p_hat_pa", "flags"))
-    writer.writerows(harness.trace_cells(rec) + [
-        f"{est.h1 / harness.MM_TO_M:.9g}", f"{est.h2 / harness.MM_TO_M:.9g}",
-        f"{est.h3 / harness.MM_TO_M:.9g}", f"{est.force:.9g}", f"{est.p_hat:.9g}",
-        "|".join(sorted(est.flags))] for rec, est in zip(records, estimates))
-    return buf.getvalue().encode()
+    return oracles.csv_writer_bytes(
+        (*harness.TRACE_COLUMNS, "h1_mm", "h2_mm", "h3_mm", "force_n", "p_hat_pa", "flags"),
+        (old_trace_cells(rec) + [
+            f"{est.h1 / harness.MM_TO_M:.9g}", f"{est.h2 / harness.MM_TO_M:.9g}",
+            f"{est.h3 / harness.MM_TO_M:.9g}", f"{est.force:.9g}", f"{est.p_hat:.9g}",
+            "|".join(sorted(est.flags))] for rec, est in zip(records, estimates)))
+
+
+def trace_the_old_way(records):
+    """The trace file as f-string cells through csv.writer; truth columns if any truth."""
+    if all(r.f_true is None and r.h2_true is None for r in records):
+        return oracles.csv_writer_bytes(harness.TRACE_COLUMNS, map(old_trace_cells, records))
+    return oracles.csv_writer_bytes((*harness.TRACE_COLUMNS, "force_n", "indent_mm"), (
+        old_trace_cells(r) + [f"{r.f_true:.9g}" if r.f_true is not None else "",
+                              f"{r.h2_true / harness.MM_TO_M:.9g}" if r.h2_true is not None
+                              else ""] for r in records))
+
+
+class TestWriteTrace:
+    @pytest.mark.parametrize("truth, header", [
+        ([(None, None)] * 3, "t_s,volume_ml,pressure_pa"),
+        ([(0.2, None), (None, None), (None, 1.5e-3)],
+         "t_s,volume_ml,pressure_pa,force_n,indent_mm"),
+        ([(0.0, 0.0), (-0.0, 2.5e-3), (0.45, 1.23456789e-3)],
+         "t_s,volume_ml,pressure_pa,force_n,indent_mm"),
+    ], ids=["no_truth", "partial_truth", "full_truth"])
+    def test_bytes_of_each_layout(self, tmp_path, truth, header):
+        records = [TraceRecord(0.01 * i, 0.3e-6 + 1e-8 * i, 1e4 - i, f, h)
+                   for i, (f, h) in enumerate(truth)]
+        path = tmp_path / "trace.csv"
+        write_trace(path, records)
+        assert path.read_bytes() == trace_the_old_way(records)
+        assert path.read_text().startswith(header + "\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=st.lists(st.builds(
+        TraceRecord, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, st.none() | ANY_FLOAT,
+        st.none() | ANY_FLOAT), max_size=8))
+    def test_bytes_of_any_values(self, tmp_path_factory, records):
+        # NaN, +-inf, -0.0 and subnormal cells alike, each truth cell None or a float
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        write_trace(path, records)
+        assert path.read_bytes() == trace_the_old_way(records)
 
 
 class TestWriteEstimates:
