@@ -114,12 +114,12 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _svg(paths, frame_mm, path):
-    """Minimal SVG 1.1: (points_mm, stroke, width) paths in order, framing frame_mm and z = 0."""
-    xs, zs = zip(*frame_mm)
+def _svg(paths, path):
+    """Minimal SVG 1.1: (points_mm, stroke, width) paths in order, framing every point."""
+    xs, zs = zip(*(p for points, _, _ in paths for p in points))
     pad = 2.0
     x0, x1 = min(xs) - pad, max(xs) + pad
-    z0, z1 = min(min(zs), 0.0) - pad, max(zs) + pad
+    z0, z1 = min(zs) - pad, max(zs) + pad
     w, h = x1 - x0, z1 - z0
     scale = 20.0
 
@@ -159,7 +159,7 @@ def cmd_export_shape(args) -> int:
             # top, which lies below the deformed apex h3
             z_mm = max(z for _, z in pts_mm)
             paths.append(([(-g.k / MM_TO_M, z_mm), (g.k / MM_TO_M, z_mm)], "red", 1.5))
-        _svg(paths, pts_mm + sphere_mm, args.out)
+        _svg(paths, args.out)
     print(f"exported shape -> {args.out}")
     return EXIT_OK
 

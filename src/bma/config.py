@@ -90,7 +90,7 @@ def _mapping(data: dict, name: str, allowed: frozenset) -> dict:
     """Section `name` of data, refused unless a mapping of keys from `allowed`."""
     d = data[name]
     if not isinstance(d, dict):
-        raise TypeError(f"expected a mapping, got {d!r}")
+        raise TypeError(f"expected a mapping, got {type(d).__name__}")
     _check_keys(d, allowed, "key(s)")
     return d
 
@@ -138,7 +138,7 @@ def load_script(path) -> SimScript:
         _check_keys(data, SCRIPT_KEYS, "key(s)")
         for i, s in enumerate(data["steps"]):
             if not isinstance(s, dict):
-                raise TypeError(f"step {i} is not a mapping: {s!r}")
+                raise TypeError(f"step {i} is not a mapping: got {type(s).__name__}")
             _check_keys(s, STEP_KEYS, f"key(s) in step {i}")
         steps = tuple(
             SimStep(

@@ -7,15 +7,49 @@ the energy term.  The arc's integration angle, the stretch L / r, the
 thickness from incompressibility (t_m * lambda^2 = t_i) and the membrane
 volume outside the contact patch are lines of `estimator.reconstruct`;
 `tests/oracles.py` keeps them as reference functions.
+
+E(phi | m) is the scalar cephes routine ``ellipeinc`` of
+``scipy.special.cython_special``, loaded without running
+``scipy/special/__init__.py``: that file sets up scipy's array-API backends,
+whose clone of the numpy namespace imports numpy.f2py, numpy.ma,
+numpy.testing and numpy.random, well over half of ``import bma.cli``.  The
+compiled module needs none of it, only the package's other extension
+modules.  `_load_ellipeinc` enters an unexecuted ``scipy.special`` as the
+parent for that one import and then takes every ``scipy.special`` entry it
+added out of ``sys.modules`` again, so a later ``import scipy.special`` runs
+the real package and binds the same compiled modules on it.  A package
+imported before ``bma`` is used as it is, and keeps ``cython_special``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from scipy.special.cython_special import ellipeinc
+
+def _load_ellipeinc():
+    """``scipy.special.cython_special.ellipeinc``, imported without ``scipy.special.__init__``."""
+    before = set(sys.modules)
+    spec = importlib.util.find_spec("scipy.special")
+    if spec is None:
+        raise ImportError("No module named 'scipy.special'", name="scipy.special")
+    sys.modules.setdefault("scipy.special", importlib.util.module_from_spec(spec))
+    try:
+        from scipy.special.cython_special import ellipeinc
+    finally:
+        # a submodule left under the unexecuted package would never be bound
+        # on the real one; a package imported before keeps what it bound
+        if "scipy.special" not in before:
+            for name in set(sys.modules) - before:
+                if name == "scipy.special" or name.startswith("scipy.special."):
+                    del sys.modules[name]
+    return ellipeinc
+
+
+ellipeinc = _load_ellipeinc()
 
 _PI = math.pi
 _HALF_PI = math.pi / 2

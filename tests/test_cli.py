@@ -45,9 +45,12 @@ def assert_refused(capsys, args):
 
 
 def svg_the_old_way(polyline_mm, sphere_mm, ring_mm, slice_mm):
-    """The export-shape SVG as four fixed paths, the slice only where there is contact."""
-    xs = [p[0] for p in polyline_mm] + [p[0] for p in sphere_mm]
-    zs = [p[1] for p in polyline_mm] + [p[1] for p in sphere_mm]
+    """The export-shape SVG as four fixed paths, the slice only where there is contact.
+
+    The frame holds the profile, the sphere and the ring line.
+    """
+    xs = [p[0] for p in polyline_mm] + [p[0] for p in sphere_mm] + [p[0] for p in ring_mm]
+    zs = [p[1] for p in polyline_mm] + [p[1] for p in sphere_mm] + [p[1] for p in ring_mm]
     pad = 2.0
     x0, x1 = min(xs) - pad, max(xs) + pad
     z0, z1 = min(min(zs), 0.0) - pad, max(zs) + pad
@@ -315,6 +318,21 @@ class TestExportShape:
         assert (workdir / "shape.svg").read_bytes() == svg_the_old_way(
             pts_mm, sphere_mm, ring_mm, slice_mm).encode()
 
+    @pytest.mark.parametrize("volume_ml, indent_mm", [(0.3, None), (0.4, None), (0.8, 3.0)])
+    def test_svg_paths_on_canvas(self, workdir, volume_ml, indent_mm):
+        # the ring line spans +-1.5 r, wider than a small volume's profile
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        out = workdir / "shape.svg"
+        args = ["export-shape", "--volume-ml", volume_ml, "--config", cfg, "--out", out]
+        assert run(args + (["--indent-mm", indent_mm] if indent_mm is not None else [])) == 0
+        body = out.read_text()
+        width, height = map(float, re.search(r'width="([^"]*)" height="([^"]*)"', body).groups())
+        points = [tuple(map(float, p.split(",")))
+                  for d in re.findall(r'<path d="M ([^"]*)"', body) for p in d.split(" L ")]
+        assert len(points) > 2 * 201
+        assert all(0 <= x <= width and 0 <= y <= height for x, y in points)
+
     def test_indented_csv_flat_contact_segment(self, workdir):
         cfg = workdir / "config.yaml"
         run(["calibrate", workdir / "calibration.csv", "--config", cfg])
@@ -532,6 +550,30 @@ class TestExitCodes:
         assert assert_refused(capsys, args) == f"error: {bad}: nested too deeply to read\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_yaml_alias_bomb_exits_1_on_one_short_line(self, workdir, capsys, command):
+        # 6 levels of 10 aliases: a repr of the value runs to megabytes
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        levels = ["&a0 [" + ",".join("0" * 10) + "]"]
+        levels += [f"&a{i} [" + ",".join([f"*a{i - 1}"] * 10) + "]" for i in range(1, 6)]
+        bomb = "[" + ", ".join(levels) + "]"
+        out = workdir / "out.csv"
+        if command == "estimate":
+            bad = workdir / "bomb.yaml"
+            bad.write_text(f"ring: {bomb}\nmaterial:\n  yeoh_pa: [30000.0, 0, 0, 0, 0, 0]\n")
+            args = ["estimate", workdir / "calibration.csv", "--config", bad, "--out", out]
+            expected = "error: ring: expected a mapping, got list\n"
+        else:
+            bad = workdir / "bomb_script.yaml"
+            bad.write_text(f"sample_period_s: 0.01\nsteps: [{bomb}]\n")
+            args = ["simulate", bad, "--config", cfg, "--out", out]
+            expected = "error: script: step 0 is not a mapping: got list\n"
+        assert bad.stat().st_size < 400
+        err = assert_refused(capsys, args)
+        assert err == expected
+        assert not out.exists()
+
     def test_uncalibrated_config(self, workdir):
         # config without a height fit cannot estimate
         assert run(["estimate", workdir / "calibration.csv",
@@ -541,9 +583,15 @@ class TestExitCodes:
 
 def test_import_leaves_scipy_integrate_unloaded():
     # a fresh interpreter, since other test modules import scipy.integrate;
-    # scipy.optimize too stays unloaded: its import would add about 290 ms to a
-    # CLI call's 250 ms import of bma, so a solver in the package is its own code
+    # scipy.optimize too stays unloaded: its import would add about 540 ms to a
+    # CLI call's 220 ms import of bma (loaded 2-vCPU VM), so a solver in the
+    # package is its own code.  scipy.special's package __init__ does not run
+    # either: it imports numpy.f2py, numpy.ma, numpy.testing and numpy.random,
+    # about 220 ms more
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    code = ("import sys, bma, bma.cli; "
-            "sys.exit(bool({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))")
+    code = ("import sys, bma, bma.cli\n"
+            "loaded = sorted(m for m in sys.modules if m in {'scipy.integrate', "
+            "'scipy.optimize', 'scipy._lib._array_api', 'numpy.f2py'} "
+            "or m.startswith('scipy.special'))\n"
+            "sys.exit(f'loaded: {loaded}' if loaded else 0)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

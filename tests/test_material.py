@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -245,3 +250,74 @@ class TestFreeMembraneVolume:
     def test_clamp_with_flag(self):
         v_fm, clamped = free_membrane_volume(1e-9, 1.0, 1.0)
         assert v_fm == 0.0 and clamped
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(code, pythonpath=()):
+    """Run code in a fresh interpreter with src after pythonpath; assert it exits 0."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (*pythonpath, SRC))))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestEllipeincLoader:
+    """`material` imports the cephes ellipeinc without running scipy.special's __init__."""
+
+    def test_later_scipy_special_import_binds_the_same_routine(self):
+        run_fresh("""
+            import sys, bma, bma.material
+            assert not [m for m in sys.modules if m.startswith("scipy.special")]
+            import scipy.special.cython_special as cs
+            import scipy.special, scipy.integrate
+            assert cs is scipy.special.cython_special is sys.modules["scipy.special.cython_special"]
+            assert cs.ellipeinc is bma.material.ellipeinc
+            assert bma.material.ellipeinc(2.0, 0.36) == scipy.special.ellipeinc(2.0, 0.36)
+            assert abs(scipy.integrate.quad(lambda x: x * x, 0.0, 3.0)[0] - 9.0) < 1e-12
+        """)
+
+    def test_package_imported_first_is_kept(self):
+        run_fresh("""
+            import sys, scipy.special
+            package = sys.modules["scipy.special"]
+            import bma.material
+            assert sys.modules["scipy.special"] is package is scipy.special
+            cs = sys.modules["scipy.special.cython_special"]
+            assert cs is scipy.special.cython_special
+            assert bma.material.ellipeinc is cs.ellipeinc
+        """)
+
+    def test_refused_extension_raises_import_error_and_leaves_nothing(self):
+        run_fresh("""
+            import sys
+
+            class Refuse:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "scipy.special._ufuncs_cxx":
+                        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+            sys.meta_path.insert(0, Refuse())
+            try:
+                import bma
+            except ImportError:
+                pass
+            else:
+                sys.exit("import bma succeeded")
+            left = [m for m in sys.modules if m.startswith("scipy.special")]
+            assert not left, left
+        """)
+
+    def test_missing_scipy_special_raises_import_error(self, tmp_path):
+        # a scipy package without the special subpackage
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        run_fresh("""
+            try:
+                import bma
+            except ImportError as exc:
+                assert exc.name == "scipy.special", exc
+            else:
+                raise SystemExit("import bma succeeded")
+        """, pythonpath=[tmp_path])
