@@ -8,15 +8,16 @@ depends on the injected volume V_f alone, and an indentation stage, which
 depends on V_f and the carried h2.  One memo entry keeps the last shape
 built: the volume stage is reused while V_f repeats, as it does while the
 syringe holds a volume, and the whole record while the carried h2 repeats
-too, as it does once a hold has settled.  The energy balance then yields
-the force and the next h2 (`indent`, the core of `step`); the constants of
-one config object (ring, coefficients, fit) are cached properties of it.
+too, as it does once a hold has settled; a shape carries no flags.  The
+energy balance then yields the force and the next h2 (`indent`, the core
+of `step`); the constants of one config object (ring, coefficients, fit)
+are cached properties of it.
 
 The chain runs as straight-line float arithmetic around four layers kept
 as functions and called through this module's names: `evaluate_height`,
 `solve_axes`, `perimeter` and `yeoh_energy_density`.  The closed forms
 between them (center shift, contact radius, integration angle, stretch,
-thickness, free membrane volume, force and slice depth) are lines of
+thickness, free membrane volume, force and slice indentation) are lines of
 `reconstruct` and `indent`; `tests/oracles.py` keeps them as reference
 functions, and a property test holds the two equal value for value.
 """
@@ -52,8 +53,8 @@ class EstimatorConfig:
     v_min_model: ClassVar[float] = 0.1e-6
 
 
-# The flags of an unflagged sample.  Flags are added with ``flags | {name}``
-# on the rare flagged paths only, so every unflagged record shares this one
+# The flags of an unflagged sample.  Flags are added by set union on the
+# rare flagged paths only, so every unflagged estimate shares this one
 # frozenset and a sample pays for no flag set of its own.
 NO_FLAGS: frozenset = frozenset()
 
@@ -104,8 +105,8 @@ def null_estimate(flags) -> StateEstimate:
 class Reconstruction(NamedTuple):
     """Per-sample shape and material chain at one carried indentation.
 
-    Floats only, apart from the flag set: the unindented spheroid, the
-    contact-deformed one, then the membrane's energy terms.
+    Ten floats: the unindented spheroid, the contact-deformed one, then the
+    membrane's energy terms.  It carries no flags: `step` flags a restart.
     """
 
     h1: float           # unindented apex height [m]
@@ -118,7 +119,6 @@ class Reconstruction(NamedTuple):
     k: float            # contact-patch radius [m]
     w: float            # Yeoh energy term W [Pa]
     v_fm: float         # membrane volume in the free-inflation region [m3]
-    flags: frozenset
 
 
 # One-entry memo, (cfg, v_f, (h1, v_bma, free, h2, g)): the volume stage and g,
@@ -139,11 +139,7 @@ def _volume_stage(v_f: float, cfg: EstimatorConfig) -> tuple:
         raise DegenerateGeometry(f"volume {v_f} below modeled minimum {cfg.v_min_model}")
     h1 = evaluate_height(cfg.fit, v_f)
     v_bma = actuator_volume(v_f, cfg.ring)
-    free = solve_axes(v_bma, h1, cfg.ring)
-    c = free[1]
-    if h1 > 2 * c:
-        raise DegenerateGeometry(f"apex height {h1} exceeds ellipsoid extent {2 * c}")
-    return h1, v_bma, free, None, None
+    return h1, v_bma, solve_axes(v_bma, h1, cfg.ring), None, None
 
 
 def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruction:
@@ -153,8 +149,13 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
     miss `_volume_stage`'s.  The indentation stage from the carried h2_prev
     on is the memo's record where the config, the volume and the carried h2
     (after the restart rule) are the last call's, as while a hold settles;
-    else it is built and, with the volume stage, replaces the memo.  Numpy
-    scalar inputs are converted, so every field is a float.
+    else it is built and, with the volume stage, replaces the memo.  Either
+    way the kept record itself is returned, on a restart too.  Numpy scalar
+    inputs are converted, so every field is a float.
+
+    Past `solve_axes` nothing is refused or clamped: its shapes keep h1 < 2c
+    and c_c >= 0, so the slice lies less than 2c deep, and the contact radius
+    below the meridian arc, so V_fm > 0 (`TestGeometryGuards` in the tests).
     """
     global _volume_memo
     v_f, h2_prev = float(v_f), float(h2_prev)
@@ -165,8 +166,8 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
     # h1 can shrink between samples: a carried indentation that reaches the
     # ring plane means contact was lost, so restart from the free shape, as
     # from a negative or non-finite carried state, which no step produces
-    restart = not 0.0 <= h2_prev < h1
-    h2_prev = 0.0 if restart else h2_prev
+    if not 0.0 <= h2_prev < h1:
+        h2_prev = 0.0
     if h2_prev != memo_h2:
         ring = cfg.ring
         a, c = free
@@ -175,14 +176,11 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
         # center shift, >= 0 up to rounding: c = (h/3)(1 + 1/(2 - h pi r^2/V)) grows
         # with h at a fixed V over the valid h pi r^2 <= 2V, and h3 <= h1
         c_c = c - c_d
-        # contact radius: the slice at depth h2_prev - c_c below the unindented
+        # contact radius: the slice at depth h2_prev - c_c < 2c below the unindented
         # apex, through the unindented ellipsoid; no slice contact at depth <= 0
         depth = h2_prev - c_c
         if depth <= 0:
             k = 0.0
-        elif depth > 2 * c:
-            raise DegenerateGeometry(
-                f"slice depth {depth} below the entire ellipsoid (2c={2 * c})")
         else:
             k = a * _sqrt(2 * c * depth - depth * depth) / c
             if k > a:
@@ -194,16 +192,11 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
         lam = arc / ring.r
         w = yeoh_energy_density(lam, cfg.coeffs)
         # membrane volume outside the contact patch, V_m - k^2 pi t_m, at the
-        # incompressible thickness t_m = t_i r^2 / L^2; an overestimated k can
-        # drive it negative transiently, and then it is clamped to 0 and flagged
+        # incompressible thickness t_m = t_i r^2 / L^2; positive, as k < L
         v_fm = ring.membrane_volume - k ** 2 * _PI * (ring.t_i_r2 / arc ** 2)
-        flags = NO_FLAGS
-        if v_fm < 0:
-            v_fm, flags = 0.0, NO_FLAGS | {"v_fm_clamped"}
-        g = _new_tuple(Reconstruction,
-                       (h1, a, c, h3, a_d, c_d, c_c, k, w, v_fm, flags))
+        g = _new_tuple(Reconstruction, (h1, a, c, h3, a_d, c_d, c_c, k, w, v_fm))
         _volume_memo = (cfg, v_f, (h1, v_bma, free, h2_prev, g))
-    return g._replace(flags=g.flags | {"h2_prev_clamped"}) if restart else g
+    return g
 
 
 def balance_pressure(g: Reconstruction, v_f: float, force: float = 0.0) -> float:
@@ -222,7 +215,7 @@ def equilibrium(v_f: float, h2: float, cfg: EstimatorConfig) -> tuple[float, flo
     F = s pi a^2 p, s = 1 - (1 - h4/c)^2 with h4 = h2 - c_c, V_f p = V_fm W + F h3.
     On all of [0, h1): below contact onset (h4 < 0) F is a pull, F < 0.
     """
-    _, a, c, h3, _, _, c_c, _, w, v_fm, _ = reconstruct(v_f, h2, cfg)
+    _, a, c, h3, _, _, c_c, _, w, v_fm = reconstruct(v_f, h2, cfg)
     bound = (1 - (1 - (h2 - c_c) / c) ** 2) * _PI * a ** 2   # F / p
     p = v_fm * w / (v_f - bound * h3)
     return p, bound * p
@@ -234,9 +227,10 @@ def step(state: EstimatorState, v_f: float, p: float,
 
     Non-finite samples and samples below the modeled volume range emit a
     null estimate and leave the indentation state untouched; the rest run
-    `indent` on `reconstruct`.  Geometry errors propagate and leave the
-    state unchanged.  Numpy scalar inputs are converted, so every field of
-    the estimate is a float.
+    `indent` on `reconstruct`, flagged `h2_prev_clamped` where the carried
+    h2 is outside [0, h1) and `reconstruct` restarted from the free shape.
+    Geometry errors propagate and leave the state unchanged.  Numpy scalar
+    inputs are converted, so every field of the estimate is a float.
     """
     v_f, p = float(v_f), float(p)
     if not (cfg.v_min_model <= v_f < _INF and _isfinite(p)):
@@ -244,8 +238,11 @@ def step(state: EstimatorState, v_f: float, p: float,
                 else "below_model_range")
         return null_estimate({skip}), _new_tuple(EstimatorState,
                                                  (state.h2_prev, state.step_index + 1))
-    g = reconstruct(v_f, state.h2_prev, cfg)
+    h2_prev = state.h2_prev
+    g = reconstruct(v_f, h2_prev, cfg)
     h2, force, flags = indent(g, v_f, p)
+    if not 0.0 <= h2_prev < g.h1:
+        flags = frozenset({"h2_prev_clamped"}) | flags
     return (StateEstimate(g.h1, h2, g.h3, force, balance_pressure(g, v_f), flags),
             _new_tuple(EstimatorState, (h2, state.step_index + 1)))
 
@@ -259,7 +256,8 @@ def indent(g: Reconstruction, v_f: float, p: float) -> tuple[float, float, froze
     -(c sqrt(pi^2 a^2 p^2 - pi F p) - pi a c p) / (pi a p); and
     h2 = h4 + c_c is clamped to [0, h1].  Builds no estimate or state.
     """
-    h1, a, c, h3, _, _, c_c, _, w, v_fm, flags = g
+    h1, a, c, h3, _, _, c_c, _, w, v_fm = g
+    flags = NO_FLAGS
     force = (v_f * p - v_fm * w) / h3
     if p <= 0:
         h4 = 0.0

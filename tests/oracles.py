@@ -11,8 +11,11 @@ The closed forms between the estimator's layers are lines of
 Here each is a function of its own, with the checks on its arguments;
 `reconstruct_chain` and `indent_chain` compose them with the package's
 layers, one call per formula, and the property tests hold the package
-equal to these compositions value for value.  `update` is `step` after its
-input guards, on a reconstruction the caller already holds.  `equilibrium`
+equal to these compositions value for value.  `reconstruct_chain` refuses
+nothing the real layers let through and sets no flags: a reconstruction is
+floats only.  `update` is `step` after its input guards, on a
+reconstruction the caller already holds, with the restart flag that `step`
+sets.  `equilibrium`
 is the closed form of the fixed points of `step`: the (p, F) that leave a
 carried (V_f, h2) where it is, for every h2 in [0, h1) that `reconstruct`
 accepts, with a pull (F < 0) below contact onset; the package's own, the
@@ -110,13 +113,12 @@ def contact_radius(a: float, c: float, h2_prev: float, c_c: float) -> float:
     """Contact-patch radius from slicing the unindented ellipsoid (a, c) [m].
 
     Slice depth is d = h2_prev - c_c below the apex; d <= 0 means no slice
-    contact yet and returns 0.
+    contact yet and returns 0.  The real layers keep d < 2c: c_c >= 0 and
+    h2_prev < h1 < 2c.
     """
     d = h2_prev - c_c
     if d <= 0:
         return 0.0
-    if d > 2 * c:
-        raise DegenerateGeometry(f"slice depth {d} below the entire ellipsoid (2c={2 * c})")
     k = a * math.sqrt(2 * c * d - d * d) / c
     return min(k, a)
 
@@ -156,21 +158,17 @@ def inflated_thickness(ring: RingSpec, arc_length: float) -> float:
     return ring.t_i * ring.r ** 2 / arc_length ** 2
 
 
-def free_membrane_volume(v_m: float, k: float, t_m: float) -> tuple[float, bool]:
+def free_membrane_volume(v_m: float, k: float, t_m: float) -> float:
     """Membrane volume in the free-inflation region, V_fm = V_m - k^2 pi t_m [m3].
 
-    Returns (volume, clamped) where clamped marks a raw negative value
-    that was clamped to zero; an overestimated contact radius can cause
-    this transiently and must not kill the estimator loop.
+    Positive on every real shape, where the contact radius k stays below
+    the meridian arc L and t_m = t_i r^2 / L^2.
     """
     if v_m <= 0:
         raise ValueError("membrane volume must be positive")
     if k < 0 or t_m <= 0:
         raise ValueError("contact radius must be nonnegative and thickness positive")
-    raw = v_m - k ** 2 * math.pi * t_m
-    if raw < 0:
-        return 0.0, True
-    return raw, False
+    return v_m - k ** 2 * math.pi * t_m
 
 
 def yeoh_reference(lam: float, coeffs: YeohCoeffs) -> float:
@@ -218,24 +216,21 @@ def reconstruct_chain(v_f: float, h2_prev: float, cfg) -> Reconstruction:
     h1 = evaluate_height(cfg.fit, v_f)
     v_bma = actuator_volume(v_f, ring)
     a, c = solve_axes(v_bma, h1, ring)
-    if h1 > 2 * c:
-        raise DegenerateGeometry(f"apex height {h1} exceeds ellipsoid extent {2 * c}")
-    restart = not 0.0 <= h2_prev < h1
-    h2_prev = 0.0 if restart else h2_prev
+    if not 0.0 <= h2_prev < h1:
+        h2_prev = 0.0
     h3 = h1 - h2_prev
     a_d, c_d = solve_axes(v_bma, h3, ring)
     c_c = center_shift(c, c_d)
     k = contact_radius(a, c, h2_prev, c_c)
     arc = perimeter(a_d, c_d, h3, integration_angle(ring.r, h3, c_d))
     w = yeoh_reference(stretch(arc, ring), cfg.coeffs)
-    v_fm, clamped = free_membrane_volume(ring.membrane_volume, k, inflated_thickness(ring, arc))
-    flags = {name for name, on in (("v_fm_clamped", clamped), ("h2_prev_clamped", restart)) if on}
-    return Reconstruction(h1, a, c, h3, a_d, c_d, c_c, k, w, v_fm, frozenset(flags))
+    v_fm = free_membrane_volume(ring.membrane_volume, k, inflated_thickness(ring, arc))
+    return Reconstruction(h1, a, c, h3, a_d, c_d, c_c, k, w, v_fm)
 
 
 def indent_chain(g: Reconstruction, v_f: float, p: float):
     """`estimator.indent` composed from `estimate_force` and `slice_indentation`."""
-    flags = g.flags
+    flags = frozenset()
     force = estimate_force(v_f, p, g.v_fm, g.w, g.h3)
     if p <= 0:
         h4 = 0.0
@@ -258,9 +253,12 @@ def update(g: Reconstruction, state: EstimatorState, v_f: float,
     """`step` after its input guards: `indent`, then the estimate and the next state.
 
     For a caller that already holds `reconstruct(v_f, state.h2_prev, cfg)`;
-    v_f and p must be finite and v_f in range.
+    v_f and p must be finite and v_f in range.  A carried h2 outside
+    [0, h1), from which `reconstruct` restarted, flags `h2_prev_clamped`.
     """
     h2, force, flags = indent(g, v_f, p)
+    if not 0.0 <= state.h2_prev < g.h1:
+        flags = frozenset({"h2_prev_clamped"}) | flags
     est = StateEstimate(g.h1, h2, g.h3, force, balance_pressure(g, v_f), flags)
     return est, EstimatorState(h2, state.step_index + 1)
 

@@ -35,7 +35,7 @@ from bma import (
 from bma import estimator, fit_height_poly, harness
 from bma.config import load_config
 from bma.harness import read_calibration
-from bma.estimator import NO_FLAGS, Reconstruction, balance_pressure, indent, reconstruct
+from bma.estimator import Reconstruction, balance_pressure, indent, reconstruct
 from bma.material import perimeter, yeoh_energy_density
 from oracles import (NegativeDiscriminant, estimate_force, indent_chain, integration_angle,
                      reconstruct_chain, slice_indentation, stretch, update)
@@ -153,6 +153,20 @@ class TestStep:
         assert "nonpositive_pressure" in est.flags
         assert 0.0 <= est.h2 <= est.h1
 
+    @pytest.mark.parametrize("h2_prev", [1.0, math.nan])
+    def test_restart_and_clamp_carry_both_flags(self, cfg, h2_prev):
+        # a carried h2 past h1 (or NaN) restarts from the free shape, and just
+        # below the free pressure the force is a pull that clamps h2 to 0:
+        # step adds its restart flag to the one indent sets, in a step call
+        # and in run_trace's row alike
+        v_f = 0.5e-6
+        p = 0.999 * predict_pressure(v_f, cfg)
+        est, state = step(EstimatorState(h2_prev=h2_prev), v_f, p, cfg)
+        assert est.flags == {"h2_prev_clamped", "h2_clamped"}
+        assert type(est.flags) is frozenset and est.h2 == state.h2_prev == 0.0
+        row = run_trace([TraceRecord(0.0, v_f, p)], cfg, EstimatorState(h2_prev=h2_prev))[0]
+        assert row.flags == {"h2_prev_clamped", "h2_clamped"} and row == est
+
     def test_determinism(self, cfg):
         a = step(EstimatorState(), 0.4e-6, 12000.0, cfg)
         b = step(EstimatorState(), 0.4e-6, 12000.0, cfg)
@@ -177,7 +191,7 @@ class TestStep:
         # no nested shape records: plain float fields, ready to become arrays
         g = reconstruct(0.5e-6, 3e-3, cfg)
         assert g.k > 0
-        assert {type(getattr(g, k)) for k in Reconstruction._fields if k != "flags"} == {float}
+        assert len(Reconstruction._fields) == 10 and {type(x) for x in g} == {float}
 
     def test_estimate_holds_no_shape_objects(self, cfg):
         # each nested object a kept estimate holds adds garbage-collector work
@@ -190,8 +204,7 @@ class TestStep:
         # hit paths alike, so no np.float64 reaches a record
         for build in (cold_reconstruct, reconstruct):
             g = build(np.float64(0.5e-6), np.float64(3e-3), cfg)
-            assert {type(getattr(g, k)) for k in Reconstruction._fields
-                    if k != "flags"} == {float}
+            assert {type(x) for x in g} == {float}
         estimator._volume_memo = (None, None, None)
         est, state = step(EstimatorState(h2_prev=np.float64(1.5e-3)), np.float64(0.5e-6),
                           np.float64(12000.0), cfg)
@@ -321,7 +334,7 @@ class TestUpdate:
     def test_step_is_update_of_reconstruct(self, cfg):
         # step = input guards + update(reconstruct(...)), exactly, over free,
         # contact, saturated, clamped and nonpositive-pressure samples; flags
-        # stay a frozenset when update adds to those of reconstruct
+        # stay a frozenset when the restart flag joins those of indent
         seen = set()
         composed = set()
         for v_f in (0.15e-6, 0.3e-6, 0.5e-6, 0.8e-6):
@@ -345,7 +358,7 @@ class TestUpdate:
                         composed |= est.flags - {"h2_prev_clamped"}
         assert seen >= {"free", "contact", "force_exceeds_bound", "h2_clamped",
                         "nonpositive_pressure", "h2_prev_clamped"}
-        # a flag of reconstruct carried together with one of update
+        # the restart flag carried together with one of indent
         assert composed & {"h2_clamped", "nonpositive_pressure", "force_exceeds_bound"}
 
     def test_carried_indentation_past_h1_restarts_free(self, cfg):
@@ -396,12 +409,12 @@ class TestUpdate:
         # no update carries such a state, but a caller may pass one in
         v_f = 0.5e-6
         g = reconstruct(v_f, h2_prev, cfg)
-        assert g.flags == {"h2_prev_clamped"}
-        assert g._replace(flags=NO_FLAGS) == reconstruct(v_f, 0.0, cfg)
+        assert g is reconstruct(v_f, 0.0, cfg)
         p = predict_pressure(v_f, cfg)
         records = [TraceRecord(t=0.01 * i, v_f=v_f, p=p) for i in range(5)]
         estimates = run_trace(records, cfg, EstimatorState(h2_prev=h2_prev))
         assert not any("step_error" in est.flags for est in estimates)
+        assert "h2_prev_clamped" in estimates[0].flags
         assert all(0.0 <= est.h2 <= est.h1 for est in estimates)
 
 
@@ -457,14 +470,18 @@ class TestVolumeMemo:
         cold = [cold_reconstruct(v_f, h2_prev, configs[i]) for i, v_f, h2_prev in calls]
         for got, want in zip(warm, cold):
             assert got == want and repr(got) == repr(want)
-        restarts = [g.flags == {"h2_prev_clamped"} for g in warm]
-        assert restarts == [not 0.0 <= h2_prev < evaluate_height(configs[i].fit, v_f)
-                            for i, v_f, h2_prev in calls]
+        # a restart returns the free shape
+        restarts = [not 0.0 <= h2_prev < evaluate_height(configs[i].fit, v_f)
+                    for i, v_f, h2_prev in calls]
+        for (i, v_f, _), got, restart in zip(calls, warm, restarts):
+            if restart:
+                assert got == cold_reconstruct(v_f, 0.0, configs[i])
         assert 0 < sum(restarts) < len(calls)
 
     def test_kept_shape_serves_only_its_config_volume_and_h2(self, cfg):
         # the same config object, volume and carried h2 (after the restart
-        # rule) return the kept record itself; any other call builds one
+        # rule) return the kept record itself, on a restart too; any other
+        # call builds one
         v_f = 0.5e-6
         estimator._volume_memo = (None, None, None)
         for call in ((v_f, 1e-3, replace(cfg)), (np.nextafter(v_f, 1.0), 1e-3, cfg),
@@ -475,7 +492,7 @@ class TestVolumeMemo:
             assert other is not g and reconstruct(*call) is other
         free = reconstruct(v_f, 0.0, cfg)
         for bad in (math.nan, -1e-3, 1.0):
-            assert reconstruct(v_f, bad, cfg) == free._replace(flags={"h2_prev_clamped"})
+            assert reconstruct(v_f, bad, cfg) is free
             assert reconstruct(v_f, 0.0, cfg) is free
 
     def test_raising_volumes_raise_on_repeat(self, cfg):
@@ -489,18 +506,23 @@ class TestVolumeMemo:
 
     @pytest.mark.parametrize("bad", [math.nan, -1e-3, 1.0])
     def test_restart_flag_does_not_leak_into_free_shape(self, cfg, bad):
-        # the restart returns the free shape flagged; the flag stays on that
-        # copy, whether the restart fills the memo or reads it
+        # the restart returns the kept free shape itself, whether it fills the
+        # memo or reads it; the flag is step's, on the restarted sample's
+        # estimate only, and a free sample after it carries none
         v_f = 0.5e-6
         free = cold_reconstruct(v_f, 0.0, cfg)
         for first in (lambda: cold_reconstruct(v_f, bad, cfg),
                       lambda: reconstruct(v_f, bad, cfg)):
-            assert first().flags == {"h2_prev_clamped"}
+            g = first()
+            assert g == free
             for _ in range(2):
-                g = reconstruct(v_f, 0.0, cfg)
-                assert g.flags is NO_FLAGS
-                assert g == free
-            assert reconstruct(v_f, bad, cfg) == free._replace(flags={"h2_prev_clamped"})
+                assert reconstruct(v_f, 0.0, cfg) is g
+            assert reconstruct(v_f, bad, cfg) is g
+        p = 1.001 * predict_pressure(v_f, cfg)
+        restarted, _ = step(EstimatorState(h2_prev=bad), v_f, p, cfg)
+        settled, _ = step(EstimatorState(), v_f, p, cfg)
+        assert restarted.flags == {"h2_prev_clamped"} and settled.flags == set()
+        assert restarted == replace(settled, flags=restarted.flags)
 
     def test_predict_pressure_warm_matches_cold(self, configs):
         # a kept shape serves only its own config, volume and carried h2
@@ -589,7 +611,7 @@ class TestVolumeMemo:
         cold_reconstruct(np.float64(0.5e-6), 1e-3, cfg)
         g = reconstruct(0.5e-6, 1e-3, cfg)
         assert g == cold_reconstruct(0.5e-6, 1e-3, cfg)
-        assert {type(getattr(g, k)) for k in Reconstruction._fields if k != "flags"} == {float}
+        assert {type(x) for x in g} == {float}
 
 
 def indent_outcome(fn, g, v_f, p):
@@ -608,13 +630,14 @@ EXTREME_PRESSURES = (0.0, -500.0, 1e9, 1e200)
 def assert_chain_matches_oracle(cfg, v_f, h2_prev, pressures):
     """Assert reconstruct and indent equal the oracle composition, at each pressure.
 
-    Returns the flags they set and a name for each model error they raised.
+    Returns the flags indent sets, `h2_prev_clamped` where reconstruct
+    restarted, and a name for each model error they raised.
     """
     got = outcome(reconstruct, v_f, h2_prev, cfg)
     assert got == outcome(reconstruct_chain, v_f, h2_prev, cfg)
     if not isinstance(got, Reconstruction):
-        return {"slice_below_ellipsoid" if got[1].startswith("slice depth") else got[0].__name__}
-    paths = set(got.flags)
+        return {got[0].__name__}
+    paths = set() if 0.0 <= h2_prev < got.h1 else {"h2_prev_clamped"}
     for p in pressures:
         result = indent_outcome(indent, got, v_f, p)
         assert result == indent_outcome(indent_chain, got, v_f, p)
@@ -676,12 +699,16 @@ class TestFoldedChain:
 
     @settings(max_examples=150, deadline=None)
     @given(v_f=st.sampled_from(MEMO_VOLUMES[1:6]), share=st.floats(0.0, 1.0, exclude_max=True),
-           axes=st.tuples(*[st.floats(0.05, 20.0)] * 4))
+           axes=st.tuples(st.floats(0.05, 20.0), st.floats(0.5, 20.0), st.floats(0.05, 20.0),
+                          st.floats(0.0025, 1.0)))
     def test_equals_oracle_chain_for_any_layer_axes(self, cfg, v_f, share, axes):
-        # the solve_axes layer replaced by any positive axes, in units of h1:
-        # reaches shapes the real layer never returns, with the same result
+        # the solve_axes layer replaced by positive axes, in units of h1, that
+        # keep the two relations the real layer guarantees, c_d <= c and
+        # h1 <= 2c, so the slice stays within the ellipsoid: reaches shapes the
+        # real layer never returns, a negative V_fm among them, with the same result
         h1 = evaluate_height(cfg.fit, v_f)
-        a, c, a_d, c_d = (h1 * x for x in axes)
+        a, c, a_d = (h1 * x for x in axes[:3])
+        c_d = c * axes[3]
         with substituted_axes(h1, (a, c), (a_d, c_d)):
             assert_chain_matches_oracle(cfg, v_f, share * h1, (12e3, 1e9, 0.0))
 
@@ -693,16 +720,8 @@ class TestFoldedChain:
         seen = set()
         for h2_prev in (0.0, 5e-324, 1e-300, 1e-3, 3e-3, math.nextafter(h1, 0.0), h1, -1e-3):
             seen |= assert_chain_matches_oracle(cfg, v_f, h2_prev, pressures)
-        # with the real solve_axes the slice stays above the ellipsoid's bottom,
-        # and no real shape was seen to put the contact patch beyond the
-        # meridian arc; substituted axes reach both
-        with substituted_axes(h1, (2 * h1, h1), (h1, 4 * h1)):
-            seen |= assert_chain_matches_oracle(cfg, v_f, h1 / 2, pressures)
-        with substituted_axes(h1, (4 * h1, h1), (h1 / 4, 0.9 * h1)):
-            seen |= assert_chain_matches_oracle(cfg, v_f, 0.9 * h1, pressures)
-        assert seen >= {"h2_prev_clamped", "v_fm_clamped", "force_exceeds_bound", "h2_clamped",
-                        "nonpositive_pressure", "slice_below_ellipsoid",
-                        "indent_DegenerateGeometry"}
+        assert seen >= {"h2_prev_clamped", "force_exceeds_bound", "h2_clamped",
+                        "nonpositive_pressure", "indent_DegenerateGeometry"}
 
 
 class TestCenterShift:
@@ -722,7 +741,7 @@ class TestCenterShift:
     def test_not_negative_and_slice_above_bottom(self, configs, which, x, share):
         # c grows with the apex height at a fixed volume and h3 <= h1, so
         # c_c >= 0 up to rounding, and the slice at depth h2_prev - c_c stays
-        # within 2c: the slice-below-ellipsoid refusal does not fire
+        # within 2c, so reconstruct needs no slice-below-ellipsoid refusal
         cfg = configs[which]
         lo = max(cfg.v_min_model, cfg.fit.v_min)
         v_f = lo + x * (cfg.fit.v_max - lo)
@@ -757,12 +776,14 @@ def configs_over_the_ranges(draw):
 
 
 class TestGeometryGuards:
-    """The volume stage's h1 > 2c refusal and `reconstruct`'s slice-below-ellipsoid
-    refusal, over the random-config ranges, with the real layers.
+    """Why `reconstruct` needs no refusal or clamp past `solve_axes`'s, over
+    the random-config ranges, with the real layers.
 
     At a fixed volume c = (h/3)(1 + 1/(2 - qh)) with q = pi r^2 / V_bma, so
     2c - h = (h/3) qh / (2 - qh), and `solve_axes`' radicand check keeps qh < 2:
-    no shape it returns is taller than 2c.
+    no shape it returns is taller than 2c, and the slice at depth h2 - c_c
+    stays within it.  The contact radius k stays below the meridian arc L,
+    so V_fm = V_m (1 - k^2 / L^2) is positive.
     """
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -776,19 +797,23 @@ class TestGeometryGuards:
             v_bma = actuator_volume(v_f, ring)
             try:
                 a, c = solve_axes(v_bma, h1, ring)
-            except DegenerateGeometry:   # refused before the extent is checked
+            except DegenerateGeometry:   # refused by the layer itself
                 continue
             qh = ring.area / v_bma * h1
             assert 0 < qh < 2
             assert 2 * c - h1 == pytest.approx(h1 / 3 * qh / (2 - qh), rel=1e-6)
             assert estimator._volume_stage(v_f, cfg)[:3] == (h1, v_bma, (a, c))
-            for h2 in (0.0, *(share * h1 for share in shares), math.nextafter(h1, 0.0)):
+            for h2 in (0.0, 0.5 * h1, *(share * h1 for share in shares),
+                       math.nextafter(h1, 0.0)):
                 try:
                     _, c_d = solve_axes(v_bma, h1 - h2, ring)
                 except DegenerateGeometry:   # refused before the slice is taken
                     continue
                 assert h2 - (c - c_d) <= 2 * c
-                assert reconstruct(v_f, h2, cfg).h3 == h1 - h2
+                g = reconstruct(v_f, h2, cfg)
+                assert g.h3 == h1 - h2
+                arc = perimeter(g.a_d, g.c_d, g.h3, integration_angle(ring.r, g.h3, g.c_d))
+                assert g.k < arc and g.v_fm > 0
 
 
 class TestCachedConstants:

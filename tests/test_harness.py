@@ -225,7 +225,7 @@ class TestIngest:
 
 
 FLAG_NAMES = ["step_error", "DegenerateGeometry", "h2_clamped", "h2_prev_clamped",
-              "v_fm_clamped", "nonpositive_pressure", "force_exceeds_bound"]
+              "nonpositive_pressure", "force_exceeds_bound"]
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
 

@@ -238,18 +238,16 @@ class TestThickness:
 
 class TestFreeMembraneVolume:
     def test_no_contact(self):
-        v_fm, clamped = free_membrane_volume(39.27e-9, 0.0, 0.125e-3)
-        assert v_fm == 39.27e-9 and not clamped
+        assert free_membrane_volume(39.27e-9, 0.0, 0.125e-3) == 39.27e-9
 
     def test_direct(self):
-        v_fm, clamped = free_membrane_volume(39.2699082e-9, 2.307e-3, 0.125e-3)
+        v_fm = free_membrane_volume(39.2699082e-9, 2.307e-3, 0.125e-3)
         want = 39.2699082e-9 - (2.307e-3) ** 2 * math.pi * 0.125e-3
         assert v_fm == pytest.approx(want, rel=1e-9)
-        assert not clamped
 
-    def test_clamp_with_flag(self):
-        v_fm, clamped = free_membrane_volume(1e-9, 1.0, 1.0)
-        assert v_fm == 0.0 and clamped
+    def test_no_clamp(self):
+        # a contact patch past the arc, which no real shape has, is not clamped
+        assert free_membrane_volume(1e-9, 1.0, 1.0) == 1e-9 - math.pi
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
