@@ -86,13 +86,39 @@ def _check_keys(d: dict, allowed: frozenset, what: str) -> None:
         raise ValueError(f"unknown {what} {unknown}; expected a subset of {sorted(allowed)}")
 
 
-def _mapping(data: dict, name: str, allowed: frozenset) -> dict:
-    """Section `name` of data, refused unless a mapping of keys from `allowed`."""
-    d = data[name]
+def _mapping(d, allowed: frozenset, name: str = "") -> dict:
+    """d, refused unless a mapping of keys from `allowed`.
+
+    name is what the messages call d inside its section, as "step 0" of a
+    script; a section itself is named by `_section`.
+    """
     if not isinstance(d, dict):
-        raise TypeError(f"expected a mapping, got {type(d).__name__}")
-    _check_keys(d, allowed, "key(s)")
+        raise TypeError(f"{name} is not a mapping: got {type(d).__name__}" if name
+                        else f"expected a mapping, got {type(d).__name__}")
+    _check_keys(d, allowed, f"key(s) in {name}" if name else "key(s)")
     return d
+
+
+def _list(value, key: str) -> list:
+    """value, refused unless a YAML sequence: a string or a mapping would be read item by item."""
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    """value as a float, refused unless an int, a float or a numeric string.
+
+    A YAML bool is a Python int, which float() reads as 1.0 or 0.0.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"{key} must be a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _numbers(value, key: str) -> list[float]:
+    """A YAML sequence of numbers as floats, each refused as `_number` refuses it."""
+    return [_number(v, f"{key}[{i}]") for i, v in enumerate(_list(value, key))]
 
 
 def height_fit_to_dict(fit: HeightFit) -> dict:
@@ -112,21 +138,22 @@ def parse_config(data: dict, require_fit: bool = True) -> EstimatorConfig:
     with _section("config"):
         _check_keys(data, SECTIONS, "section(s)")
     with _section("ring"):
-        d = _mapping(data, "ring", RING_KEYS)
-        ring = RingSpec(r=float(d["radius_mm"]) * MM_TO_M, t_i=float(d["thickness_mm"]) * MM_TO_M)
+        d = _mapping(data["ring"], RING_KEYS)
+        ring = RingSpec(r=_number(d["radius_mm"], "radius_mm") * MM_TO_M,
+                        t_i=_number(d["thickness_mm"], "thickness_mm") * MM_TO_M)
     with _section("material"):
-        yeoh = _mapping(data, "material", MATERIAL_KEYS)["yeoh_pa"]
+        yeoh = _numbers(_mapping(data["material"], MATERIAL_KEYS)["yeoh_pa"], "yeoh_pa")
         if len(yeoh) != 6:
             raise ValueError("yeoh_pa must list exactly 6 coefficients")
-        coeffs = YeohCoeffs(*(float(c) for c in yeoh))
+        coeffs = YeohCoeffs(*yeoh)
 
     fit = None
     if "height_fit" in data:
         with _section("height_fit"):
-            d = _mapping(data, "height_fit", FIT_KEYS)
-            fit = HeightFit(coeffs=tuple(float(c) for c in d["coeffs_m"]),
-                            v_min=float(d["v_min_ml"]) * ML_TO_M3,
-                            v_max=float(d["v_max_ml"]) * ML_TO_M3)
+            d = _mapping(data["height_fit"], FIT_KEYS)
+            fit = HeightFit(coeffs=tuple(_numbers(d["coeffs_m"], "coeffs_m")),
+                            v_min=_number(d["v_min_ml"], "v_min_ml") * ML_TO_M3,
+                            v_max=_number(d["v_max_ml"], "v_max_ml") * ML_TO_M3)
     elif require_fit:
         raise ConfigError("config has no height_fit; run `calibrate` first")
     return EstimatorConfig(ring=ring, coeffs=coeffs, fit=fit)
@@ -136,20 +163,14 @@ def load_script(path) -> SimScript:
     data = load_raw(path)
     with _section("script"):
         _check_keys(data, SCRIPT_KEYS, "key(s)")
-        for i, s in enumerate(data["steps"]):
-            if not isinstance(s, dict):
-                raise TypeError(f"step {i} is not a mapping: got {type(s).__name__}")
-            _check_keys(s, STEP_KEYS, f"key(s) in step {i}")
-        steps = tuple(
-            SimStep(
-                v_f=float(s["volume_ml"]) * ML_TO_M3,
-                force=float(s["force_n"]),
-                hold=float(s["hold_s"]),
-            )
-            for s in data["steps"]
-        )
+        steps = []
+        for i, s in enumerate(_list(data["steps"], "steps")):
+            s = _mapping(s, STEP_KEYS, f"step {i}")
+            steps.append(SimStep(v_f=_number(s["volume_ml"], f"step {i} volume_ml") * ML_TO_M3,
+                                 force=_number(s["force_n"], f"step {i} force_n"),
+                                 hold=_number(s["hold_s"], f"step {i} hold_s")))
         return SimScript(
-            steps=steps,
-            sample_period=float(data["sample_period_s"]),
-            noise_pa=float(data.get("pressure_noise_pa", 0.0)),
+            steps=tuple(steps),
+            sample_period=_number(data["sample_period_s"], "sample_period_s"),
+            noise_pa=_number(data.get("pressure_noise_pa", 0.0), "pressure_noise_pa"),
         )

@@ -11,7 +11,8 @@ syringe holds a volume, and the whole record while the carried h2 repeats
 too, as it does once a hold has settled; a shape carries no flags.  The
 energy balance then yields the force and the next h2 (`indent`, the core
 of `step`); the constants of one config object (ring, coefficients, fit)
-are cached properties of it.
+are cached properties of it.  `step` raises no `BmaError`: a sample it
+cannot estimate, a model error's included, is a flagged null estimate.
 
 The chain runs as straight-line float arithmetic around four layers kept
 as functions and called through this module's names: `evaluate_height`,
@@ -31,7 +32,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .calibration import HeightFit, evaluate_height
-from .errors import DegenerateGeometry, LengthMismatch
+from .errors import BmaError, DegenerateGeometry, LengthMismatch
 from .geometry import RingSpec, actuator_volume, solve_axes
 from .material import YeohCoeffs, perimeter, yeoh_energy_density
 
@@ -82,7 +83,9 @@ class StateEstimate:
 
     p_hat is the F = 0 energy balance at the carried shape; it is the
     free-inflation `predict_pressure` only where the carried h2 is 0.
-    The README's "Flags" section tables every flag and what sets it.
+    A null estimate's flags say why `step` skipped it: `nonfinite_input`,
+    `below_model_range`, or `step_error` and the class name of the model
+    error.  The README's "Flags" section tables every flag and what sets it.
     """
 
     h1: float
@@ -95,11 +98,6 @@ class StateEstimate:
     @property
     def is_null(self) -> bool:
         return math.isnan(self.h2)
-
-
-def null_estimate(flags) -> StateEstimate:
-    nan = float("nan")
-    return StateEstimate(nan, nan, nan, nan, nan, frozenset(flags))
 
 
 class Reconstruction(NamedTuple):
@@ -223,28 +221,35 @@ def equilibrium(v_f: float, h2: float, cfg: EstimatorConfig) -> tuple[float, flo
 
 def step(state: EstimatorState, v_f: float, p: float,
          cfg: EstimatorConfig) -> tuple[StateEstimate, EstimatorState]:
-    """One estimator update for a sensor sample (v_f [m3], p [Pa]).
+    """One estimator update for a sensor sample (v_f [m3], p [Pa]); raises no `BmaError`.
 
-    Non-finite samples and samples below the modeled volume range emit a
-    null estimate and leave the indentation state untouched; the rest run
-    `indent` on `reconstruct`, flagged `h2_prev_clamped` where the carried
-    h2 is outside [0, h1) and `reconstruct` restarted from the free shape.
-    Geometry errors propagate and leave the state unchanged.  Numpy scalar
-    inputs are converted, so every field of the estimate is a float.
+    Non-finite samples, samples below the modeled volume range and samples
+    whose `reconstruct` or `indent` raises a `BmaError` (flagged `step_error`)
+    emit a null estimate and keep the carried h2; the rest run `indent` on
+    `reconstruct`, flagged `h2_prev_clamped` where the carried h2 is outside
+    [0, h1) and `reconstruct` restarted from the free shape.  Every call
+    advances `step_index`.  Numpy scalar inputs are converted, so every
+    field of the estimate is a float.
     """
     v_f, p = float(v_f), float(p)
-    if not (cfg.v_min_model <= v_f < _INF and _isfinite(p)):
-        skip = ("nonfinite_input" if not (_isfinite(v_f) and _isfinite(p))
-                else "below_model_range")
-        return null_estimate({skip}), _new_tuple(EstimatorState,
-                                                 (state.h2_prev, state.step_index + 1))
     h2_prev = state.h2_prev
-    g = reconstruct(v_f, h2_prev, cfg)
-    h2, force, flags = indent(g, v_f, p)
-    if not 0.0 <= h2_prev < g.h1:
-        flags = frozenset({"h2_prev_clamped"}) | flags
-    return (StateEstimate(g.h1, h2, g.h3, force, balance_pressure(g, v_f), flags),
-            _new_tuple(EstimatorState, (h2, state.step_index + 1)))
+    if not (cfg.v_min_model <= v_f < _INF and _isfinite(p)):
+        flags = frozenset({"nonfinite_input" if not (_isfinite(v_f) and _isfinite(p))
+                           else "below_model_range"})
+    else:
+        try:
+            g = reconstruct(v_f, h2_prev, cfg)
+            h2, force, flags = indent(g, v_f, p)
+        except BmaError as exc:
+            flags = frozenset({"step_error", type(exc).__name__})
+        else:
+            if not 0.0 <= h2_prev < g.h1:
+                flags = frozenset({"h2_prev_clamped"}) | flags
+            return (StateEstimate(g.h1, h2, g.h3, force, balance_pressure(g, v_f), flags),
+                    _new_tuple(EstimatorState, (h2, state.step_index + 1)))
+    nan = float("nan")
+    return (StateEstimate(nan, nan, nan, nan, nan, flags),
+            _new_tuple(EstimatorState, (h2_prev, state.step_index + 1)))
 
 
 def indent(g: Reconstruction, v_f: float, p: float) -> tuple[float, float, frozenset]:

@@ -18,13 +18,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import (
-    BmaError,
-    DegenerateGeometry,
-    MissingGroundTruth,
-    NoConvergence,
-    ParseError,
-)
+from .errors import DegenerateGeometry, MissingGroundTruth, NoConvergence, ParseError
 from .estimator import (
     EstimatorConfig,
     EstimatorState,
@@ -32,7 +26,6 @@ from .estimator import (
     balance_pressure,
     equilibrium,
     indent,
-    null_estimate,
     reconstruct,
     rmse,
     step,
@@ -220,21 +213,17 @@ def read_calibration(path) -> list[tuple[float, float, str]]:
 
 
 def run_trace(records, cfg: EstimatorConfig,
-              state: EstimatorState | None = None) -> list[StateEstimate]:
-    """Run the estimator over a trace; never aborts.
+              state: EstimatorState = EstimatorState()) -> list[StateEstimate]:
+    """Run the estimator over a trace from `state`; never aborts.
 
-    Hands `step` each record's own volume and pressure, in order, and
-    converts any per-sample model error into a flagged null estimate so
-    adversarial inputs cannot kill the run.  Timestamps are not read.
+    Hands `step` each record's own volume and pressure, in order.  `step`
+    raises no model error: a sample it cannot estimate is a flagged null
+    estimate, so adversarial inputs cannot kill the run.  Timestamps are
+    not read.
     """
-    if state is None:
-        state = EstimatorState()
     estimates = []
     for rec in records:
-        try:
-            est, state = step(state, rec.v_f, rec.p, cfg)
-        except BmaError as exc:
-            est = null_estimate({"step_error", type(exc).__name__})
+        est, state = step(state, rec.v_f, rec.p, cfg)
         estimates.append(est)
     return estimates
 

@@ -111,6 +111,8 @@ def test_unknown_script_key_rejected(tmp_path, where, key):
                  "script.yaml is not a mapping", id="file-a-list"),
     pytest.param("sample_period_s: 0.01\nsteps: [volume_ml]\n",
                  "^script: step 0 is not a mapping", id="step-a-string"),
+    pytest.param("sample_period_s: 0.01\nsteps: {volume_ml: 0.4}\n",
+                 "^script: steps must be a list, got dict$", id="steps-a-mapping"),
 ])
 def test_script_not_a_mapping_rejected(tmp_path, text, message):
     path = tmp_path / "script.yaml"
@@ -241,6 +243,76 @@ def test_duplicate_step_key_refused(tmp_path):
     with pytest.raises(ConfigError, match=(r", line 4: found duplicate key 'hold_s' "
                                            r"\(while constructing a mapping from line 4\)$")):
         load_script(path)
+
+
+SCRIPT = {"sample_period_s": 0.01, "pressure_noise_pa": 0.0,
+          "steps": [{"volume_ml": 0.4, "force_n": 0.1, "hold_s": 0.1}]}
+# a YAML mapping that a bare loop over it would read as a 6-item list
+SIX_KEYS = {30000.0: 0, 1000.0: 0, 50.0: 0, 0.0: 0, 1.0: 0, 2.0: 0}
+
+
+@pytest.mark.parametrize("path, value, message", [
+    # a bool where a number is read, which float() takes for 1.0 or 0.0
+    pytest.param(("ring", "radius_mm"), True, "ring: radius_mm must be a number, got bool",
+                 id="radius-bool"),
+    pytest.param(("ring", "thickness_mm"), True,
+                 "ring: thickness_mm must be a number, got bool", id="thickness-bool"),
+    pytest.param(("material", "yeoh_pa", 0), True,
+                 "material: yeoh_pa[0] must be a number, got bool", id="yeoh-item-bool"),
+    pytest.param(("height_fit", "coeffs_m", 3), False,
+                 "height_fit: coeffs_m[3] must be a number, got bool", id="coeffs-item-bool"),
+    pytest.param(("height_fit", "v_min_ml"), False,
+                 "height_fit: v_min_ml must be a number, got bool", id="v-min-bool"),
+    pytest.param(("height_fit", "v_max_ml"), True,
+                 "height_fit: v_max_ml must be a number, got bool", id="v-max-bool"),
+    pytest.param(("script", "sample_period_s"), True,
+                 "script: sample_period_s must be a number, got bool", id="period-bool"),
+    pytest.param(("script", "pressure_noise_pa"), False,
+                 "script: pressure_noise_pa must be a number, got bool", id="noise-bool"),
+    pytest.param(("script", "steps", 0, "volume_ml"), True,
+                 "script: step 0 volume_ml must be a number, got bool", id="step-volume-bool"),
+    pytest.param(("script", "steps", 0, "force_n"), False,
+                 "script: step 0 force_n must be a number, got bool", id="step-force-bool"),
+    pytest.param(("script", "steps", 0, "hold_s"), True,
+                 "script: step 0 hold_s must be a number, got bool", id="step-hold-bool"),
+    # a string or a mapping where a list is read, which a loop reads item by item
+    pytest.param(("material", "yeoh_pa"), "300001",
+                 "material: yeoh_pa must be a list, got str", id="yeoh-string"),
+    pytest.param(("material", "yeoh_pa"), SIX_KEYS,
+                 "material: yeoh_pa must be a list, got dict", id="yeoh-mapping"),
+    pytest.param(("height_fit", "coeffs_m"), "12",
+                 "height_fit: coeffs_m must be a list, got str", id="coeffs-string"),
+    pytest.param(("height_fit", "coeffs_m"), {1e-3: 0},
+                 "height_fit: coeffs_m must be a list, got dict", id="coeffs-mapping"),
+])
+def test_value_of_wrong_yaml_type_refused(tmp_path, capsys, calibrated, path, value, message):
+    # each of these values would load as some other number; the refusal names
+    # the section and the key, and the CLI exits 1 on that one line
+    section, *keys = path
+    is_script = section == "script"
+    data = copy.deepcopy(SCRIPT if is_script else calibrated)
+    *parents, last = keys if is_script else path
+    functools.reduce(operator.getitem, parents, data)[last] = value
+    cfg = tmp_path / "config.yaml"
+    save_raw(cfg, calibrated if is_script else data)
+    out = tmp_path / "out.csv"
+    if is_script:
+        script = tmp_path / "script.yaml"
+        save_raw(script, data)
+        with pytest.raises(ConfigError) as exc:
+            load_script(script)
+        args = ["simulate", str(script), "--config", str(cfg), "--out", str(out)]
+    else:
+        with pytest.raises(ConfigError) as exc:
+            load_config(cfg)
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t_s,volume_ml,pressure_pa\n0.0,0.4,9000\n")
+        args = ["estimate", str(trace), "--config", str(cfg), "--out", str(out)]
+    assert str(exc.value) == message
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -19,6 +19,7 @@ from bma import (
     SimStep,
     TraceRecord,
     evaluate,
+    evaluate_height,
     ingest_trace,
     predict_pressure,
     run_trace,
@@ -667,6 +668,55 @@ class TestRunTrace:
                 assert after == before or math.isnan(before) and math.isnan(after)
             else:
                 assert math.isfinite(after) and after >= 0.0
+
+    NULL_FLAGS = [{"nonfinite_input"}, {"below_model_range"},
+                  {"step_error", "DegenerateGeometry"}, {"step_error", "OutOfRange"}]
+    ESTIMATE_FLAGS = {"force_exceeds_bound", "nonpositive_pressure", "h2_clamped",
+                      "h2_prev_clamped"}
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        v_f=st.one_of(
+            st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310]),
+            st.floats(-1e-3, 0.0999e-6),          # below the 0.1 ml model floor
+            st.floats(0.1e-6, 1.0e-6),            # inside the fixture fit's range
+            st.floats(1.0001e-6, 1.7e308),        # above the fit's v_max of 1 ml
+        ),
+        p=st.one_of(
+            st.sampled_from([math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 5e-324]),
+            st.floats(-1e9, 0.0),
+            st.floats(0.0, 1e9),
+        ),
+        # a float, or ("h1", k): k times the apex height at v_f, at or above it
+        # (k mm where the fit has no height at v_f: such a sample is null)
+        h2=st.one_of(
+            st.sampled_from([math.nan, math.inf, -math.inf, -1e-3, -5e-324, 0.0]),
+            st.floats(-1e-2, 2e-2),
+            st.tuples(st.just("h1"), st.sampled_from([1.0, 1.0 + 1e-12, 1.5, 10.0])),
+        ),
+        step_index=st.integers(0, 2 ** 40),
+    )
+    @example(v_f=1.5e-6, p=11000.0, h2=0.0, step_index=0)          # OutOfRange
+    @example(v_f=0.5e-6, p=1.7e308, h2=0.0, step_index=0)          # DegenerateGeometry
+    @example(v_f=0.5e-6, p=11000.0, h2=("h1", 1.0), step_index=0)  # restart at h1
+    def test_step_is_total(self, cfg, v_f, p, h2, step_index):
+        # step decides every sample itself: it raises nothing, a null estimate
+        # names one refusal and keeps the carried h2, any other estimate lies
+        # in [0, h1] with only the flags of an estimated sample
+        if isinstance(h2, tuple):
+            inside = cfg.v_min_model <= v_f <= cfg.fit.v_max
+            h2 = h2[1] * evaluate_height(cfg.fit, v_f) if inside else h2[1] * 1e-3
+        state = EstimatorState(h2_prev=h2, step_index=step_index)
+        est, new = step(state, v_f, p, cfg)
+        assert new.step_index == step_index + 1
+        if est.is_null:
+            assert est.flags in self.NULL_FLAGS
+            assert all(math.isnan(x) for x in (est.h1, est.h3, est.force, est.p_hat))
+            assert new.h2_prev == h2 or math.isnan(new.h2_prev) and math.isnan(h2)
+        else:
+            assert 0.0 <= est.h2 <= est.h1 and est.h2 == new.h2_prev
+            assert est.flags <= self.ESTIMATE_FLAGS
+            assert ("h2_prev_clamped" in est.flags) == (not 0.0 <= h2 < est.h1)
 
     def test_nonfinite_fit_flags_step_error(self, cfg):
         # a finite fit whose height is not a usable positive float must not
