@@ -6,6 +6,7 @@ repeated in one mapping, or one that its section does not read, is refused.
 
 from __future__ import annotations
 
+import reprlib
 from contextlib import contextmanager
 
 import yaml
@@ -109,11 +110,18 @@ def _list(value, key: str) -> list:
 def _number(value, key: str) -> float:
     """value as a float, refused unless an int, a float or a numeric string.
 
-    A YAML bool is a Python int, which float() reads as 1.0 or 0.0.
+    A YAML bool is a Python int, which float() reads as 1.0 or 0.0.  The
+    refusal names the key, and quotes a string at most 30 characters long,
+    its ends kept, so the line stays short for a value of any length.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise TypeError(f"{key} must be a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except ValueError:   # a string that is not a number; reprlib cuts a long one
+        raise ValueError(f"{key} must be a number, got {reprlib.repr(value)}") from None
+    except OverflowError:   # an int past the float range
+        raise ValueError(f"{key} must be a number, got an int too large for a float") from None
 
 
 def _numbers(value, key: str) -> list[float]:

@@ -8,11 +8,13 @@ depends on the injected volume V_f alone, and an indentation stage, which
 depends on V_f and the carried h2.  One memo entry keeps the last shape
 built: the volume stage is reused while V_f repeats, as it does while the
 syringe holds a volume, and the whole record while the carried h2 repeats
-too, as it does once a hold has settled; a shape carries no flags.  The
-energy balance then yields the force and the next h2 (`indent`, the core
-of `step`); the constants of one config object (ring, coefficients, fit)
-are cached properties of it.  `step` raises no `BmaError`: a sample it
-cannot estimate, a model error's included, is a flagged null estimate.
+too, as it does once a hold has settled; a shape carries no flags.  A
+memo hit reads one short tuple; only a rebuild of the indentation stage
+reads the volume stage's own tuple, which carries the ring and Yeoh
+constants too, read once per config object.  The energy balance then
+yields the force and the next h2 (`indent`, the core of `step`).  `step`
+raises no `BmaError`: a sample it cannot estimate, a model error's
+included, is a flagged null estimate.
 
 The chain runs as straight-line float arithmetic around four layers kept
 as functions and called through this module's names: `evaluate_height`,
@@ -27,13 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .calibration import HeightFit, evaluate_height
 from .errors import BmaError, DegenerateGeometry, LengthMismatch
-from .geometry import RingSpec, actuator_volume, solve_axes
+from .geometry import RingSpec, solve_axes
 from .material import YeohCoeffs, perimeter, yeoh_energy_density
 
 _PI = math.pi
@@ -52,6 +55,12 @@ class EstimatorConfig:
     fit: HeightFit
     # minimum modeled injected volume, 0.1 ml [m3]; the model is unreliable below it
     v_min_model: ClassVar[float] = 0.1e-6
+
+    @cached_property
+    def _chain_constants(self) -> tuple:
+        """(fit, ring, r, V_m, t_i r^2, coeffs): what the volume stage reads, once per config."""
+        ring = self.ring
+        return self.fit, ring, ring.r, ring.membrane_volume, ring.t_i_r2, self.coeffs
 
 
 # The flags of an unflagged sample.  Flags are added by set union on the
@@ -119,25 +128,32 @@ class Reconstruction(NamedTuple):
     v_fm: float         # membrane volume in the free-inflation region [m3]
 
 
-# One-entry memo, (cfg, v_f, (h1, v_bma, free, h2, g)): the volume stage and g,
-# the last record built at that volume, at the carried h2 after the restart rule.
-# Read and replaced whole, never mutated, so concurrent callers can at worst
-# miss.  Its strong reference to its config keeps that config's id from reuse.
-_volume_memo: tuple = (None, None, None)
+# One-entry memo, (cfg, v_f, h1, h2, g, stage): g is the last record built, at
+# the carried h2 after the restart rule, and stage the rest of the volume
+# stage, which only a rebuild reads: (v_bma, a, c) of the unindented spheroid
+# and the config's `_chain_constants`.  Read and replaced whole, never
+# mutated, so concurrent callers can at worst miss.  Its strong reference to
+# its config keeps that config's id from reuse.
+_EMPTY_MEMO: tuple = (None,) * 6
+_volume_memo: tuple = _EMPTY_MEMO
 
 
 def _volume_stage(v_f: float, cfg: EstimatorConfig) -> tuple:
-    """Apex height, actuator volume and unindented spheroid, with no record yet.
+    """(h1, stage): apex height, and actuator volume, unindented spheroid and constants.
 
-    Runs on a memo miss and stores nothing: `reconstruct` stores the stage
-    with the record it builds, so a volume that raises raises every time.
-    v_f is a float: `reconstruct` converts it, so no numpy scalar keys the memo.
+    stage is (v_bma, a, c, ring, r, v_m, t_i_r2, coeffs), the layout a
+    rebuild in `reconstruct` unpacks.  Runs on a memo miss and stores
+    nothing: `reconstruct` stores the stage with the record it builds, so a
+    volume that raises raises every time.  v_f is a float: `reconstruct`
+    converts it, so no numpy scalar keys the memo.
     """
     if v_f < cfg.v_min_model:
         raise DegenerateGeometry(f"volume {v_f} below modeled minimum {cfg.v_min_model}")
-    h1 = evaluate_height(cfg.fit, v_f)
-    v_bma = actuator_volume(v_f, cfg.ring)
-    return h1, v_bma, solve_axes(v_bma, h1, cfg.ring), None, None
+    fit, ring, r, v_m, t_i_r2, coeffs = cfg._chain_constants
+    h1 = evaluate_height(fit, v_f)
+    v_bma = v_f + v_m   # `actuator_volume`, whose v_f < 0 check cannot fire here
+    a, c = solve_axes(v_bma, h1, ring)
+    return h1, (v_bma, a, c, ring, r, v_m, t_i_r2, coeffs)
 
 
 def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruction:
@@ -147,7 +163,8 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
     miss `_volume_stage`'s.  The indentation stage from the carried h2_prev
     on is the memo's record where the config, the volume and the carried h2
     (after the restart rule) are the last call's, as while a hold settles;
-    else it is built and, with the volume stage, replaces the memo.  Either
+    else it is rebuilt from the stage and, with it, replaces the memo.  At
+    h2 = 0 the deformed spheroid is the unindented one, as h3 = h1.  Either
     way the kept record itself is returned, on a restart too.  Numpy scalar
     inputs are converted, so every field is a float.
 
@@ -157,43 +174,44 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
     """
     global _volume_memo
     v_f, h2_prev = float(v_f), float(h2_prev)
-    memo_cfg, memo_v_f, stage = _volume_memo
+    memo_cfg, memo_v_f, h1, memo_h2, g, stage = _volume_memo
     if memo_cfg is not cfg or memo_v_f != v_f:
-        stage = _volume_stage(v_f, cfg)
-    h1, v_bma, free, memo_h2, g = stage
+        h1, stage = _volume_stage(v_f, cfg)
+        memo_h2 = None
     # h1 can shrink between samples: a carried indentation that reaches the
     # ring plane means contact was lost, so restart from the free shape, as
     # from a negative or non-finite carried state, which no step produces
     if not 0.0 <= h2_prev < h1:
         h2_prev = 0.0
     if h2_prev != memo_h2:
-        ring = cfg.ring
-        a, c = free
+        v_bma, a, c, ring, r, v_m, t_i_r2, coeffs = stage
         h3 = h1 - h2_prev
-        a_d, c_d = solve_axes(v_bma, h3, ring)
+        if h2_prev:
+            a_d, c_d = solve_axes(v_bma, h3, ring)
+        else:   # h3 = h1: solve_axes would be given the unindented shape's arguments
+            a_d, c_d = a, c
         # center shift, >= 0 up to rounding: c = (h/3)(1 + 1/(2 - h pi r^2/V)) grows
         # with h at a fixed V over the valid h pi r^2 <= 2V, and h3 <= h1
         c_c = c - c_d
+        # meridian arc bounded by theta1 = arctan(r / |h3 - c_d|), whose limit
+        # pi/2 at h3 = c_d is where the hemisphere sits; stretch lambda = L / r
+        gap = abs(h3 - c_d)
+        arc = perimeter(a_d, c_d, h3, _atan(r / gap) if gap else _HALF_PI)
+        w = yeoh_energy_density(arc / r, coeffs)
         # contact radius: the slice at depth h2_prev - c_c < 2c below the unindented
-        # apex, through the unindented ellipsoid; no slice contact at depth <= 0
+        # apex, through the unindented ellipsoid; no slice contact at depth <= 0.
+        # Membrane volume outside the contact patch, V_m - k^2 pi t_m, at the
+        # incompressible thickness t_m = t_i r^2 / L^2; positive, as k < L
         depth = h2_prev - c_c
         if depth <= 0:
-            k = 0.0
+            k, v_fm = 0.0, v_m
         else:
             k = a * _sqrt(2 * c * depth - depth * depth) / c
             if k > a:
                 k = a
-        # meridian arc bounded by theta1 = arctan(r / |h3 - c_d|), whose limit
-        # pi/2 at h3 = c_d is where the hemisphere sits; stretch lambda = L / r
-        gap = abs(h3 - c_d)
-        arc = perimeter(a_d, c_d, h3, _atan(ring.r / gap) if gap else _HALF_PI)
-        lam = arc / ring.r
-        w = yeoh_energy_density(lam, cfg.coeffs)
-        # membrane volume outside the contact patch, V_m - k^2 pi t_m, at the
-        # incompressible thickness t_m = t_i r^2 / L^2; positive, as k < L
-        v_fm = ring.membrane_volume - k ** 2 * _PI * (ring.t_i_r2 / arc ** 2)
+            v_fm = v_m - k ** 2 * _PI * (t_i_r2 / arc ** 2)
         g = _new_tuple(Reconstruction, (h1, a, c, h3, a_d, c_d, c_c, k, w, v_fm))
-        _volume_memo = (cfg, v_f, (h1, v_bma, free, h2_prev, g))
+        _volume_memo = (cfg, v_f, h1, h2_prev, g, stage)
     return g
 
 
@@ -232,7 +250,7 @@ def step(state: EstimatorState, v_f: float, p: float,
     field of the estimate is a float.
     """
     v_f, p = float(v_f), float(p)
-    h2_prev = state.h2_prev
+    h2_prev, step_index = state
     if not (cfg.v_min_model <= v_f < _INF and _isfinite(p)):
         flags = frozenset({"nonfinite_input" if not (_isfinite(v_f) and _isfinite(p))
                            else "below_model_range"})
@@ -246,10 +264,10 @@ def step(state: EstimatorState, v_f: float, p: float,
             if not 0.0 <= h2_prev < g.h1:
                 flags = frozenset({"h2_prev_clamped"}) | flags
             return (StateEstimate(g.h1, h2, g.h3, force, balance_pressure(g, v_f), flags),
-                    _new_tuple(EstimatorState, (h2, state.step_index + 1)))
+                    _new_tuple(EstimatorState, (h2, step_index + 1)))
     nan = float("nan")
     return (StateEstimate(nan, nan, nan, nan, nan, flags),
-            _new_tuple(EstimatorState, (h2_prev, state.step_index + 1)))
+            _new_tuple(EstimatorState, (h2_prev, step_index + 1)))
 
 
 def indent(g: Reconstruction, v_f: float, p: float) -> tuple[float, float, frozenset]:

@@ -284,10 +284,29 @@ SIX_KEYS = {30000.0: 0, 1000.0: 0, 50.0: 0, 0.0: 0, 1.0: 0, 2.0: 0}
                  "height_fit: coeffs_m must be a list, got str", id="coeffs-string"),
     pytest.param(("height_fit", "coeffs_m"), {1e-3: 0},
                  "height_fit: coeffs_m must be a list, got dict", id="coeffs-mapping"),
+    # a string that is not a number, quoted at most 30 characters long, and
+    # an int past the float range, which float() refuses without the key
+    pytest.param(("ring", "radius_mm"), "abc", "ring: radius_mm must be a number, got 'abc'",
+                 id="radius-not-a-number"),
+    pytest.param(("ring", "radius_mm"), "x" * 100_000,
+                 f"ring: radius_mm must be a number, got '{'x' * 12}...{'x' * 13}'",
+                 id="radius-long-string"),
+    pytest.param(("height_fit", "v_max_ml"), "\U000e0001" * 50,
+                 "height_fit: v_max_ml must be a number, got '\\U000e0001\\U...001\\U000e0001'",
+                 id="v-max-escaped-string"),
+    pytest.param(("script", "steps", 0, "force_n"), "0.1 N",
+                 "script: step 0 force_n must be a number, got '0.1 N'", id="step-force-unit"),
+    pytest.param(("material", "yeoh_pa", 0), 10 ** 400,
+                 "material: yeoh_pa[0] must be a number, got an int too large for a float",
+                 id="yeoh-item-huge-int"),
+    pytest.param(("script", "sample_period_s"), -(10 ** 400),
+                 "script: sample_period_s must be a number, got an int too large for a float",
+                 id="period-huge-int"),
 ])
 def test_value_of_wrong_yaml_type_refused(tmp_path, capsys, calibrated, path, value, message):
-    # each of these values would load as some other number; the refusal names
-    # the section and the key, and the CLI exits 1 on that one line
+    # each of these values would load as some other number, or be refused
+    # without its key; the refusal names the section and the key, and the
+    # CLI exits 1 on that one short line
     section, *keys = path
     is_script = section == "script"
     data = copy.deepcopy(SCRIPT if is_script else calibrated)
@@ -308,7 +327,7 @@ def test_value_of_wrong_yaml_type_refused(tmp_path, capsys, calibrated, path, va
         trace = tmp_path / "trace.csv"
         trace.write_text("t_s,volume_ml,pressure_pa\n0.0,0.4,9000\n")
         args = ["estimate", str(trace), "--config", str(cfg), "--out", str(out)]
-    assert str(exc.value) == message
+    assert str(exc.value) == message and len(message) < 200
     capsys.readouterr()
     assert main(args) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

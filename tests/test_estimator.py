@@ -205,7 +205,7 @@ class TestStep:
         for build in (cold_reconstruct, reconstruct):
             g = build(np.float64(0.5e-6), np.float64(3e-3), cfg)
             assert {type(x) for x in g} == {float}
-        estimator._volume_memo = (None, None, None)
+        estimator._volume_memo = estimator._EMPTY_MEMO
         est, state = step(EstimatorState(h2_prev=np.float64(1.5e-3)), np.float64(0.5e-6),
                           np.float64(12000.0), cfg)
         assert {type(getattr(est, f.name)) for f in fields(StateEstimate)
@@ -420,7 +420,7 @@ class TestUpdate:
 
 def cold_reconstruct(v_f, h2_prev, cfg):
     """`reconstruct` with the volume memo emptied first, so it takes the miss path."""
-    estimator._volume_memo = (None, None, None)
+    estimator._volume_memo = estimator._EMPTY_MEMO
     return reconstruct(v_f, h2_prev, cfg)
 
 
@@ -483,7 +483,7 @@ class TestVolumeMemo:
         # rule) return the kept record itself, on a restart too; any other
         # call builds one
         v_f = 0.5e-6
-        estimator._volume_memo = (None, None, None)
+        estimator._volume_memo = estimator._EMPTY_MEMO
         for call in ((v_f, 1e-3, replace(cfg)), (np.nextafter(v_f, 1.0), 1e-3, cfg),
                      (v_f, np.nextafter(1e-3, 1.0), cfg)):
             g = reconstruct(v_f, 1e-3, cfg)
@@ -527,7 +527,7 @@ class TestVolumeMemo:
     def test_predict_pressure_warm_matches_cold(self, configs):
         # a kept shape serves only its own config, volume and carried h2
         def cold(v_f, cfg):
-            estimator._volume_memo = (None, None, None)
+            estimator._volume_memo = estimator._EMPTY_MEMO
             return predict_pressure(v_f, cfg)
 
         for i, v_f in [(0, 0.3e-6), (0, 0.3e-6), (1, 0.3e-6), (0, 0.8e-6),
@@ -552,9 +552,9 @@ class TestVolumeMemo:
         assert reconstruct(v_f, 0.0, cfg) == cold_reconstruct(v_f, 0.0, cfg)
 
     @pytest.mark.parametrize("path", ["reconstruct", "run_trace"])
-    def test_free_samples_at_one_volume_solve_axes_twice(self, cfg, monkeypatch, path):
-        # once for the volume stage, once for the free shape, then never
-        # again while the volume holds
+    def test_free_samples_at_one_volume_solve_axes_once(self, cfg, monkeypatch, path):
+        # once for the volume stage, then never again while the volume holds:
+        # the free shape, at h3 = h1, takes the stage's axes
         calls = []
 
         def counting(*args):
@@ -566,7 +566,7 @@ class TestVolumeMemo:
         # clamps h2 to 0, so each sample reconstructs the free shape
         p = 0.999 * predict_pressure(v_f, cfg)
         monkeypatch.setattr(estimator, "solve_axes", counting)
-        estimator._volume_memo = (None, None, None)
+        estimator._volume_memo = estimator._EMPTY_MEMO
         if path == "reconstruct":
             reconstruct(0.3e-6, 1e-3, cfg)   # kept, but at another volume
             assert len(calls) == 2
@@ -576,7 +576,7 @@ class TestVolumeMemo:
         else:
             estimates = run_trace([TraceRecord(0.01 * i, v_f, p) for i in range(n)], cfg)
             assert all(est.h2 == 0.0 and "h2_clamped" in est.flags for est in estimates)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_settled_contact_hold_stops_solving_axes(self, cfg, monkeypatch):
         # a noise-free contact hold settles on a fixed point; from the sample
@@ -601,10 +601,39 @@ class TestVolumeMemo:
 
         monkeypatch.setattr(estimator, "solve_axes", counting)
         monkeypatch.setattr(harness, "step", counted_step)
-        estimator._volume_memo = (None, None, None)
+        estimator._volume_memo = estimator._EMPTY_MEMO
         assert run_trace(records, cfg) == estimates
-        # volume stage and shape, then one shape per new carried h2, then none
-        assert per_sample == [2] + [1] * settled + [0] * (n - settled - 1)
+        # the volume stage, whose axes the first sample's free shape takes,
+        # then one shape per new carried h2, then none
+        assert per_sample == [1] + [1] * settled + [0] * (n - settled - 1)
+
+    def test_alternating_configs_keep_their_own_constants(self, cfg):
+        # a config with its own ring, one with its own coefficients and an
+        # equal copy, each taken in turn with cfg at the same (V_f, h2): every
+        # call returns its own config's cold-call record, so no constant kept
+        # with the volume stage serves another config
+        ring, coeffs = cfg.ring, cfg.coeffs
+        others = (replace(cfg, ring=RingSpec(1.02 * ring.r, 1.1 * ring.t_i)),
+                  replace(cfg, coeffs=replace(coeffs, c1=1.1 * coeffs.c1)),
+                  replace(cfg))
+        for other in others:
+            for v_f, h2_prev in ((0.5e-6, 0.0), (0.5e-6, 1e-3), (0.8e-6, 2e-3)):
+                cold = {id(c): cold_reconstruct(v_f, h2_prev, c) for c in (cfg, other)}
+                assert (cold[id(cfg)] == cold[id(other)]) == (other == cfg)
+                for c in (cfg, other, cfg, other, other, cfg):
+                    got = reconstruct(v_f, h2_prev, c)
+                    assert got == cold[id(c)] and repr(got) == repr(cold[id(c)])
+
+    @pytest.mark.parametrize("v_ml", [0.15, 0.5, 1.0])
+    def test_rest_rebuild_takes_the_unindented_shape(self, cfg, cfg_a, v_ml):
+        # at h2 = 0, h3 = h1: the deformed spheroid is the unindented one, the
+        # slice lies at depth 0 and the whole membrane is free
+        for config in (cfg, cfg_a):
+            for h2_prev in (0.0, -0.0, math.nan, 1.0):
+                g = cold_reconstruct(v_ml * 1e-6, h2_prev, config)
+                assert (g.a_d, g.c_d, g.h3) == (g.a, g.c, g.h1)
+                assert g.c_c == 0.0 and g.k == 0.0
+                assert g.v_fm == config.ring.membrane_volume
 
     def test_numpy_volume_does_not_stand_in_for_float(self, cfg):
         # an equal numpy scalar must not hand its numpy-typed shape to a float call
@@ -658,11 +687,11 @@ def substituted_axes(h1, free, deformed):
     with pytest.MonkeyPatch.context() as m:
         for module in (estimator, oracles):
             m.setattr(module, "solve_axes", stub)
-        estimator._volume_memo = (None, None, None)
+        estimator._volume_memo = estimator._EMPTY_MEMO
         try:
             yield
         finally:
-            estimator._volume_memo = (None, None, None)
+            estimator._volume_memo = estimator._EMPTY_MEMO
 
 
 @st.composite
@@ -802,7 +831,8 @@ class TestGeometryGuards:
             qh = ring.area / v_bma * h1
             assert 0 < qh < 2
             assert 2 * c - h1 == pytest.approx(h1 / 3 * qh / (2 - qh), rel=1e-6)
-            assert estimator._volume_stage(v_f, cfg)[:3] == (h1, v_bma, (a, c))
+            assert estimator._volume_stage(v_f, cfg) == (
+                h1, (v_bma, a, c, ring, ring.r, ring.membrane_volume, ring.t_i_r2, cfg.coeffs))
             for h2 in (0.0, 0.5 * h1, *(share * h1 for share in shares),
                        math.nextafter(h1, 0.0)):
                 try:
