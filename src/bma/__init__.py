@@ -22,7 +22,6 @@ from .estimator import (
 )
 from .geometry import (
     RingSpec,
-    actuator_volume,
     profile_polyline,
     solve_axes,
     sphere_baseline,

@@ -18,7 +18,7 @@ from . import config as cfgmod
 from .calibration import DEFAULT_DEGREE, fit_height_poly
 from .errors import BmaError, DegenerateGeometry
 from .estimator import predict_pressure, reconstruct
-from .geometry import actuator_volume, profile_polyline, sphere_baseline
+from .geometry import profile_polyline, sphere_baseline
 from .harness import (
     ML_TO_M3,
     MM_TO_M,
@@ -149,7 +149,7 @@ def cmd_export_shape(args) -> int:
     if args.out.lower().endswith(".csv"):
         write_rows(args.out, ("x_mm", "z_mm"), "%.6f,%.6f\n", pts_mm)
     else:
-        radius, cap_h = sphere_baseline(actuator_volume(v_f, cfg.ring), cfg.ring)
+        radius, cap_h = sphere_baseline(v_f + cfg.ring.membrane_volume, cfg.ring)
         sphere_mm = list(profile_polyline(radius, radius, cap_h, 0.0, args.points) / MM_TO_M)
         r_mm = cfg.ring.r / MM_TO_M
         paths = [([(-1.5 * r_mm, 0.0), (1.5 * r_mm, 0.0)], "black", 2),

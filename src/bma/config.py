@@ -32,11 +32,21 @@ STEP_KEYS = frozenset({"volume_ml", "force_n", "hold_s"})
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
-    """SafeLoader that refuses a key repeated in one mapping instead of keeping the last."""
+    """SafeLoader that refuses a repeated key, and names the line of a value its tag cannot read."""
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
+            tag = node.tag.replace("tag:yaml.org,2002:", "!!")
+            raise yaml.constructor.ConstructorError(
+                None, None, f"cannot read {reprlib.repr(node.value)} as {tag}",
+                node.start_mark) from exc
 
     def construct_mapping(self, node, deep=False):
         seen = set()
-        for key_node, _ in node.value:
+        # a node that is no mapping, as `!!set [1]`, is SafeLoader's to refuse
+        for key_node, _ in node.value if isinstance(node, yaml.MappingNode) else ():
             if not isinstance(key_node, yaml.ScalarNode) or key_node.tag.endswith(":merge"):
                 continue   # a merge key or an unhashable one, left to SafeLoader
             key = self.construct_object(key_node)
@@ -49,13 +59,15 @@ class _UniqueKeyLoader(yaml.SafeLoader):
 
 
 def load_raw(path) -> dict:
-    with open(path) as fh:
+    # bytes, which PyYAML decodes: invalid UTF-8 is a reader error, in any locale
+    with open(path, "rb") as fh:
         try:
             data = yaml.load(fh, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
-            if mark is None:   # a reader error: its text gives the position
-                raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
+            if mark is None:   # a reader error: an undecodable byte or a control character
+                raise ConfigError(f"{path}, position {exc.position}: {exc.reason} "
+                                  f"(#x{exc.character:02x})") from exc
             context = (f" ({exc.context} from line {exc.context_mark.line + 1})"
                        if exc.context and exc.context_mark else "")
             raise ConfigError(f"{path}, line {mark.line + 1}: {exc.problem}{context}") from exc

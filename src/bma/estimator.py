@@ -1,20 +1,17 @@
 """Quasi-static state estimator: (injected volume, pressure) -> (h1, h2, h3, F).
 
 Each sensor sample is treated as an equilibrium state.  The only carried
-state is the previous total indentation h2.  The shape is reconstructed
-in two stages from the calibrated height fit and the ellipsoid closed
-forms: a volume stage (apex height h1 and the unindented spheroid), which
-depends on the injected volume V_f alone, and an indentation stage, which
-depends on V_f and the carried h2.  One memo entry keeps the last shape
-built: the volume stage is reused while V_f repeats, as it does while the
-syringe holds a volume, and the whole record while the carried h2 repeats
-too, as it does once a hold has settled; a shape carries no flags.  A
-memo hit reads one short tuple; only a rebuild of the indentation stage
-reads the volume stage's own tuple, which carries the ring and Yeoh
-constants too, read once per config object.  The energy balance then
-yields the force and the next h2 (`indent`, the core of `step`).  `step`
-raises no `BmaError`: a sample it cannot estimate, a model error's
-included, is a flagged null estimate.
+state is the previous total indentation h2.  `reconstruct` builds the
+shape in two stages from the calibrated height fit and the ellipsoid
+closed forms: a volume stage (apex height h1, V_bma = V_f + V_m and the
+unindented spheroid), which depends on the injected volume V_f alone, and
+an indentation stage, which depends on V_f and the carried h2.  Its
+one-entry memo reuses the volume stage while V_f repeats, as while the
+syringe holds a volume, and the whole shape once a hold has settled; a
+shape carries no flags.  The energy balance then yields the force and the
+next h2 (`indent`, the core of `step`).  `step` raises no `BmaError`: a
+sample it cannot estimate, a model error's included, is a flagged null
+estimate.
 
 The chain runs as straight-line float arithmetic around four layers kept
 as functions and called through this module's names: `evaluate_height`,
@@ -60,7 +57,7 @@ class EstimatorConfig:
     def _chain_constants(self) -> tuple:
         """(fit, ring, r, V_m, t_i r^2, coeffs): what the volume stage reads, once per config."""
         ring = self.ring
-        return self.fit, ring, ring.r, ring.membrane_volume, ring.t_i_r2, self.coeffs
+        return self.fit, ring, ring.r, ring.membrane_volume, ring.t_i * ring.r ** 2, self.coeffs
 
 
 # The flags of an unflagged sample.  Flags are added by set union on the
@@ -130,43 +127,24 @@ class Reconstruction(NamedTuple):
 
 # One-entry memo, (cfg, v_f, h1, h2, g, stage): g is the last record built, at
 # the carried h2 after the restart rule, and stage the rest of the volume
-# stage, which only a rebuild reads: (v_bma, a, c) of the unindented spheroid
-# and the config's `_chain_constants`.  Read and replaced whole, never
-# mutated, so concurrent callers can at worst miss.  Its strong reference to
-# its config keeps that config's id from reuse.
+# stage, which only a rebuild reads.  Read and replaced whole, never mutated,
+# so concurrent callers can at worst miss.  Its strong reference to its
+# config keeps that config's id from reuse.
 _EMPTY_MEMO: tuple = (None,) * 6
 _volume_memo: tuple = _EMPTY_MEMO
-
-
-def _volume_stage(v_f: float, cfg: EstimatorConfig) -> tuple:
-    """(h1, stage): apex height, and actuator volume, unindented spheroid and constants.
-
-    stage is (v_bma, a, c, ring, r, v_m, t_i_r2, coeffs), the layout a
-    rebuild in `reconstruct` unpacks.  Runs on a memo miss and stores
-    nothing: `reconstruct` stores the stage with the record it builds, so a
-    volume that raises raises every time.  v_f is a float: `reconstruct`
-    converts it, so no numpy scalar keys the memo.
-    """
-    if v_f < cfg.v_min_model:
-        raise DegenerateGeometry(f"volume {v_f} below modeled minimum {cfg.v_min_model}")
-    fit, ring, r, v_m, t_i_r2, coeffs = cfg._chain_constants
-    h1 = evaluate_height(fit, v_f)
-    v_bma = v_f + v_m   # `actuator_volume`, whose v_f < 0 check cannot fire here
-    a, c = solve_axes(v_bma, h1, ring)
-    return h1, (v_bma, a, c, ring, r, v_m, t_i_r2, coeffs)
 
 
 def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruction:
     """Height fit -> unindented and deformed spheroids -> stretch -> W and V_fm.
 
-    The volume stage, up to the unindented spheroid, is the memo's, or on a
-    miss `_volume_stage`'s.  The indentation stage from the carried h2_prev
-    on is the memo's record where the config, the volume and the carried h2
-    (after the restart rule) are the last call's, as while a hold settles;
-    else it is rebuilt from the stage and, with it, replaces the memo.  At
-    h2 = 0 the deformed spheroid is the unindented one, as h3 = h1.  Either
-    way the kept record itself is returned, on a restart too.  Numpy scalar
-    inputs are converted, so every field is a float.
+    The volume stage (the `v_min_model` refusal, h1, V_bma = V_f + V_m and
+    the unindented spheroid) is the memo's, or built here on a miss; so is
+    the indentation stage from the carried h2_prev on, the memo's where the
+    config, the volume and the carried h2 (after the restart rule) are the
+    last call's, as while a hold settles.  A built record replaces the memo.
+    At h2 = 0 the deformed spheroid is the unindented one, as h3 = h1.  The
+    kept record itself is returned, on a restart too.  Numpy scalar inputs
+    are converted, so every field is a float.
 
     Past `solve_axes` nothing is refused or clamped: its shapes keep h1 < 2c
     and c_c >= 0, so the slice lies less than 2c deep, and the contact radius
@@ -176,7 +154,15 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
     v_f, h2_prev = float(v_f), float(h2_prev)
     memo_cfg, memo_v_f, h1, memo_h2, g, stage = _volume_memo
     if memo_cfg is not cfg or memo_v_f != v_f:
-        h1, stage = _volume_stage(v_f, cfg)
+        # the stage is stored only with a built record, so a volume that raises
+        # raises every time; v_f is a float, so no numpy scalar keys the memo
+        if v_f < cfg.v_min_model:
+            raise DegenerateGeometry(f"volume {v_f} below modeled minimum {cfg.v_min_model}")
+        fit, ring, r, v_m, t_i_r2, coeffs = cfg._chain_constants
+        h1 = evaluate_height(fit, v_f)
+        v_bma = v_f + v_m
+        a, c = solve_axes(v_bma, h1, ring)
+        stage = (v_bma, a, c, ring, r, v_m, t_i_r2, coeffs)
         memo_h2 = None
     # h1 can shrink between samples: a carried indentation that reaches the
     # ring plane means contact was lost, so restart from the free shape, as

@@ -61,18 +61,6 @@ class RingSpec:
         """Volume of the undeformed membrane disc, r^2 * pi * t_i [m3]."""
         return self.r ** 2 * math.pi * self.t_i
 
-    @cached_property
-    def t_i_r2(self) -> float:
-        """t_i r^2, the inflated thickness t_m = t_i r^2 / L^2 at L = 1 [m3]."""
-        return self.t_i * self.r ** 2
-
-
-def actuator_volume(v_f: float, ring: RingSpec) -> float:
-    """Total actuator volume: injected liquid plus membrane material [m3]."""
-    if v_f < 0:
-        raise ValueError("injected volume must be nonnegative")
-    return v_f + ring.membrane_volume
-
 
 def solve_axes(v_bma: float, h: float, ring: RingSpec) -> tuple[float, float]:
     """Recover the ellipsoid axes (a, c) from actuator volume and apex height.

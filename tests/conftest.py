@@ -5,7 +5,6 @@ from bma import (
     EstimatorConfig,
     RingSpec,
     YeohCoeffs,
-    actuator_volume,
     fit_height_poly,
     sphere_baseline,
 )
@@ -26,7 +25,7 @@ def height_map(ring):
     reconstruction is well inside the model's validity region.
     """
     def h_true(v_f):
-        _, h = sphere_baseline(actuator_volume(v_f, ring), ring)
+        _, h = sphere_baseline(v_f + ring.membrane_volume, ring)
         return h
     return h_true
 
@@ -60,7 +59,7 @@ def cfg_a():
     """
     ring = RingSpec(r=7.83e-3, t_i=0.6e-3)
     vols = np.linspace(0.05e-6, 1.0e-6, 40)
-    samples = [(v, 0.83 * sphere_baseline(actuator_volume(v, ring), ring)[1], phase)
+    samples = [(v, 0.83 * sphere_baseline(v + ring.membrane_volume, ring)[1], phase)
                for v in vols for phase in ("inflate", "deflate")]
     return EstimatorConfig(ring=ring, coeffs=YeohCoeffs(31865.0, -1830.0, 42.0),
                            fit=fit_height_poly(samples, degree=7))

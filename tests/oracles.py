@@ -37,7 +37,6 @@ from bma import (
     RingSpec,
     StateEstimate,
     YeohCoeffs,
-    actuator_volume,
     evaluate_height,
     perimeter,
     solve_axes,
@@ -214,7 +213,7 @@ def reconstruct_chain(v_f: float, h2_prev: float, cfg) -> Reconstruction:
         raise DegenerateGeometry(f"volume {v_f} below modeled minimum {cfg.v_min_model}")
     ring = cfg.ring
     h1 = evaluate_height(cfg.fit, v_f)
-    v_bma = actuator_volume(v_f, ring)
+    v_bma = v_f + ring.membrane_volume
     a, c = solve_axes(v_bma, h1, ring)
     if not 0.0 <= h2_prev < h1:
         h2_prev = 0.0

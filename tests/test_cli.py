@@ -13,7 +13,7 @@ from bma.cli import main
 from bma.config import load_config
 from bma.errors import BmaError
 from bma.estimator import predict_pressure, reconstruct
-from bma.geometry import actuator_volume, profile_polyline, sphere_baseline
+from bma.geometry import profile_polyline, sphere_baseline
 from bma.harness import evaluate, ingest_trace, run_trace
 import oracles
 
@@ -308,7 +308,7 @@ class TestExportShape:
                   for x, z in profile_polyline(g.a_d, g.c_d, g.h3, g.k, points)]
         z_mm = max(z for _, z in pts_mm)
         slice_mm = [(-g.k / 1e-3, z_mm), (g.k / 1e-3, z_mm)] if g.k > 0 else None
-        radius, cap_h = sphere_baseline(actuator_volume(v_f, config.ring), config.ring)
+        radius, cap_h = sphere_baseline(v_f + config.ring.membrane_volume, config.ring)
         sphere_mm = [(x / 1e-3, z / 1e-3)
                      for x, z in profile_polyline(radius, radius, cap_h, 0.0, points)]
         r_mm = config.ring.r / 1e-3

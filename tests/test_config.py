@@ -1,8 +1,11 @@
+import contextlib
 import copy
 import dataclasses
 import functools
+import io
 import math
 import operator
+import re
 import shutil
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from bma.harness import ML_TO_M3
 REPO = Path(__file__).resolve().parent.parent
 SAMPLE_CONFIG = REPO / "configs" / "sample.yaml"
 SAMPLE_CALIBRATION = REPO / "data" / "sample_calibration.csv"
+SAMPLE_SCRIPT = REPO / "data" / "sample_script.yaml"
 
 
 def config_with_estimator(tmp_path, estimator):
@@ -406,3 +410,164 @@ def test_height_fit_round_trips_through_the_file(tmp_path_factory, degree, scale
     assert loaded == fit
     for v in np.linspace(fit.v_min, fit.v_max, 41).tolist():
         assert evaluation(loaded, v) == evaluation(fit, v)
+
+
+@pytest.mark.parametrize("target", ["config", "script"])
+@pytest.mark.parametrize("value, problem", [
+    # values whose tag's constructor fails with an error of its own: these
+    # used to escape load_raw as a traceback
+    pytest.param("!!bool maybe", "cannot read 'maybe' as !!bool", id="bool-maybe"),
+    pytest.param("!!timestamp abc", "cannot read 'abc' as !!timestamp", id="timestamp-abc"),
+    pytest.param("!!set [1]", "expected a mapping node, but found sequence", id="set-sequence"),
+    # and these as one line that named no file, line or key
+    pytest.param("!!int abc", "cannot read 'abc' as !!int", id="int-abc"),
+    pytest.param("!!map x", "expected a mapping node, but found scalar", id="map-scalar"),
+    pytest.param("2020-13-45", "cannot read '2020-13-45' as !!timestamp", id="month-13"),
+    pytest.param("2001-02-30", "cannot read '2001-02-30' as !!timestamp", id="february-30"),
+    pytest.param("9" * 5001, f"cannot read '{'9' * 12}...{'9' * 13}' as !!int",
+                 id="int-past-digit-limit"),
+])
+def test_unreadable_yaml_value_names_file_and_line(tmp_path, capsys, calibrated, target,
+                                                   value, problem):
+    cfg = tmp_path / "config.yaml"
+    save_raw(cfg, calibrated)
+    out = tmp_path / "out.csv"
+    if target == "config":
+        bad = tmp_path / "bad.yaml"
+        text = cfg.read_text()
+        assert text.startswith("ring:\n  radius_mm: 5.0\n")
+        bad.write_text(text.replace("radius_mm: 5.0", f"radius_mm: {value}", 1))
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t_s,volume_ml,pressure_pa\n0.0,0.4,9000\n")
+        args, line = ["estimate", str(trace), "--config", str(bad), "--out", str(out)], 2
+    else:
+        bad = tmp_path / "script.yaml"
+        bad.write_text("sample_period_s: 0.01\nsteps:\n"
+                       f"  - {{volume_ml: 0.4, force_n: 0.1, hold_s: {value}}}\n")
+        args, line = ["simulate", str(bad), "--config", str(cfg), "--out", str(out)], 3
+    message = f"{bad}, line {line}: {problem}"
+    with pytest.raises(ConfigError) as exc:
+        load_raw(bad)
+    assert str(exc.value) == message
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n" and len(err) < 200
+    assert not out.exists()
+
+
+def test_bytes_that_are_not_utf8_name_the_file(tmp_path, capsys, calibrated):
+    # decoded by PyYAML, not by the locale's codec, whose error named no file
+    cfg = tmp_path / "config.yaml"
+    save_raw(cfg, calibrated)
+    cfg.write_bytes(cfg.read_bytes().replace(b"radius_mm: 5.0", b"radius_mm: 5.0 # \xff", 1))
+    with pytest.raises(ConfigError) as exc:
+        load_raw(cfg)
+    assert str(exc.value) == f"{cfg}, position 25: invalid start byte (#xff)"
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t_s,volume_ml,pressure_pa\n0.0,0.4,9000\n")
+    capsys.readouterr()
+    assert main(["estimate", str(trace), "--config", str(cfg), "--out",
+                 str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {exc.value}\n"
+
+
+# what a mutation writes over a number of the file
+MUTANT_VALUES = (
+    # wrong types
+    "abc", "true", "null", "''", "[1, 2]", "{a: 1}", "- 1", "0.1 N",
+    # non-finite, huge and tiny numbers; none gives a hold of many samples
+    ".nan", ".inf", "-.inf", "1e999", "1e300", "-1e308", "1e-300", "0", "-1",
+    "1" + "0" * 400, "9" * 5001,
+    # dates
+    "2001-02-30", "2020-13-45", "2020-01-01", "2001-12-14t21:59:43.10-05:00",
+    # explicit tags
+    "!!int abc", "!!int 12", "!!int 0xZZ", "!!bool maybe", "!!bool yes", "!!timestamp abc",
+    "!!set [1]", "!!set {a: null}", "!!map x", "!!map {a: 1}", "!!binary '@@'",
+    "!!binary aGVsbG8=", "!!float abc", "!!str 5", "!!omap x", "!!pairs [1]", "!foo x",
+    # damaged syntax
+    "[1, 2", "{a: 1", "'abc", '"abc', "a: b: c", "\tx", "@x", "%x", "&", "*", "!", "|",
+    # anchors and aliases
+    "*undefined", "&r [1, *r]", "&m {a: *m}", "<<: 5",
+)
+STRAY_BYTES = (b"\xff", b"\xc3\x28", b"\xe2\x82", b"\xfe\xff", b"\x00", b"\x1b",
+               b"\xef\xbb\xbf", b"\t", b":", b"-", b"[", b"{", b"#", b"&", b"*", b"!", b"'")
+
+
+@st.composite
+def mutated_yaml(draw, text: str) -> bytes:
+    """text with one to three mutations, as bytes that need not be UTF-8."""
+    for _ in range(draw(st.integers(1, 3))):
+        lines = text.splitlines(keepends=True)
+        if not lines:   # truncated to nothing
+            break
+        numbers = [m.span() for m in re.finditer(r"-?\d[\w.+-]*", text)]
+        keys = [m.span() for m in re.finditer(r"\w+(?=:)", text)]
+        kind = draw(st.sampled_from(["delete", "repeat", "extra", "truncate",
+                                     *(["rename"] if keys else []),
+                                     *(["value", "alias"] if numbers else [])]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        elif kind == "extra":
+            lines.insert(i, lines[i][:len(lines[i]) - len(lines[i].lstrip())] + "extra_key: 1\n")
+        elif kind == "truncate":
+            lines = [text[:draw(st.integers(0, len(text)))]]
+        else:
+            span = draw(st.sampled_from(keys if kind == "rename" else numbers))
+            if kind == "rename":   # to a key of its own mapping, of another or of none
+                edits = {span: draw(st.sampled_from(["extra_key",
+                                                     *(text[s:e] for s, e in keys)]))}
+            elif kind == "value":
+                edits = {span: draw(st.sampled_from(MUTANT_VALUES))}
+            else:   # an anchor on one number and an alias to it at another, maybe before it
+                edits = {draw(st.sampled_from(numbers)): "*x",
+                         span: f"&x {text[span[0]:span[1]]}"}
+            for (start, end), new in sorted(edits.items(), reverse=True):
+                text = text[:start] + new + text[end:]
+            lines = [text]
+        text = "".join(lines)
+    data = text.encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(STRAY_BYTES)) + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory, calibrated):
+    """A calibrated config and a two-row trace, in one directory."""
+    root = tmp_path_factory.mktemp("mutated")
+    save_raw(root / "config.yaml", calibrated)
+    (root / "trace.csv").write_text("t_s,volume_ml,pressure_pa\n0.0,0.4,9000\n0.1,0.5,9500\n")
+    return root
+
+
+def run_mutant(root: Path, kind: str, data: bytes) -> None:
+    """main on a mutated file exits 0, or 1 or 2 on one short error line and no traceback."""
+    mutant = root / f"mutant_{kind}.yaml"
+    mutant.write_bytes(data)
+    out = root / "out.csv"
+    if kind == "config":
+        args = ["estimate", str(root / "trace.csv"), "--config", str(mutant), "--out", str(out)]
+    else:
+        args = ["simulate", str(mutant), "--config", str(root / "config.yaml"), "--out", str(out)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        status = main(args)
+    err = err.getvalue()
+    assert status in (0, 1, 2)
+    if status:
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+        assert "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_config_and_script_exit_cleanly(mutation_dir, data):
+    # a mutated config drives estimate, a mutated script simulate
+    for kind, source in (("config", mutation_dir / "config.yaml"), ("script", SAMPLE_SCRIPT)):
+        run_mutant(mutation_dir, kind, data.draw(mutated_yaml(source.read_text()), label=kind))

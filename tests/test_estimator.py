@@ -30,7 +30,6 @@ from bma import (
     solve_axes,
     sphere_baseline,
     step,
-    actuator_volume,
 )
 from bma import estimator, fit_height_poly, harness
 from bma.config import load_config
@@ -106,7 +105,7 @@ class TestPredictPressure:
         # compose the already-verified pieces by hand at one volume
         v_f = 0.4e-6
         h1 = evaluate_height(cfg.fit, v_f)
-        v_bma = actuator_volume(v_f, ring)
+        v_bma = v_f + ring.membrane_volume
         a, c = solve_axes(v_bma, h1, ring)
         theta1 = integration_angle(ring.r, h1, c)
         arc = perimeter(a, c, h1, theta1)
@@ -776,7 +775,7 @@ class TestCenterShift:
         v_f = lo + x * (cfg.fit.v_max - lo)
         h1 = evaluate_height(cfg.fit, v_f)
         h2_prev = share * h1
-        v_bma = actuator_volume(v_f, cfg.ring)
+        v_bma = v_f + cfg.ring.membrane_volume
         try:
             _, c = solve_axes(v_bma, h1, cfg.ring)
             _, c_d = solve_axes(v_bma, h1 - h2_prev, cfg.ring)
@@ -799,7 +798,7 @@ def configs_over_the_ranges(draw):
     factor = draw(st.floats(0.8, 1.25))
     c1 = draw(st.floats(5e3, 60e3))
     coeffs = YeohCoeffs(c1, c1 * draw(st.floats(-0.1, 0.1)), c1 * draw(st.floats(0.0, 0.01)))
-    samples = [(v, factor * sphere_baseline(actuator_volume(v, ring), ring)[1], phase)
+    samples = [(v, factor * sphere_baseline(v + ring.membrane_volume, ring)[1], phase)
                for v in np.linspace(0.05e-6, 1.0e-6, 40) for phase in ("inflate", "deflate")]
     return EstimatorConfig(ring=ring, coeffs=coeffs, fit=fit_height_poly(samples, degree=7))
 
@@ -823,7 +822,7 @@ class TestGeometryGuards:
         ring = cfg.ring
         for v_f in volumes:
             h1 = evaluate_height(cfg.fit, v_f)
-            v_bma = actuator_volume(v_f, ring)
+            v_bma = v_f + ring.membrane_volume
             try:
                 a, c = solve_axes(v_bma, h1, ring)
             except DegenerateGeometry:   # refused by the layer itself
@@ -831,8 +830,11 @@ class TestGeometryGuards:
             qh = ring.area / v_bma * h1
             assert 0 < qh < 2
             assert 2 * c - h1 == pytest.approx(h1 / 3 * qh / (2 - qh), rel=1e-6)
-            assert estimator._volume_stage(v_f, cfg) == (
-                h1, (v_bma, a, c, ring, ring.r, ring.membrane_volume, ring.t_i_r2, cfg.coeffs))
+            reconstruct(v_f, 0.0, cfg)
+            memo_cfg, memo_v_f, memo_h1, _, _, stage = estimator._volume_memo
+            assert memo_cfg is cfg and (memo_v_f, memo_h1) == (v_f, h1)
+            assert stage == (v_bma, a, c, ring, ring.r, ring.membrane_volume,
+                             ring.t_i * ring.r ** 2, cfg.coeffs)
             for h2 in (0.0, 0.5 * h1, *(share * h1 for share in shares),
                        math.nextafter(h1, 0.0)):
                 try:
@@ -847,7 +849,7 @@ class TestGeometryGuards:
 
 
 class TestCachedConstants:
-    NAMES = {"ring": ("area", "membrane_volume", "t_i_r2"), "coeffs": ("horner",),
+    NAMES = {"ring": ("area", "membrane_volume"), "coeffs": ("horner",),
              "fit": ("evaluation",)}
 
     def test_follow_their_owner(self, cfg):

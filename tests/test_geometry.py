@@ -9,7 +9,6 @@ from scipy.optimize import brentq
 from bma import (
     DegenerateGeometry,
     RingSpec,
-    actuator_volume,
     evaluate_height,
     profile_polyline,
     solve_axes,
@@ -58,21 +57,6 @@ class TestMembraneVolume:
         # r is finite, but r^2 and so pi r^2 t_i are past the float range
         with pytest.raises(ValueError, match="finite membrane volume"):
             RingSpec(1e200, 5e-4)
-
-
-class TestActuatorVolume:
-    def test_empty(self):
-        ring = RingSpec(r=5e-3, t_i=0.5e-3)
-        assert actuator_volume(0.0, ring) == ring.membrane_volume
-
-    def test_sum_of_parts(self):
-        ring = RingSpec(r=5e-3, t_i=0.5e-3)
-        assert actuator_volume(0.4e-6, ring) == pytest.approx(439.2699082e-9, rel=1e-7)
-        assert actuator_volume(1.0e-6, ring) == pytest.approx(1039.2699082e-9, rel=1e-7)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            actuator_volume(-1e-9, RingSpec(r=5e-3, t_i=0.5e-3))
 
 
 class TestCapVolume:
@@ -226,7 +210,7 @@ class TestSolveAxes:
         enclosed = []
         for v_f in vols:
             h1 = evaluate_height(cfg.fit, v_f)
-            a, c = solve_axes(actuator_volume(v_f, ring), h1, ring)
+            a, c = solve_axes(v_f + ring.membrane_volume, h1, ring)
             enclosed.append(ellipsoid_volume_above_ring(a, c, h1))
         assert all(b >= a for a, b in zip(enclosed, enclosed[1:]))
 
