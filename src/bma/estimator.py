@@ -5,10 +5,10 @@ state is the previous total indentation h2.  `reconstruct` builds the
 shape in two stages from the calibrated height fit and the ellipsoid
 closed forms: a volume stage (apex height h1, V_bma = V_f + V_m and the
 unindented spheroid), which depends on the injected volume V_f alone, and
-an indentation stage, which depends on V_f and the carried h2.  Its
-one-entry memo reuses the volume stage while V_f repeats, as while the
-syringe holds a volume, and the whole shape once a hold has settled; a
-shape carries no flags.  The energy balance then yields the force and the
+an indentation stage, which depends on V_f and the carried h2.  Its memo
+keeps the last shape, which serves a settled hold, and a bounded table of
+the config's volume stages, so a volume that a syringe stroke returns to
+builds none; a shape carries no flags.  The energy balance then yields the force and the
 next h2 (`indent`, the core of `step`).  `step` raises no `BmaError`: a
 sample it cannot estimate, a model error's included, is a flagged null
 estimate.
@@ -125,21 +125,27 @@ class Reconstruction(NamedTuple):
     v_fm: float         # membrane volume in the free-inflation region [m3]
 
 
-# One-entry memo, (cfg, v_f, h1, h2, g, stage): g is the last record built, at
-# the carried h2 after the restart rule, and stage the rest of the volume
-# stage, which only a rebuild reads.  Read and replaced whole, never mutated,
-# so concurrent callers can at worst miss.  Its strong reference to its
-# config keeps that config's id from reuse.
-_EMPTY_MEMO: tuple = (None,) * 6
+# The memo, (cfg, v_f, h1, h2, g, stage, table): g is the last record built,
+# at the carried h2 after the restart rule; stage is what only a rebuild reads,
+# the volume stage's V_bma, a and c, then the config's constants; table maps
+# each volume of this config whose volume stage succeeded to its
+# (h1, V_bma, a, c).  The tuple is read and replaced whole, never mutated; the
+# table only ever gains whole entries and, once it holds _TABLE_SIZE, gives way
+# to a fresh dict, so concurrent callers can at worst miss.  Its strong
+# reference to its config keeps that config's id from reuse.
+_EMPTY_MEMO: tuple = (None,) * 7
 _volume_memo: tuple = _EMPTY_MEMO
+# Volumes whose stages one table holds, about 0.2 kB each
+_TABLE_SIZE = 4096
 
 
 def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruction:
     """Height fit -> unindented and deformed spheroids -> stretch -> W and V_fm.
 
     The volume stage (the `v_min_model` refusal, h1, V_bma = V_f + V_m and
-    the unindented spheroid) is the memo's, or built here on a miss; so is
-    the indentation stage from the carried h2_prev on, the memo's where the
+    the unindented spheroid) is the memo's while the config and the volume
+    are the last call's, else the table's, or built here and tabled.  The
+    indentation stage from the carried h2_prev on is the memo's where the
     config, the volume and the carried h2 (after the restart rule) are the
     last call's, as while a hold settles.  A built record replaces the memo.
     At h2 = 0 the deformed spheroid is the unindented one, as h3 = h1.  The
@@ -152,16 +158,25 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
     """
     global _volume_memo
     v_f, h2_prev = float(v_f), float(h2_prev)
-    memo_cfg, memo_v_f, h1, memo_h2, g, stage = _volume_memo
+    memo_cfg, memo_v_f, h1, memo_h2, g, stage, table = _volume_memo
     if memo_cfg is not cfg or memo_v_f != v_f:
-        # the stage is stored only with a built record, so a volume that raises
-        # raises every time; v_f is a float, so no numpy scalar keys the memo
-        if v_f < cfg.v_min_model:
-            raise DegenerateGeometry(f"volume {v_f} below modeled minimum {cfg.v_min_model}")
         fit, ring, r, v_m, t_i_r2, coeffs = cfg._chain_constants
-        h1 = evaluate_height(fit, v_f)
-        v_bma = v_f + v_m
-        a, c = solve_axes(v_bma, h1, ring)
+        if memo_cfg is not cfg:
+            table = {}
+        # only a stage that succeeded is tabled, so a volume that raises raises
+        # every time; v_f is a float, so no numpy scalar keys the table
+        entry = table.get(v_f)
+        if entry is None:
+            if v_f < cfg.v_min_model:
+                raise DegenerateGeometry(f"volume {v_f} below modeled minimum {cfg.v_min_model}")
+            h1 = evaluate_height(fit, v_f)
+            v_bma = v_f + v_m
+            a, c = solve_axes(v_bma, h1, ring)
+            if len(table) >= _TABLE_SIZE:
+                table = {}
+            table[v_f] = h1, v_bma, a, c
+        else:
+            h1, v_bma, a, c = entry
         stage = (v_bma, a, c, ring, r, v_m, t_i_r2, coeffs)
         memo_h2 = None
     # h1 can shrink between samples: a carried indentation that reaches the
@@ -197,7 +212,7 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
                 k = a
             v_fm = v_m - k ** 2 * _PI * (t_i_r2 / arc ** 2)
         g = _new_tuple(Reconstruction, (h1, a, c, h3, a_d, c_d, c_c, k, w, v_fm))
-        _volume_memo = (cfg, v_f, h1, h2_prev, g, stage)
+        _volume_memo = (cfg, v_f, h1, h2_prev, g, stage, table)
     return g
 
 

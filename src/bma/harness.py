@@ -18,7 +18,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DegenerateGeometry, MissingGroundTruth, NoConvergence, ParseError
+from .errors import DegenerateGeometry, MissingGroundTruth, NoConvergence, OutOfRange, ParseError
 from .estimator import (
     EstimatorConfig,
     EstimatorState,
@@ -267,16 +267,22 @@ def simulate_trace(script: SimScript, cfg: EstimatorConfig,
                    seed: int) -> list[TraceRecord]:
     """Generate a synthetic trace by running the model forward.
 
-    Every hold is checked first (`_hold_equilibrium`).  Then each sample
-    reconstructs the shape once at the carried indentation, a bare float h2:
-    the energy balance inverted on it at the scripted (volume, force) gives the
-    pressure, and `estimator.indent`, the core of `step`, advances h2 from the
-    same reconstruction, building no estimate or state.  h2 and the scripted
+    Every hold is checked first (`_hold_equilibrium`); a refused hold raises
+    its model error prefixed with the step's index, volume_ml and force_n.
+    Then each sample reconstructs the shape once at the carried indentation,
+    a bare float h2: the energy balance inverted on it at the scripted
+    (volume, force) gives the pressure, and `estimator.indent`, the core of
+    `step`, advances h2 from the same reconstruction, building no estimate
+    or state.  h2 and the scripted
     force are the ground truth of a loop closed on the model itself.  Script
     values enter as floats, so numpy scalars give the same records.
     """
-    for s in script.steps:
-        _hold_equilibrium(float(s.v_f), float(s.force), cfg)
+    for i, s in enumerate(script.steps):
+        try:
+            _hold_equilibrium(float(s.v_f), float(s.force), cfg)
+        except (DegenerateGeometry, NoConvergence, OutOfRange) as exc:   # SI units, no step
+            raise type(exc)(f"step {i} (volume_ml {s.v_f / ML_TO_M3:.6g}, "
+                            f"force_n {s.force:.6g}): {exc}") from exc
 
     rng = np.random.default_rng(seed)
     records = []

@@ -448,6 +448,22 @@ class TestExitCodes:
         assert "error: script: hold 1e+300 s is not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("volume_ml, reason", [
+        (0.05, "volume 5e-08 below modeled minimum 1e-07"),
+        (1.5, "volume 1.5e-06 outside calibrated range [5e-08, 1e-06]")])
+    def test_refused_hold_names_its_step_in_file_units(self, workdir, capsys, volume_ml, reason):
+        # the model's refusal used to reach the user in SI units, naming no step
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        script = workdir / "refused.yaml"
+        script.write_text("sample_period_s: 0.01\nsteps:\n"
+                          "  - {volume_ml: 0.5, force_n: 0.1, hold_s: 0.1}\n"
+                          f"  - {{volume_ml: {volume_ml}, force_n: 0.1, hold_s: 0.1}}\n")
+        out = workdir / "trace.csv"
+        err = assert_refused(capsys, ["simulate", script, "--config", cfg, "--out", out])
+        assert err == f"error: step 1 (volume_ml {volume_ml}, force_n 0.1): {reason}\n"
+        assert not out.exists()
+
     def test_memory_error_exits_1(self, workdir, capsys, monkeypatch):
         # a finite but huge sample count, such as hold_s: 1.0e+12 at 0.01 s,
         # leaves numpy unable to allocate the noise draws

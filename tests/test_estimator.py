@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
@@ -204,7 +206,7 @@ class TestStep:
         for build in (cold_reconstruct, reconstruct):
             g = build(np.float64(0.5e-6), np.float64(3e-3), cfg)
             assert {type(x) for x in g} == {float}
-        estimator._volume_memo = estimator._EMPTY_MEMO
+        empty_memo()
         est, state = step(EstimatorState(h2_prev=np.float64(1.5e-3)), np.float64(0.5e-6),
                           np.float64(12000.0), cfg)
         assert {type(getattr(est, f.name)) for f in fields(StateEstimate)
@@ -417,9 +419,14 @@ class TestUpdate:
         assert all(0.0 <= est.h2 <= est.h1 for est in estimates)
 
 
+def empty_memo():
+    """Empty the volume memo, its table of volume stages included."""
+    estimator._volume_memo = estimator._EMPTY_MEMO
+
+
 def cold_reconstruct(v_f, h2_prev, cfg):
     """`reconstruct` with the volume memo emptied first, so it takes the miss path."""
-    estimator._volume_memo = estimator._EMPTY_MEMO
+    empty_memo()
     return reconstruct(v_f, h2_prev, cfg)
 
 
@@ -482,7 +489,7 @@ class TestVolumeMemo:
         # rule) return the kept record itself, on a restart too; any other
         # call builds one
         v_f = 0.5e-6
-        estimator._volume_memo = estimator._EMPTY_MEMO
+        empty_memo()
         for call in ((v_f, 1e-3, replace(cfg)), (np.nextafter(v_f, 1.0), 1e-3, cfg),
                      (v_f, np.nextafter(1e-3, 1.0), cfg)):
             g = reconstruct(v_f, 1e-3, cfg)
@@ -526,7 +533,7 @@ class TestVolumeMemo:
     def test_predict_pressure_warm_matches_cold(self, configs):
         # a kept shape serves only its own config, volume and carried h2
         def cold(v_f, cfg):
-            estimator._volume_memo = estimator._EMPTY_MEMO
+            empty_memo()
             return predict_pressure(v_f, cfg)
 
         for i, v_f in [(0, 0.3e-6), (0, 0.3e-6), (1, 0.3e-6), (0, 0.8e-6),
@@ -565,7 +572,7 @@ class TestVolumeMemo:
         # clamps h2 to 0, so each sample reconstructs the free shape
         p = 0.999 * predict_pressure(v_f, cfg)
         monkeypatch.setattr(estimator, "solve_axes", counting)
-        estimator._volume_memo = estimator._EMPTY_MEMO
+        empty_memo()
         if path == "reconstruct":
             reconstruct(0.3e-6, 1e-3, cfg)   # kept, but at another volume
             assert len(calls) == 2
@@ -600,11 +607,97 @@ class TestVolumeMemo:
 
         monkeypatch.setattr(estimator, "solve_axes", counting)
         monkeypatch.setattr(harness, "step", counted_step)
-        estimator._volume_memo = estimator._EMPTY_MEMO
+        empty_memo()
         assert run_trace(records, cfg) == estimates
         # the volume stage, whose axes the first sample's free shape takes,
         # then one shape per new carried h2, then none
         assert per_sample == [1] + [1] * settled + [0] * (n - settled - 1)
+
+    def test_revisited_volume_builds_no_stage(self, cfg, monkeypatch):
+        # a free sample at a volume tabled before other volumes calls neither
+        # the height fit nor solve_axes, and returns the cold call's record
+        calls = []
+
+        def counting(fn):
+            def counted(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return counted
+
+        volumes = (0.3e-6, 0.5e-6, 0.8e-6)
+        cold = [cold_reconstruct(v_f, 0.0, cfg) for v_f in volumes]
+        monkeypatch.setattr(estimator, "evaluate_height", counting(evaluate_height))
+        monkeypatch.setattr(estimator, "solve_axes", counting(solve_axes))
+        empty_memo()
+        for v_f in volumes:
+            reconstruct(v_f, 0.0, cfg)
+        assert calls == ["evaluate_height", "solve_axes"] * len(volumes)
+        calls.clear()
+        for v_f, want in [*zip(volumes, cold), *zip(reversed(volumes), reversed(cold))]:
+            got = reconstruct(v_f, 0.0, cfg)
+            assert got == want and repr(got) == repr(want)
+        assert calls == []
+
+    def test_table_stays_bounded(self, cfg):
+        # more distinct volumes than the bound: the table starts afresh when
+        # full, and every record, first visit or revisit, is a cold build's
+        bound = estimator._TABLE_SIZE
+        volumes = np.linspace(0.15e-6, 0.95e-6, bound + 100).tolist()
+        empty_memo()
+        warm = []
+        for v_f in volumes:
+            warm.append(reconstruct(v_f, 0.0, cfg))
+            assert len(estimator._volume_memo[6]) <= bound
+        assert len(estimator._volume_memo[6]) == 100
+        revisits = [reconstruct(v_f, 1e-3, cfg) for v_f in volumes[::-1]]
+        assert len(estimator._volume_memo[6]) <= bound
+        assert warm == [cold_reconstruct(v_f, 0.0, cfg) for v_f in volumes]
+        assert revisits == [cold_reconstruct(v_f, 1e-3, cfg) for v_f in volumes[::-1]]
+
+    def test_config_switch_never_serves_another_configs_stage(self, cfg, configs):
+        # volumes tabled under one config, then each visited under another
+        # (with other apex heights, and an equal copy): every record is its own
+        # config's cold build, and the table holds only the current config's
+        # volumes
+        volumes = (0.3e-6, 0.5e-6, 0.8e-6)
+        for other in (configs[1], replace(cfg)):
+            cold = {(id(c), v_f): cold_reconstruct(v_f, 1e-3, c)
+                    for c in (cfg, other) for v_f in volumes}
+            empty_memo()
+            for c in (cfg, other, cfg):
+                for v_f in volumes:
+                    got = reconstruct(v_f, 1e-3, c)
+                    assert got == cold[id(c), v_f] and repr(got) == repr(cold[id(c), v_f])
+                    memo_cfg, *_, table = estimator._volume_memo
+                    assert memo_cfg is c and set(table) == set(volumes[:volumes.index(v_f) + 1])
+
+    def test_concurrent_callers_get_cold_records(self, cfg):
+        # threads sharing the memo and its table, switched often: each call
+        # returns its cold build, as a caller that reads a memo or a table
+        # another thread is replacing can at worst miss
+        calls = [(v_f, h2_prev) for v_f in np.linspace(0.15e-6, 0.95e-6, 40).tolist()
+                 for h2_prev in (0.0, 1e-3)]
+        cold = {call: cold_reconstruct(*call, cfg) for call in calls}
+        wrong, done = [], []
+
+        def worker(seed):
+            order = np.random.default_rng(seed).permutation(len(calls) * 5) % len(calls)
+            wrong.extend(calls[i] for i in order.tolist()
+                         if reconstruct(*calls[i], cfg) != cold[calls[i]])
+            done.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == list(range(8)) and wrong == []
 
     def test_alternating_configs_keep_their_own_constants(self, cfg):
         # a config with its own ring, one with its own coefficients and an
@@ -686,11 +779,11 @@ def substituted_axes(h1, free, deformed):
     with pytest.MonkeyPatch.context() as m:
         for module in (estimator, oracles):
             m.setattr(module, "solve_axes", stub)
-        estimator._volume_memo = estimator._EMPTY_MEMO
+        empty_memo()
         try:
             yield
         finally:
-            estimator._volume_memo = estimator._EMPTY_MEMO
+            empty_memo()
 
 
 @st.composite
@@ -831,10 +924,11 @@ class TestGeometryGuards:
             assert 0 < qh < 2
             assert 2 * c - h1 == pytest.approx(h1 / 3 * qh / (2 - qh), rel=1e-6)
             reconstruct(v_f, 0.0, cfg)
-            memo_cfg, memo_v_f, memo_h1, _, _, stage = estimator._volume_memo
+            memo_cfg, memo_v_f, memo_h1, _, _, stage, table = estimator._volume_memo
             assert memo_cfg is cfg and (memo_v_f, memo_h1) == (v_f, h1)
             assert stage == (v_bma, a, c, ring, ring.r, ring.membrane_volume,
                              ring.t_i * ring.r ** 2, cfg.coeffs)
+            assert table[v_f] == (h1, v_bma, a, c)
             for h2 in (0.0, 0.5 * h1, *(share * h1 for share in shares),
                        math.nextafter(h1, 0.0)):
                 try:

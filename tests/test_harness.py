@@ -14,6 +14,7 @@ from bma import (
     DegenerateGeometry,
     MissingGroundTruth,
     NoConvergence,
+    OutOfRange,
     ParseError,
     SimScript,
     SimStep,
@@ -494,6 +495,21 @@ class TestHoldCheck:
         script = SimScript(steps=(SimStep(0.35e-6, 5.0, 0.1),), sample_period=0.01)
         with pytest.raises(NoConvergence, match="F=5.0"):
             simulate_trace(script, cfg, seed=0)
+
+    @pytest.mark.parametrize("v_ml, force, error", [(0.05, 0.1, DegenerateGeometry),
+                                                    (1.5, 0.0, OutOfRange),
+                                                    (0.35, 5.0, NoConvergence)])
+    def test_refused_hold_names_step_in_file_units(self, cfg, v_ml, force, error):
+        # the hold check's error keeps its class and its SI message, after the
+        # step's index, volume_ml and force_n
+        v_f = v_ml * harness.ML_TO_M3
+        with pytest.raises(error) as hold:
+            harness._hold_equilibrium(v_f, force, cfg)
+        script = SimScript((SimStep(0.5e-6, 0.1, 0.1), SimStep(v_f, force, 0.1)), 0.01)
+        with pytest.raises(error) as sim:
+            simulate_trace(script, cfg, seed=0)
+        assert type(sim.value) is error
+        assert str(sim.value) == f"step 1 (volume_ml {v_ml:g}, force_n {force:g}): {hold.value}"
 
     @pytest.mark.parametrize("force", [0.0, -0.1, 1e-285, 1e-12])
     def test_no_push_needs_no_solve(self, cfg, monkeypatch, force):
