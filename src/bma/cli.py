@@ -16,7 +16,7 @@ import sys
 
 from . import config as cfgmod
 from .calibration import DEFAULT_DEGREE, fit_height_poly
-from .errors import BmaError, DegenerateGeometry
+from .errors import BmaError, DegenerateGeometry, OutOfRange
 from .estimator import predict_pressure, reconstruct
 from .geometry import profile_polyline, sphere_baseline
 from .harness import (
@@ -137,9 +137,12 @@ def _svg(paths, path):
 
 def cmd_export_shape(args) -> int:
     cfg = cfgmod.load_config(_config_path(args))
-    v_f = args.volume_ml * ML_TO_M3
-    h2 = (args.indent_mm or 0.0) * MM_TO_M
-    g = reconstruct(v_f, h2, cfg)
+    v_f, h2 = args.volume_ml * ML_TO_M3, args.indent_mm * MM_TO_M
+    try:
+        g = reconstruct(v_f, h2, cfg)
+    except (DegenerateGeometry, OutOfRange) as exc:   # SI units, not the ones typed
+        raise type(exc)(f"volume_ml {args.volume_ml:.6g}, "
+                        f"indent_mm {args.indent_mm:.6g}: {exc}") from exc
     # reconstruct restarts an indentation outside [0, h1) from the free shape
     if not 0.0 <= h2 < g.h1:
         raise DegenerateGeometry(f"indentation {h2 / MM_TO_M:.6g} mm outside [0, "
@@ -209,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-shape", help="export a reconstructed profile")
     p.add_argument("--volume-ml", type=float, required=True)
-    p.add_argument("--indent-mm", type=float, default=None)
+    p.add_argument("--indent-mm", type=float, default=0.0)
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--out", required=True)
     add_config(p)

@@ -6,8 +6,8 @@ shape in two stages from the calibrated height fit and the ellipsoid
 closed forms: a volume stage (apex height h1, V_bma = V_f + V_m and the
 unindented spheroid), which depends on the injected volume V_f alone, and
 an indentation stage, which depends on V_f and the carried h2.  Its memo
-keeps the last shape, which serves a settled hold, and a bounded table of
-the config's volume stages, so a volume that a syringe stroke returns to
+keeps the last shape, which serves a settled hold, and each config its
+last 4 096 volume stages, so a volume that a syringe stroke returns to
 builds none; a shape carries no flags.  The energy balance then yields the force and the
 next h2 (`indent`, the core of `step`).  `step` raises no `BmaError`: a
 sample it cannot estimate, a model error's included, is a flagged null
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -55,9 +55,28 @@ class EstimatorConfig:
 
     @cached_property
     def _chain_constants(self) -> tuple:
-        """(fit, ring, r, V_m, t_i r^2, coeffs): what the volume stage reads, once per config."""
+        """(ring, r, V_m, t_i r^2, coeffs): what the indentation stage reads, once per config."""
         ring = self.ring
-        return self.fit, ring, ring.r, ring.membrane_volume, ring.t_i * ring.r ** 2, self.coeffs
+        return ring, ring.r, ring.membrane_volume, ring.t_i * ring.r ** 2, self.coeffs
+
+    @cached_property
+    def _volume_stages(self):
+        """V_f -> (h1, V_bma, a, c) for the last 4 096 volumes; a refusal is never kept.
+
+        The closure holds no `self`, so a config no caller holds is freed at once.
+        """
+        fit, ring, v_m, v_min = self.fit, self.ring, self.ring.membrane_volume, self.v_min_model
+
+        @lru_cache(maxsize=4096)
+        def volume_stage(v_f: float) -> tuple:
+            if v_f < v_min:
+                raise DegenerateGeometry(f"volume {v_f} below modeled minimum {v_min}")
+            h1 = evaluate_height(fit, v_f)
+            v_bma = v_f + v_m
+            a, c = solve_axes(v_bma, h1, ring)
+            return h1, v_bma, a, c
+
+        return volume_stage
 
 
 # The flags of an unflagged sample.  Flags are added by set union on the
@@ -125,18 +144,11 @@ class Reconstruction(NamedTuple):
     v_fm: float         # membrane volume in the free-inflation region [m3]
 
 
-# The memo, (cfg, v_f, h1, h2, g, stage, table): g is the last record built,
-# at the carried h2 after the restart rule; stage is what only a rebuild reads,
-# the volume stage's V_bma, a and c, then the config's constants; table maps
-# each volume of this config whose volume stage succeeded to its
-# (h1, V_bma, a, c).  The tuple is read and replaced whole, never mutated; the
-# table only ever gains whole entries and, once it holds _TABLE_SIZE, gives way
-# to a fresh dict, so concurrent callers can at worst miss.  Its strong
-# reference to its config keeps that config's id from reuse.
-_EMPTY_MEMO: tuple = (None,) * 7
+# The memo (cfg, v_f, stage, h2, g): cfg's volume stage at v_f and the record
+# built at the carried h2 after the restart rule.  Replaced whole, never mutated,
+# so concurrent callers can at worst miss; holding cfg keeps its id from reuse.
+_EMPTY_MEMO: tuple = (None,) * 5
 _volume_memo: tuple = _EMPTY_MEMO
-# Volumes whose stages one table holds, about 0.2 kB each
-_TABLE_SIZE = 4096
 
 
 def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruction:
@@ -144,13 +156,13 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
 
     The volume stage (the `v_min_model` refusal, h1, V_bma = V_f + V_m and
     the unindented spheroid) is the memo's while the config and the volume
-    are the last call's, else the table's, or built here and tabled.  The
+    are the last call's, else the config's cache's.  The
     indentation stage from the carried h2_prev on is the memo's where the
     config, the volume and the carried h2 (after the restart rule) are the
     last call's, as while a hold settles.  A built record replaces the memo.
     At h2 = 0 the deformed spheroid is the unindented one, as h3 = h1.  The
     kept record itself is returned, on a restart too.  Numpy scalar inputs
-    are converted, so every field is a float.
+    are converted, so every field and every cache key is a float.
 
     Past `solve_axes` nothing is refused or clamped: its shapes keep h1 < 2c
     and c_c >= 0, so the slice lies less than 2c deep, and the contact radius
@@ -158,34 +170,18 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
     """
     global _volume_memo
     v_f, h2_prev = float(v_f), float(h2_prev)
-    memo_cfg, memo_v_f, h1, memo_h2, g, stage, table = _volume_memo
+    memo_cfg, memo_v_f, stage, memo_h2, g = _volume_memo
     if memo_cfg is not cfg or memo_v_f != v_f:
-        fit, ring, r, v_m, t_i_r2, coeffs = cfg._chain_constants
-        if memo_cfg is not cfg:
-            table = {}
-        # only a stage that succeeded is tabled, so a volume that raises raises
-        # every time; v_f is a float, so no numpy scalar keys the table
-        entry = table.get(v_f)
-        if entry is None:
-            if v_f < cfg.v_min_model:
-                raise DegenerateGeometry(f"volume {v_f} below modeled minimum {cfg.v_min_model}")
-            h1 = evaluate_height(fit, v_f)
-            v_bma = v_f + v_m
-            a, c = solve_axes(v_bma, h1, ring)
-            if len(table) >= _TABLE_SIZE:
-                table = {}
-            table[v_f] = h1, v_bma, a, c
-        else:
-            h1, v_bma, a, c = entry
-        stage = (v_bma, a, c, ring, r, v_m, t_i_r2, coeffs)
+        stage = cfg._volume_stages(v_f)
         memo_h2 = None
-    # h1 can shrink between samples: a carried indentation that reaches the
-    # ring plane means contact was lost, so restart from the free shape, as
-    # from a negative or non-finite carried state, which no step produces
-    if not 0.0 <= h2_prev < h1:
+    # h1 = stage[0] can shrink between samples: a carried indentation that
+    # reaches the ring plane means contact was lost, so restart from the free
+    # shape, as from a negative or non-finite carried state, which no step produces
+    if not 0.0 <= h2_prev < stage[0]:
         h2_prev = 0.0
     if h2_prev != memo_h2:
-        v_bma, a, c, ring, r, v_m, t_i_r2, coeffs = stage
+        h1, v_bma, a, c = stage
+        ring, r, v_m, t_i_r2, coeffs = cfg._chain_constants
         h3 = h1 - h2_prev
         if h2_prev:
             a_d, c_d = solve_axes(v_bma, h3, ring)
@@ -212,7 +208,7 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
                 k = a
             v_fm = v_m - k ** 2 * _PI * (t_i_r2 / arc ** 2)
         g = _new_tuple(Reconstruction, (h1, a, c, h3, a_d, c_d, c_c, k, w, v_fm))
-        _volume_memo = (cfg, v_f, h1, h2_prev, g, stage, table)
+        _volume_memo = (cfg, v_f, stage, h2_prev, g)
     return g
 
 

@@ -385,6 +385,22 @@ class TestExportShape:
         assert "below modeled minimum" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, reason", [
+        (["--volume-ml", 0.05], "volume 5e-08 below modeled minimum 1e-07\n"),
+        (["--volume-ml", 1.5], "volume 1.5e-06 outside calibrated range [5e-08, 1e-06]\n"),
+        # h1 is 7.68356 mm at 0.5 ml, so the deformed shape is all but flat
+        (["--volume-ml", 0.5, "--indent-mm", 7.6835], "flat-membrane solution a="),
+    ], ids=["below-model-floor", "past-calibrated-range", "flat-membrane"])
+    def test_model_refusal_names_the_request_in_typed_units(self, workdir, capsys, args, reason):
+        # the model's refusal used to reach the user in SI units only
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        out = workdir / "shape.svg"
+        err = assert_refused(capsys, ["export-shape", *args, "--config", cfg, "--out", out])
+        indent_mm = args[3] if len(args) > 2 else 0
+        assert err.startswith(f"error: volume_ml {args[1]}, indent_mm {indent_mm}: {reason}")
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_missing_config(self, workdir):

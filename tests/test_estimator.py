@@ -1,6 +1,8 @@
+import gc
 import math
 import sys
 import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
@@ -393,14 +395,15 @@ class TestUpdate:
 
     def test_contact_reconstruct_calls_every_layer(self, cfg, monkeypatch):
         # the layers run through the names bma.estimator looks up, where the
-        # benchmark's per-layer spans wrap them; a cold volume runs them all
+        # benchmark's per-layer spans wrap them; a cold volume runs them all.
+        # A copy of cfg keeps the stage built on the wrappers from later tests
         called = []
         for name in ("evaluate_height", "solve_axes", "perimeter", "yeoh_energy_density"):
             def counted(*args, _fn=getattr(estimator, name), _name=name):
                 called.append(_name)
                 return _fn(*args)
             monkeypatch.setattr(estimator, name, counted)
-        g = cold_reconstruct(0.5e-6, 3e-3, cfg)
+        g = cold_reconstruct(0.5e-6, 3e-3, replace(cfg))
         assert g.k > 0
         assert sorted(called) == ["evaluate_height", "perimeter", "solve_axes", "solve_axes",
                                   "yeoh_energy_density"]
@@ -419,14 +422,23 @@ class TestUpdate:
         assert all(0.0 <= est.h2 <= est.h1 for est in estimates)
 
 
-def empty_memo():
-    """Empty the volume memo, its table of volume stages included."""
+def empty_memo(*configs):
+    """Empty the one-shape memo and each given config's cache of volume stages.
+
+    Called with no config, it leaves every config's cache as it is.
+    """
     estimator._volume_memo = estimator._EMPTY_MEMO
+    for cfg in configs:
+        cfg._volume_stages.cache_clear()
 
 
 def cold_reconstruct(v_f, h2_prev, cfg):
-    """`reconstruct` with the volume memo emptied first, so it takes the miss path."""
-    empty_memo()
+    """`reconstruct` with the memo and cfg's cache of volume stages emptied first.
+
+    It takes the miss path of both, so it builds the volume stage; other
+    configs' caches are left as they are.
+    """
+    empty_memo(cfg)
     return reconstruct(v_f, h2_prev, cfg)
 
 
@@ -533,7 +545,7 @@ class TestVolumeMemo:
     def test_predict_pressure_warm_matches_cold(self, configs):
         # a kept shape serves only its own config, volume and carried h2
         def cold(v_f, cfg):
-            empty_memo()
+            empty_memo(cfg)
             return predict_pressure(v_f, cfg)
 
         for i, v_f in [(0, 0.3e-6), (0, 0.3e-6), (1, 0.3e-6), (0, 0.8e-6),
@@ -544,11 +556,12 @@ class TestVolumeMemo:
 
     def test_raising_free_shape_raises_on_repeat(self, cfg, monkeypatch):
         # a build that raises replaces nothing in the memo: the second call
-        # raises as the first did, and the shape kept before it still serves
+        # raises as the first did, and the shape kept before it still serves.
+        # A copy of cfg keeps what is built on the stub from later tests
         def broken(lam, coeffs):
             raise DegenerateGeometry("no energy term")
 
-        v_f = 0.5e-6
+        v_f, cfg = 0.5e-6, replace(cfg)
         cold_reconstruct(v_f, 1e-3, cfg)
         with monkeypatch.context() as m:
             m.setattr(estimator, "yeoh_energy_density", broken)
@@ -560,7 +573,8 @@ class TestVolumeMemo:
     @pytest.mark.parametrize("path", ["reconstruct", "run_trace"])
     def test_free_samples_at_one_volume_solve_axes_once(self, cfg, monkeypatch, path):
         # once for the volume stage, then never again while the volume holds:
-        # the free shape, at h3 = h1, takes the stage's axes
+        # the free shape, at h3 = h1, takes the stage's axes.  Counted on a
+        # copy of cfg, whose cache of volume stages starts empty
         calls = []
 
         def counting(*args):
@@ -571,6 +585,7 @@ class TestVolumeMemo:
         # just below the free pressure the force is negative and every update
         # clamps h2 to 0, so each sample reconstructs the free shape
         p = 0.999 * predict_pressure(v_f, cfg)
+        cfg = replace(cfg)
         monkeypatch.setattr(estimator, "solve_axes", counting)
         empty_memo()
         if path == "reconstruct":
@@ -608,14 +623,16 @@ class TestVolumeMemo:
         monkeypatch.setattr(estimator, "solve_axes", counting)
         monkeypatch.setattr(harness, "step", counted_step)
         empty_memo()
-        assert run_trace(records, cfg) == estimates
+        # a copy of cfg, whose cache of volume stages starts empty
+        assert run_trace(records, replace(cfg)) == estimates
         # the volume stage, whose axes the first sample's free shape takes,
         # then one shape per new carried h2, then none
         assert per_sample == [1] + [1] * settled + [0] * (n - settled - 1)
 
     def test_revisited_volume_builds_no_stage(self, cfg, monkeypatch):
-        # a free sample at a volume tabled before other volumes calls neither
-        # the height fit nor solve_axes, and returns the cold call's record
+        # a free sample at a volume whose stage was built before other volumes'
+        # calls neither the height fit nor solve_axes, and returns the cold
+        # call's record.  Counted on a copy of cfg, whose cache starts empty
         calls = []
 
         def counting(fn):
@@ -629,52 +646,86 @@ class TestVolumeMemo:
         monkeypatch.setattr(estimator, "evaluate_height", counting(evaluate_height))
         monkeypatch.setattr(estimator, "solve_axes", counting(solve_axes))
         empty_memo()
+        fresh = replace(cfg)
         for v_f in volumes:
-            reconstruct(v_f, 0.0, cfg)
+            reconstruct(v_f, 0.0, fresh)
         assert calls == ["evaluate_height", "solve_axes"] * len(volumes)
         calls.clear()
         for v_f, want in [*zip(volumes, cold), *zip(reversed(volumes), reversed(cold))]:
-            got = reconstruct(v_f, 0.0, cfg)
+            got = reconstruct(v_f, 0.0, fresh)
             assert got == want and repr(got) == repr(want)
         assert calls == []
 
     def test_table_stays_bounded(self, cfg):
-        # more distinct volumes than the bound: the table starts afresh when
-        # full, and every record, first visit or revisit, is a cold build's
-        bound = estimator._TABLE_SIZE
+        # more distinct volumes than the bound: the cache keeps the stages of
+        # the most recent 4 096, which a revisit finds, and every record, first
+        # visit or revisit, is a cold build's
+        fresh = replace(cfg)
+        stages = fresh._volume_stages
+        bound = stages.cache_parameters()["maxsize"]
+        assert bound == 4096
         volumes = np.linspace(0.15e-6, 0.95e-6, bound + 100).tolist()
         empty_memo()
-        warm = []
-        for v_f in volumes:
-            warm.append(reconstruct(v_f, 0.0, cfg))
-            assert len(estimator._volume_memo[6]) <= bound
-        assert len(estimator._volume_memo[6]) == 100
-        revisits = [reconstruct(v_f, 1e-3, cfg) for v_f in volumes[::-1]]
-        assert len(estimator._volume_memo[6]) <= bound
+        warm = [reconstruct(v_f, 0.0, fresh) for v_f in volumes]
+        assert stages.cache_info()[:] == (0, len(volumes), bound, bound)
+        # newest first, past an empty memo: the last `bound` volumes hit, then
+        # the first 100 miss
+        empty_memo()
+        revisits = [reconstruct(v_f, 1e-3, fresh) for v_f in volumes[::-1]]
+        assert stages.cache_info()[:] == (bound, len(volumes) + 100, bound, bound)
         assert warm == [cold_reconstruct(v_f, 0.0, cfg) for v_f in volumes]
         assert revisits == [cold_reconstruct(v_f, 1e-3, cfg) for v_f in volumes[::-1]]
 
-    def test_config_switch_never_serves_another_configs_stage(self, cfg, configs):
-        # volumes tabled under one config, then each visited under another
-        # (with other apex heights, and an equal copy): every record is its own
-        # config's cold build, and the table holds only the current config's
-        # volumes
+    def test_alternating_configs_keep_their_own_stages(self, cfg, configs, monkeypatch):
+        # volumes visited under one config, then under another (with other
+        # apex heights, or an equal copy): after one pass per config, taking
+        # the two in turn builds no stage, as each keeps its own, and every
+        # record is its own config's cold build
         volumes = (0.3e-6, 0.5e-6, 0.8e-6)
-        for other in (configs[1], replace(cfg)):
-            cold = {(id(c), v_f): cold_reconstruct(v_f, 1e-3, c)
-                    for c in (cfg, other) for v_f in volumes}
-            empty_memo()
-            for c in (cfg, other, cfg):
+        calls = []
+
+        def counting(fit, v_f):
+            calls.append(v_f)
+            return evaluate_height(fit, v_f)
+
+        monkeypatch.setattr(estimator, "evaluate_height", counting)
+        for other in (configs[1], cfg):
+            pair = (replace(cfg), replace(other))   # caches that start empty
+            cold = {(id(c), v_f): cold_reconstruct(v_f, 1e-3, c) for c in pair for v_f in volumes}
+            empty_memo(*pair)
+            calls.clear()
+            for c in pair:
                 for v_f in volumes:
+                    reconstruct(v_f, 1e-3, c)
+            assert calls == [*volumes, *volumes]
+            calls.clear()
+            for v_f in volumes:
+                for c in (*pair, *pair):
                     got = reconstruct(v_f, 1e-3, c)
                     assert got == cold[id(c), v_f] and repr(got) == repr(cold[id(c), v_f])
-                    memo_cfg, *_, table = estimator._volume_memo
-                    assert memo_cfg is c and set(table) == set(volumes[:volumes.index(v_f) + 1])
+            assert calls == []
+            assert [c._volume_stages.cache_info().currsize for c in pair] == [3, 3]
+
+    def test_unheld_config_is_freed_with_its_cache(self, cfg):
+        # the cache's closure holds no reference to its config, so with the
+        # cycle collector off, a config no caller holds is freed, cache and
+        # all, as soon as another config's call replaces the memo
+        gc.disable()
+        try:
+            other = replace(cfg)
+            reconstruct(0.5e-6, 1e-3, other)
+            refs = (weakref.ref(other), weakref.ref(other._volume_stages))
+            del other
+            reconstruct(0.5e-6, 1e-3, cfg)
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_concurrent_callers_get_cold_records(self, cfg):
-        # threads sharing the memo and its table, switched often: each call
-        # returns its cold build, as a caller that reads a memo or a table
-        # another thread is replacing can at worst miss
+        # threads sharing the memo and the config's cache, switched often:
+        # each call returns its cold build, as a caller that reads a memo
+        # another thread is replacing can at worst miss, and the cache is
+        # thread-safe
         calls = [(v_f, h2_prev) for v_f in np.linspace(0.15e-6, 0.95e-6, 40).tolist()
                  for h2_prev in (0.0, 1e-3)]
         cold = {call: cold_reconstruct(*call, cfg) for call in calls}
@@ -767,11 +818,12 @@ def assert_chain_matches_oracle(cfg, v_f, h2_prev, pressures):
 
 
 @contextmanager
-def substituted_axes(h1, free, deformed):
-    """solve_axes replaced by fixed axes: free ones at apex height h1, else deformed.
+def substituted_axes(cfg, h1, free, deformed):
+    """A copy of cfg, with solve_axes returning fixed axes: free at apex height h1, else deformed.
 
-    Replaced where `reconstruct` and the oracle chain look it up; the volume
-    memo, which would keep a shape built on the replaced axes, is emptied on both ends.
+    Replaced where `reconstruct` and the oracle chain look it up.  The stages
+    built on the replaced axes are kept only in the copy's cache, so none
+    reaches a config that another call or test uses.
     """
     def stub(v_bma, h, ring):
         return free if h == h1 else deformed
@@ -779,11 +831,7 @@ def substituted_axes(h1, free, deformed):
     with pytest.MonkeyPatch.context() as m:
         for module in (estimator, oracles):
             m.setattr(module, "solve_axes", stub)
-        empty_memo()
-        try:
-            yield
-        finally:
-            empty_memo()
+        yield replace(cfg)
 
 
 @st.composite
@@ -830,8 +878,8 @@ class TestFoldedChain:
         h1 = evaluate_height(cfg.fit, v_f)
         a, c, a_d = (h1 * x for x in axes[:3])
         c_d = c * axes[3]
-        with substituted_axes(h1, (a, c), (a_d, c_d)):
-            assert_chain_matches_oracle(cfg, v_f, share * h1, (12e3, 1e9, 0.0))
+        with substituted_axes(cfg, h1, (a, c), (a_d, c_d)) as stubbed:
+            assert_chain_matches_oracle(stubbed, v_f, share * h1, (12e3, 1e9, 0.0))
 
     def test_examples_take_every_path(self, cfg):
         v_f = 0.5e-6
@@ -924,11 +972,11 @@ class TestGeometryGuards:
             assert 0 < qh < 2
             assert 2 * c - h1 == pytest.approx(h1 / 3 * qh / (2 - qh), rel=1e-6)
             reconstruct(v_f, 0.0, cfg)
-            memo_cfg, memo_v_f, memo_h1, _, _, stage, table = estimator._volume_memo
-            assert memo_cfg is cfg and (memo_v_f, memo_h1) == (v_f, h1)
-            assert stage == (v_bma, a, c, ring, ring.r, ring.membrane_volume,
-                             ring.t_i * ring.r ** 2, cfg.coeffs)
-            assert table[v_f] == (h1, v_bma, a, c)
+            memo_cfg, memo_v_f, stage, _, _ = estimator._volume_memo
+            assert memo_cfg is cfg and memo_v_f == v_f
+            assert stage == (h1, v_bma, a, c) and cfg._volume_stages(v_f) is stage
+            assert cfg._chain_constants == (ring, ring.r, ring.membrane_volume,
+                                            ring.t_i * ring.r ** 2, cfg.coeffs)
             for h2 in (0.0, 0.5 * h1, *(share * h1 for share in shares),
                        math.nextafter(h1, 0.0)):
                 try:
