@@ -5,13 +5,13 @@ state is the previous total indentation h2.  `reconstruct` builds the
 shape in two stages from the calibrated height fit and the ellipsoid
 closed forms: a volume stage (apex height h1, V_bma = V_f + V_m and the
 unindented spheroid), which depends on the injected volume V_f alone, and
-an indentation stage, which depends on V_f and the carried h2.  Its memo
-keeps the last shape, which serves a settled hold, and each config its
-last 4 096 volume stages, so a volume that a syringe stroke returns to
-builds none; a shape carries no flags.  The energy balance then yields the force and the
-next h2 (`indent`, the core of `step`).  `step` raises no `BmaError`: a
-sample it cannot estimate, a model error's included, is a flagged null
-estimate.
+an indentation stage, which depends on V_f and the carried h2.  Each
+config's one model object keeps its last shape, which serves a settled
+hold, and its last 4 096 volume stages, so a volume that a syringe stroke
+returns to builds none; a shape carries no flags.  The energy balance then
+yields the force and the next h2 (`indent`, the core of `step`).  `step`
+raises no `BmaError`: a sample it cannot estimate, a model error's
+included, is a flagged null estimate.
 
 The chain runs as straight-line float arithmetic around four layers kept
 as functions and called through this module's names: `evaluate_height`,
@@ -54,18 +54,25 @@ class EstimatorConfig:
     v_min_model: ClassVar[float] = 0.1e-6
 
     @cached_property
-    def _chain_constants(self) -> tuple:
-        """(ring, r, V_m, t_i r^2, coeffs): what the indentation stage reads, once per config."""
-        ring = self.ring
-        return ring, ring.r, ring.membrane_volume, ring.t_i * ring.r ** 2, self.coeffs
+    def _model(self) -> _Model:
+        return _Model(self.ring, self.coeffs, self.fit, self.v_min_model)
 
-    @cached_property
-    def _volume_stages(self):
-        """V_f -> (h1, V_bma, a, c) for the last 4 096 volumes; a refusal is never kept.
+    def __reduce__(self):   # a copy or an unpickled config starts with a cold `_model`
+        return type(self), (self.ring, self.coeffs, self.fit)
 
-        The closure holds no `self`, so a config no caller holds is freed at once.
-        """
-        fit, ring, v_m, v_min = self.fit, self.ring, self.ring.membrane_volume, self.v_min_model
+
+class _Model:
+    """Per-config state of `reconstruct`, with no reference to its config:
+    `constants` (ring, r, V_m, t_i r^2, coeffs), `volume_stage`, an LRU of
+    V_f -> (h1, V_bma, a, c) that keeps no refusal, and `last`, the shape
+    (V_f, stage, h2, record), replaced whole, never mutated."""
+
+    __slots__ = ("constants", "volume_stage", "last")
+
+    def __init__(self, ring: RingSpec, coeffs: YeohCoeffs, fit: HeightFit, v_min: float):
+        v_m = ring.membrane_volume
+        self.constants = ring, ring.r, v_m, ring.t_i * ring.r ** 2, coeffs
+        self.last = (None,) * 4
 
         @lru_cache(maxsize=4096)
         def volume_stage(v_f: float) -> tuple:
@@ -76,7 +83,7 @@ class EstimatorConfig:
             a, c = solve_axes(v_bma, h1, ring)
             return h1, v_bma, a, c
 
-        return volume_stage
+        self.volume_stage = volume_stage
 
 
 # The flags of an unflagged sample.  Flags are added by set union on the
@@ -144,44 +151,36 @@ class Reconstruction(NamedTuple):
     v_fm: float         # membrane volume in the free-inflation region [m3]
 
 
-# The memo (cfg, v_f, stage, h2, g): cfg's volume stage at v_f and the record
-# built at the carried h2 after the restart rule.  Replaced whole, never mutated,
-# so concurrent callers can at worst miss; holding cfg keeps its id from reuse.
-_EMPTY_MEMO: tuple = (None,) * 5
-_volume_memo: tuple = _EMPTY_MEMO
-
-
 def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruction:
     """Height fit -> unindented and deformed spheroids -> stretch -> W and V_fm.
 
     The volume stage (the `v_min_model` refusal, h1, V_bma = V_f + V_m and
-    the unindented spheroid) is the memo's while the config and the volume
-    are the last call's, else the config's cache's.  The
-    indentation stage from the carried h2_prev on is the memo's where the
-    config, the volume and the carried h2 (after the restart rule) are the
-    last call's, as while a hold settles.  A built record replaces the memo.
-    At h2 = 0 the deformed spheroid is the unindented one, as h3 = h1.  The
-    kept record itself is returned, on a restart too.  Numpy scalar inputs
-    are converted, so every field and every cache key is a float.
+    the unindented spheroid) is the config's last shape's at the last call's
+    volume, else its cache's.  The indentation stage from the carried h2_prev
+    on is the last shape's where the volume and the carried h2 (after the
+    restart rule) are the last call's, as while a hold settles; a built
+    record replaces it.  At h2 = 0 the deformed spheroid is the unindented
+    one, as h3 = h1.  The kept record itself is returned, on a restart too.
+    Numpy scalar inputs are converted, so every field and cache key is a float.
 
     Past `solve_axes` nothing is refused or clamped: its shapes keep h1 < 2c
     and c_c >= 0, so the slice lies less than 2c deep, and the contact radius
     below the meridian arc, so V_fm > 0 (`TestGeometryGuards` in the tests).
     """
-    global _volume_memo
     v_f, h2_prev = float(v_f), float(h2_prev)
-    memo_cfg, memo_v_f, stage, memo_h2, g = _volume_memo
-    if memo_cfg is not cfg or memo_v_f != v_f:
-        stage = cfg._volume_stages(v_f)
-        memo_h2 = None
+    model = cfg._model
+    last_v_f, stage, last_h2, g = model.last
+    if last_v_f != v_f:
+        stage = model.volume_stage(v_f)
+        last_h2 = None
     # h1 = stage[0] can shrink between samples: a carried indentation that
     # reaches the ring plane means contact was lost, so restart from the free
     # shape, as from a negative or non-finite carried state, which no step produces
     if not 0.0 <= h2_prev < stage[0]:
         h2_prev = 0.0
-    if h2_prev != memo_h2:
+    if h2_prev != last_h2:
         h1, v_bma, a, c = stage
-        ring, r, v_m, t_i_r2, coeffs = cfg._chain_constants
+        ring, r, v_m, t_i_r2, coeffs = model.constants
         h3 = h1 - h2_prev
         if h2_prev:
             a_d, c_d = solve_axes(v_bma, h3, ring)
@@ -208,7 +207,7 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
                 k = a
             v_fm = v_m - k ** 2 * _PI * (t_i_r2 / arc ** 2)
         g = _new_tuple(Reconstruction, (h1, a, c, h3, a_d, c_d, c_c, k, w, v_fm))
-        _volume_memo = (cfg, v_f, stage, h2_prev, g)
+        model.last = (v_f, stage, h2_prev, g)
     return g
 
 

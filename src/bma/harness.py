@@ -106,22 +106,22 @@ def parse_truth(text, line: int, name: str) -> float | None:
 def read_rows(path, required, optional=()):
     """Yield (line, cells) for each row of a CSV file, cells named by the header.
 
-    The header must hold every `required` column, else ParseError at line 1.
-    cells are those of the `required` then the `optional` columns, in that
-    order; an optional column the header lacks reads as None.  Blank lines
-    are skipped and not counted in the line numbers, a repeated column name
-    means its last column, and the missing cells of a short row read as
-    None.  Cells are picked by column index, with no dict per row.  A row that
-    `csv` refuses (an oversized field; a NUL byte before 3.11) is a ParseError.
+    The header must hold every `required` column, else a ParseError at line 1
+    names those it lacks.  cells are those of the `required`, then the
+    `optional` columns; an optional one the header lacks reads as None.  A
+    UTF-8 byte-order mark and blank lines, before the header too, are skipped
+    and not counted as lines; a repeated column name means its last column, a
+    short row's missing cells read as None, and no dict is built per row.  A
+    row `csv` refuses (an oversized field; a NUL byte before 3.11) is a ParseError.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         line = 0
         try:
-            header = next(reader, [])
+            header = next((row for row in reader if row), [])
             line = 1
-            if not set(required).issubset(header):
-                raise ParseError(f"missing required columns {sorted(required)}", line=1)
+            if missing := set(required).difference(header):
+                raise ParseError(f"missing required columns {sorted(missing)}", line=1)
             width = len(header)
             col = {name: j for j, name in enumerate(header)}
             # an absent column reads the None appended to every row at `width`

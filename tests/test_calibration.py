@@ -87,6 +87,15 @@ class TestFit:
         with pytest.raises(InsufficientData):
             fit_height_poly(samples, degree=7)
 
+    def test_no_samples(self):
+        with pytest.raises(InsufficientData, match="no calibration samples"):
+            fit_height_poly([])
+
+    def test_all_volumes_zero(self):
+        # one distinct volume is enough for degree 0, but it cannot scale the fit
+        with pytest.raises(InsufficientData, match="all calibration volumes are zero"):
+            fit_height_poly([(0.0, 4e-3, "inflate")], degree=0)
+
     def test_ill_conditioned(self):
         # volumes clustered far from zero relative to their spread make the
         # normalized Vandermonde explode

@@ -452,6 +452,36 @@ class TestExitCodes:
         assert run(["eval", trace, "--config", cfg]) == 1
         assert f"line 3: non-finite {cell}" in capsys.readouterr().err
 
+    def test_eval_with_no_sample_in_the_model_range(self, workdir, capsys):
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        trace = workdir / "trace.csv"
+        trace.write_text("t_s,volume_ml,pressure_pa,force_n,indent_mm\n"
+                         "0.0,0.05,1000,0.0,0.0\n0.01,0.08,1200,0.0,0.0\n")
+        err = assert_refused(capsys, ["eval", trace, "--config", cfg])
+        assert err == "error: no samples within the modeled volume range\n"
+
+    @pytest.mark.parametrize("prefix", [b"\xef\xbb\xbf", b"\n"], ids=["bom", "blank"])
+    def test_byte_order_mark_or_blank_line_before_header(self, workdir, prefix):
+        # a trace and a calibration file saved with a byte-order mark, or
+        # with a blank line before the header, give the plain file's outputs
+        cfg, marked_cfg = workdir / "config.yaml", workdir / "marked.yaml"
+        shutil.copy(cfg, marked_cfg)
+        calibration = workdir / "calibration.csv"
+        marked = workdir / "marked_calibration.csv"
+        marked.write_bytes(prefix + calibration.read_bytes())
+        assert run(["calibrate", calibration, "--config", cfg]) == 0
+        assert run(["calibrate", marked, "--config", marked_cfg]) == 0
+        assert marked_cfg.read_bytes() == cfg.read_bytes()
+        trace, marked = workdir / "trace.csv", workdir / "marked_trace.csv"
+        assert run(["simulate", workdir / "script.yaml", "--config", cfg, "--seed", 7,
+                    "--out", trace]) == 0
+        marked.write_bytes(prefix + trace.read_bytes())
+        for path in (trace, marked):
+            assert run(["estimate", path, "--config", cfg,
+                        "--out", path.with_suffix(".out")]) == 0
+        assert marked.with_suffix(".out").read_bytes() == trace.with_suffix(".out").read_bytes()
+
     def test_nonfinite_sample_count_rejected(self, workdir, capsys):
         # round(inf) in simulate_trace used to escape as an OverflowError traceback
         cfg = workdir / "config.yaml"

@@ -239,6 +239,48 @@ def test_duplicate_config_section_refused(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {want}\n"
 
 
+RING_LINES = ("ring:\n  radius_mm: 5.0       # retainer-ring inner radius\n"
+              "  thickness_mm: 0.5    # initial membrane thickness\n")
+
+
+@pytest.mark.parametrize("ring, radius_mm", [
+    ("ring: {<<: {radius_mm: 5.0}, thickness_mm: 0.5}\n", 5.0),
+    # an explicit key wins over a merged one, before or after the merge key
+    ("ring: {<<: {radius_mm: 5.0}, radius_mm: 6.0, thickness_mm: 0.5}\n", 6.0),
+    ("ring: {radius_mm: 6.0, <<: {radius_mm: 5.0}, thickness_mm: 0.5}\n", 6.0),
+])
+def test_merge_key_is_no_duplicate(tmp_path, ring, radius_mm):
+    # the duplicate-key check leaves a merge key to SafeLoader, which merges it
+    text = SAMPLE_CONFIG.read_text()
+    assert RING_LINES in text
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(text.replace(RING_LINES, ring))
+    sample = load_config(SAMPLE_CONFIG, require_fit=False)
+    want = dataclasses.replace(sample.ring, r=radius_mm * 1e-3)
+    assert load_config(cfg, require_fit=False) == dataclasses.replace(sample, ring=want)
+
+
+def test_unhashable_key_exits_1_naming_its_line(tmp_path, capsys):
+    # the duplicate-key check leaves a key that is no scalar to SafeLoader,
+    # which refuses it as unhashable
+    cfg = tmp_path / "config.yaml"
+    text = SAMPLE_CONFIG.read_text()
+    cfg.write_text(text + "? [1, 2] : 3\n")
+    line, first = text.count("\n") + 1, text.splitlines().index("ring:") + 1
+    want = (f"{cfg}, line {line}: found unhashable key "
+            f"(while constructing a mapping from line {first})")
+    with pytest.raises(ConfigError) as exc:
+        load_config(cfg, require_fit=False)
+    assert str(exc.value) == want
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t_s,volume_ml,pressure_pa\n0.0,0.4,9000\n")
+    capsys.readouterr()
+    out = tmp_path / "estimates.csv"
+    assert main(["estimate", str(trace), "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert not out.exists()
+
+
 def test_duplicate_step_key_refused(tmp_path):
     path = tmp_path / "script.yaml"
     path.write_text("sample_period_s: 0.01\nsteps:\n"

@@ -1,5 +1,7 @@
+import copy
 import gc
 import math
+import pickle
 import sys
 import threading
 import weakref
@@ -203,14 +205,14 @@ class TestStep:
                 if f.name != "flags"} == {float}
 
     def test_numpy_scalar_inputs_give_floats(self, cfg):
-        # numpy scalars are converted at the boundary, on the memo's miss and
-        # hit paths alike, so no np.float64 reaches a record
-        for build in (cold_reconstruct, reconstruct):
-            g = build(np.float64(0.5e-6), np.float64(3e-3), cfg)
+        # numpy scalars are converted at the boundary, on the kept shape's miss
+        # and hit paths alike, so no np.float64 reaches a record
+        fresh = replace(cfg)
+        for _ in range(2):   # a cold model's build, then its kept shape
+            g = reconstruct(np.float64(0.5e-6), np.float64(3e-3), fresh)
             assert {type(x) for x in g} == {float}
-        empty_memo()
         est, state = step(EstimatorState(h2_prev=np.float64(1.5e-3)), np.float64(0.5e-6),
-                          np.float64(12000.0), cfg)
+                          np.float64(12000.0), replace(cfg))
         assert {type(getattr(est, f.name)) for f in fields(StateEstimate)
                 if f.name != "flags"} == {float}
         assert type(state.h2_prev) is float
@@ -396,14 +398,14 @@ class TestUpdate:
     def test_contact_reconstruct_calls_every_layer(self, cfg, monkeypatch):
         # the layers run through the names bma.estimator looks up, where the
         # benchmark's per-layer spans wrap them; a cold volume runs them all.
-        # A copy of cfg keeps the stage built on the wrappers from later tests
+        # A cold copy of cfg keeps the stage built on the wrappers from later tests
         called = []
         for name in ("evaluate_height", "solve_axes", "perimeter", "yeoh_energy_density"):
             def counted(*args, _fn=getattr(estimator, name), _name=name):
                 called.append(_name)
                 return _fn(*args)
             monkeypatch.setattr(estimator, name, counted)
-        g = cold_reconstruct(0.5e-6, 3e-3, replace(cfg))
+        g = cold_reconstruct(0.5e-6, 3e-3, cfg)
         assert g.k > 0
         assert sorted(called) == ["evaluate_height", "perimeter", "solve_axes", "solve_axes",
                                   "yeoh_energy_density"]
@@ -422,24 +424,14 @@ class TestUpdate:
         assert all(0.0 <= est.h2 <= est.h1 for est in estimates)
 
 
-def empty_memo(*configs):
-    """Empty the one-shape memo and each given config's cache of volume stages.
-
-    Called with no config, it leaves every config's cache as it is.
-    """
-    estimator._volume_memo = estimator._EMPTY_MEMO
-    for cfg in configs:
-        cfg._volume_stages.cache_clear()
-
-
 def cold_reconstruct(v_f, h2_prev, cfg):
-    """`reconstruct` with the memo and cfg's cache of volume stages emptied first.
+    """`reconstruct` under a fresh copy of cfg, whose model starts cold: it builds both stages."""
+    return reconstruct(v_f, h2_prev, replace(cfg))
 
-    It takes the miss path of both, so it builds the volume stage; other
-    configs' caches are left as they are.
-    """
-    empty_memo(cfg)
-    return reconstruct(v_f, h2_prev, cfg)
+
+def stage_cache(cfg):
+    """cfg's cache of volume stages, to read its `cache_info()`."""
+    return cfg._model.volume_stage
 
 
 def outcome(fn, v_f, h2_prev, cfg):
@@ -499,22 +491,24 @@ class TestVolumeMemo:
     def test_kept_shape_serves_only_its_config_volume_and_h2(self, cfg):
         # the same config object, volume and carried h2 (after the restart
         # rule) return the kept record itself, on a restart too; any other
-        # call builds one
-        v_f = 0.5e-6
-        empty_memo()
+        # call builds one.  Another config's call leaves the kept shape as it
+        # is; another volume or h2 replaces it
+        v_f, cfg = 0.5e-6, replace(cfg)
         for call in ((v_f, 1e-3, replace(cfg)), (np.nextafter(v_f, 1.0), 1e-3, cfg),
                      (v_f, np.nextafter(1e-3, 1.0), cfg)):
             g = reconstruct(v_f, 1e-3, cfg)
             assert reconstruct(v_f, 1e-3, cfg) is g
             other = reconstruct(*call)
             assert other is not g and reconstruct(*call) is other
+            assert (reconstruct(v_f, 1e-3, cfg) is g) == (call[2] is not cfg)
         free = reconstruct(v_f, 0.0, cfg)
         for bad in (math.nan, -1e-3, 1.0):
             assert reconstruct(v_f, bad, cfg) is free
             assert reconstruct(v_f, 0.0, cfg) is free
 
     def test_raising_volumes_raise_on_repeat(self, cfg):
-        valid = cold_reconstruct(0.5e-6, 1e-3, cfg)
+        cfg = replace(cfg)   # a cold model
+        valid = reconstruct(0.5e-6, 1e-3, cfg)
         for v_f, error in ((1.2e-6, OutOfRange), (0.05e-6, DegenerateGeometry)):
             reconstruct(0.5e-6, 1e-3, cfg)
             for _ in range(2):
@@ -525,13 +519,13 @@ class TestVolumeMemo:
     @pytest.mark.parametrize("bad", [math.nan, -1e-3, 1.0])
     def test_restart_flag_does_not_leak_into_free_shape(self, cfg, bad):
         # the restart returns the kept free shape itself, whether it fills the
-        # memo or reads it; the flag is step's, on the restarted sample's
+        # kept shape or reads it; the flag is step's, on the restarted sample's
         # estimate only, and a free sample after it carries none
         v_f = 0.5e-6
         free = cold_reconstruct(v_f, 0.0, cfg)
-        for first in (lambda: cold_reconstruct(v_f, bad, cfg),
-                      lambda: reconstruct(v_f, bad, cfg)):
-            g = first()
+        cfg = replace(cfg)
+        for _ in range(2):   # a cold model's build, then its kept shape
+            g = reconstruct(v_f, bad, cfg)
             assert g == free
             for _ in range(2):
                 assert reconstruct(v_f, 0.0, cfg) is g
@@ -545,8 +539,7 @@ class TestVolumeMemo:
     def test_predict_pressure_warm_matches_cold(self, configs):
         # a kept shape serves only its own config, volume and carried h2
         def cold(v_f, cfg):
-            empty_memo(cfg)
-            return predict_pressure(v_f, cfg)
+            return predict_pressure(v_f, replace(cfg))
 
         for i, v_f in [(0, 0.3e-6), (0, 0.3e-6), (1, 0.3e-6), (0, 0.8e-6),
                        (0, 0.8e-6), (1, 0.8e-6), (1, 0.3e-6)]:
@@ -555,26 +548,27 @@ class TestVolumeMemo:
             assert predict_pressure(v_f, configs[i]) == warm == cold(v_f, configs[i])
 
     def test_raising_free_shape_raises_on_repeat(self, cfg, monkeypatch):
-        # a build that raises replaces nothing in the memo: the second call
-        # raises as the first did, and the shape kept before it still serves.
-        # A copy of cfg keeps what is built on the stub from later tests
+        # a build that raises replaces nothing in the kept shape: the second
+        # call raises as the first did, and the shape kept before it still
+        # serves.  A copy of cfg keeps what is built on the stub from later tests
         def broken(lam, coeffs):
             raise DegenerateGeometry("no energy term")
 
         v_f, cfg = 0.5e-6, replace(cfg)
-        cold_reconstruct(v_f, 1e-3, cfg)
+        kept = reconstruct(v_f, 1e-3, cfg)
         with monkeypatch.context() as m:
             m.setattr(estimator, "yeoh_energy_density", broken)
             for h2_prev in (0.0, 0.0, math.nan):
                 with pytest.raises(DegenerateGeometry, match="no energy term"):
                     reconstruct(v_f, h2_prev, cfg)
+        assert reconstruct(v_f, 1e-3, cfg) is kept
         assert reconstruct(v_f, 0.0, cfg) == cold_reconstruct(v_f, 0.0, cfg)
 
     @pytest.mark.parametrize("path", ["reconstruct", "run_trace"])
     def test_free_samples_at_one_volume_solve_axes_once(self, cfg, monkeypatch, path):
         # once for the volume stage, then never again while the volume holds:
         # the free shape, at h3 = h1, takes the stage's axes.  Counted on a
-        # copy of cfg, whose cache of volume stages starts empty
+        # copy of cfg, whose model starts cold
         calls = []
 
         def counting(*args):
@@ -587,7 +581,6 @@ class TestVolumeMemo:
         p = 0.999 * predict_pressure(v_f, cfg)
         cfg = replace(cfg)
         monkeypatch.setattr(estimator, "solve_axes", counting)
-        empty_memo()
         if path == "reconstruct":
             reconstruct(0.3e-6, 1e-3, cfg)   # kept, but at another volume
             assert len(calls) == 2
@@ -622,11 +615,37 @@ class TestVolumeMemo:
 
         monkeypatch.setattr(estimator, "solve_axes", counting)
         monkeypatch.setattr(harness, "step", counted_step)
-        empty_memo()
-        # a copy of cfg, whose cache of volume stages starts empty
+        # a copy of cfg, whose model starts cold
         assert run_trace(records, replace(cfg)) == estimates
         # the volume stage, whose axes the first sample's free shape takes,
         # then one shape per new carried h2, then none
+        assert per_sample == [1] + [1] * settled + [0] * (n - settled - 1)
+
+    def test_settled_hold_keeps_its_shape_between_another_configs_calls(
+            self, cfg, configs, monkeypatch):
+        # the same hold, each of its steps followed by a step of another
+        # config's estimator on the same samples: each config keeps its own
+        # last shape, so once the hold settles its samples solve no axes
+        v_f, n = 0.5e-6, 400
+        records = simulate_trace(SimScript((SimStep(v_f, 0.2, n * 0.01),), 0.01), cfg, seed=0)
+        estimates = run_trace(records, cfg)
+        settled = next(j for j in range(1, n) if estimates[j].h2 == estimates[j - 1].h2)
+        calls, per_sample, got = [], [], []
+
+        def counting(*args):
+            calls.append(args)
+            return solve_axes(*args)
+
+        monkeypatch.setattr(estimator, "solve_axes", counting)
+        mine, theirs = replace(cfg), replace(configs[1])   # models that start cold
+        state, other_state = EstimatorState(), EstimatorState()
+        for r in records:
+            calls.clear()
+            est, state = step(state, r.v_f, r.p, mine)
+            per_sample.append(len(calls))
+            got.append(est)
+            _, other_state = step(other_state, r.v_f, r.p, theirs)
+        assert got == estimates
         assert per_sample == [1] + [1] * settled + [0] * (n - settled - 1)
 
     def test_revisited_volume_builds_no_stage(self, cfg, monkeypatch):
@@ -645,7 +664,6 @@ class TestVolumeMemo:
         cold = [cold_reconstruct(v_f, 0.0, cfg) for v_f in volumes]
         monkeypatch.setattr(estimator, "evaluate_height", counting(evaluate_height))
         monkeypatch.setattr(estimator, "solve_axes", counting(solve_axes))
-        empty_memo()
         fresh = replace(cfg)
         for v_f in volumes:
             reconstruct(v_f, 0.0, fresh)
@@ -655,24 +673,24 @@ class TestVolumeMemo:
             got = reconstruct(v_f, 0.0, fresh)
             assert got == want and repr(got) == repr(want)
         assert calls == []
+        # 0.8 ml twice running reads the kept shape's stage; the five other revisits hit
+        assert stage_cache(fresh).cache_info()[:2] == (5, len(volumes))
 
     def test_table_stays_bounded(self, cfg):
         # more distinct volumes than the bound: the cache keeps the stages of
         # the most recent 4 096, which a revisit finds, and every record, first
         # visit or revisit, is a cold build's
         fresh = replace(cfg)
-        stages = fresh._volume_stages
+        stages = stage_cache(fresh)
         bound = stages.cache_parameters()["maxsize"]
         assert bound == 4096
         volumes = np.linspace(0.15e-6, 0.95e-6, bound + 100).tolist()
-        empty_memo()
         warm = [reconstruct(v_f, 0.0, fresh) for v_f in volumes]
         assert stages.cache_info()[:] == (0, len(volumes), bound, bound)
-        # newest first, past an empty memo: the last `bound` volumes hit, then
-        # the first 100 miss
-        empty_memo()
+        # newest first: the newest volume's stage is the kept shape's, the
+        # other `bound - 1` of the last `bound` volumes hit, then the first 100 miss
         revisits = [reconstruct(v_f, 1e-3, fresh) for v_f in volumes[::-1]]
-        assert stages.cache_info()[:] == (bound, len(volumes) + 100, bound, bound)
+        assert stages.cache_info()[:] == (bound - 1, len(volumes) + 100, bound, bound)
         assert warm == [cold_reconstruct(v_f, 0.0, cfg) for v_f in volumes]
         assert revisits == [cold_reconstruct(v_f, 1e-3, cfg) for v_f in volumes[::-1]]
 
@@ -690,9 +708,8 @@ class TestVolumeMemo:
 
         monkeypatch.setattr(estimator, "evaluate_height", counting)
         for other in (configs[1], cfg):
-            pair = (replace(cfg), replace(other))   # caches that start empty
+            pair = (replace(cfg), replace(other))   # models that start cold
             cold = {(id(c), v_f): cold_reconstruct(v_f, 1e-3, c) for c in pair for v_f in volumes}
-            empty_memo(*pair)
             calls.clear()
             for c in pair:
                 for v_f in volumes:
@@ -704,28 +721,43 @@ class TestVolumeMemo:
                     got = reconstruct(v_f, 1e-3, c)
                     assert got == cold[id(c), v_f] and repr(got) == repr(cold[id(c), v_f])
             assert calls == []
-            assert [c._volume_stages.cache_info().currsize for c in pair] == [3, 3]
+            assert [stage_cache(c).cache_info().currsize for c in pair] == [3, 3]
 
     def test_unheld_config_is_freed_with_its_cache(self, cfg):
-        # the cache's closure holds no reference to its config, so with the
-        # cycle collector off, a config no caller holds is freed, cache and
-        # all, as soon as another config's call replaces the memo
+        # the model holds no reference to its config, and no other object holds
+        # the model, so with the cycle collector off, a config no caller holds
+        # is freed, cache and all, as soon as the last reference goes
         gc.disable()
         try:
             other = replace(cfg)
             reconstruct(0.5e-6, 1e-3, other)
-            refs = (weakref.ref(other), weakref.ref(other._volume_stages))
+            refs = (weakref.ref(other), weakref.ref(stage_cache(other)))
             del other
-            reconstruct(0.5e-6, 1e-3, cfg)
             assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
 
+    def test_used_config_pickles_and_copies_with_a_cold_cache(self, cfg):
+        # pickle, copy and deepcopy rebuild a config from its fields: the copy
+        # compares equal, estimates alike, and starts with an empty cache of
+        # its own, which the original's later calls do not fill
+        used = replace(cfg)
+        records = [TraceRecord(0.01 * i, v_f, 1.01 * predict_pressure(v_f, cfg))
+                   for i, v_f in enumerate((0.3e-6, 0.5e-6, 0.5e-6, 0.8e-6, 0.3e-6))]
+        estimates = run_trace(records, used)
+        assert stage_cache(used).cache_info().currsize == 3
+        for twin in (pickle.loads(pickle.dumps(used)), copy.copy(used), copy.deepcopy(used)):
+            assert twin == used and type(twin) is EstimatorConfig
+            stages = stage_cache(twin)
+            assert stages is not stage_cache(used) and stages.cache_info().currsize == 0
+            assert run_trace(records, twin) == estimates
+            run_trace([TraceRecord(0.0, 0.9e-6, 1e4)], used)
+            assert stages.cache_info()[:] == (1, 3, 4096, 3)
+
     def test_concurrent_callers_get_cold_records(self, cfg):
-        # threads sharing the memo and the config's cache, switched often:
-        # each call returns its cold build, as a caller that reads a memo
-        # another thread is replacing can at worst miss, and the cache is
-        # thread-safe
+        # threads sharing the config's model, switched often: each call
+        # returns its cold build, as a caller that reads a kept shape another
+        # thread is replacing can at worst miss, and the cache is thread-safe
         calls = [(v_f, h2_prev) for v_f in np.linspace(0.15e-6, 0.95e-6, 40).tolist()
                  for h2_prev in (0.0, 1e-3)]
         cold = {call: cold_reconstruct(*call, cfg) for call in calls}
@@ -780,7 +812,8 @@ class TestVolumeMemo:
 
     def test_numpy_volume_does_not_stand_in_for_float(self, cfg):
         # an equal numpy scalar must not hand its numpy-typed shape to a float call
-        cold_reconstruct(np.float64(0.5e-6), 1e-3, cfg)
+        cfg = replace(cfg)   # a cold model
+        reconstruct(np.float64(0.5e-6), 1e-3, cfg)
         g = reconstruct(0.5e-6, 1e-3, cfg)
         assert g == cold_reconstruct(0.5e-6, 1e-3, cfg)
         assert {type(x) for x in g} == {float}
@@ -822,7 +855,7 @@ def substituted_axes(cfg, h1, free, deformed):
     """A copy of cfg, with solve_axes returning fixed axes: free at apex height h1, else deformed.
 
     Replaced where `reconstruct` and the oracle chain look it up.  The stages
-    built on the replaced axes are kept only in the copy's cache, so none
+    built on the replaced axes are kept only in the copy's model, so none
     reaches a config that another call or test uses.
     """
     def stub(v_bma, h, ring):
@@ -971,12 +1004,10 @@ class TestGeometryGuards:
             qh = ring.area / v_bma * h1
             assert 0 < qh < 2
             assert 2 * c - h1 == pytest.approx(h1 / 3 * qh / (2 - qh), rel=1e-6)
-            reconstruct(v_f, 0.0, cfg)
-            memo_cfg, memo_v_f, stage, _, _ = estimator._volume_memo
-            assert memo_cfg is cfg and memo_v_f == v_f
-            assert stage == (h1, v_bma, a, c) and cfg._volume_stages(v_f) is stage
-            assert cfg._chain_constants == (ring, ring.r, ring.membrane_volume,
-                                            ring.t_i * ring.r ** 2, cfg.coeffs)
+            free = reconstruct(v_f, 0.0, cfg)
+            assert (free.h1, free.a, free.c) == (h1, a, c)
+            assert (free.h3, free.a_d, free.c_d, free.k) == (h1, a, c, 0.0)
+            assert free.v_fm == ring.membrane_volume
             for h2 in (0.0, 0.5 * h1, *(share * h1 for share in shares),
                        math.nextafter(h1, 0.0)):
                 try:
@@ -985,9 +1016,11 @@ class TestGeometryGuards:
                     continue
                 assert h2 - (c - c_d) <= 2 * c
                 g = reconstruct(v_f, h2, cfg)
-                assert g.h3 == h1 - h2
+                assert (g.h1, g.a, g.c, g.h3) == (h1, a, c, h1 - h2)
                 arc = perimeter(g.a_d, g.c_d, g.h3, integration_angle(ring.r, g.h3, g.c_d))
                 assert g.k < arc and g.v_fm > 0
+                assert g.v_fm == pytest.approx(ring.membrane_volume - g.k ** 2 * math.pi
+                                               * ring.t_i * ring.r ** 2 / arc ** 2, rel=1e-12)
 
 
 class TestCachedConstants:

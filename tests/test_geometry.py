@@ -268,6 +268,11 @@ class TestSphereBaseline:
         _, h = sphere_baseline(1e-15, ring)
         assert 0 < h < 1e-6
 
+    @pytest.mark.parametrize("v", [0.0, -1e-9])
+    def test_nonpositive_volume_rejected(self, ring, v):
+        with pytest.raises(ValueError, match="actuator volume must be positive"):
+            sphere_baseline(v, ring)
+
 
 class TestProfilePolyline:
     def test_hemisphere_three_points(self, ring):

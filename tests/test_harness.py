@@ -319,12 +319,32 @@ class TestReadRows:
         assert list(harness.read_rows(path, ("c",))) == [(2, ("3",)), (3, (None,))]
 
     def test_missing_required_column(self, tmp_path):
+        # the refusal names only the columns the header lacks
         path = tmp_path / "t.csv"
-        for text in ("b,c\n1,2\n", ""):
+        for text, missing in (("b,c\n1,2\n", r"\['a'\]"), ("", r"\['a', 'b'\]"),
+                              ("\n\nc\n", r"\['a', 'b'\]")):
             path.write_text(text)
-            with pytest.raises(ParseError, match=r"missing required columns \['a', 'b'\]") as exc:
+            with pytest.raises(ParseError, match=f"missing required columns {missing}$") as exc:
                 list(harness.read_rows(path, ("b", "a")))
             assert exc.value.line == 1
+
+    @pytest.mark.parametrize("prefix", [b"\xef\xbb\xbf", b"\n", b"\r\n\r\n", b"\xef\xbb\xbf\n"],
+                             ids=["bom", "blank", "crlf-blanks", "bom-blank"])
+    def test_byte_order_mark_and_blank_lines_before_header(self, tmp_path, prefix):
+        # Excel's "CSV UTF-8" starts with a UTF-8 byte-order mark; neither it
+        # nor a blank line is a header cell, and the header stays line 1
+        trace = b"t_s,volume_ml,pressure_pa,force_n\n0.0,0.4,9000,\n0.01,0.5,9100,0.1\n"
+        calibration = b"volume_ml,height_mm,phase\n0.5,4.0,inflate\n0.6,4.2,deflate\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        for read, text, bad_row in ((ingest_trace, trace, b"0.02,x,9200\n"),
+                                    (harness.read_calibration, calibration, b"0.7,x,inflate\n")):
+            plain.write_bytes(text)
+            marked.write_bytes(prefix + text)
+            assert read(marked) == read(plain) and len(read(plain)) == 2
+            marked.write_bytes(prefix + text + bad_row)
+            with pytest.raises(ParseError) as exc:
+                read(marked)
+            assert exc.value.line == 4
 
 
 class TestReadCalibration:
@@ -780,6 +800,13 @@ class TestEvaluate:
         with pytest.raises(MissingGroundTruth):
             evaluate(records, cfg)
 
+    def test_no_sample_within_the_modeled_volume_range(self, cfg):
+        # every sample below 0.1 ml is a null estimate, so no error can be taken
+        records = [TraceRecord(0.01 * i, 0.05e-6, 1000.0, 0.0, 0.0) for i in range(3)]
+        with pytest.raises(MissingGroundTruth,
+                           match="^no samples within the modeled volume range$"):
+            evaluate(records, cfg)
+
     def test_near_zero_force_counts_as_no_contact(self, cfg):
         # a measured zero-force reading is never exactly 0; within
         # NO_CONTACT_FORCE_N it still selects the sample for rmse_p
@@ -811,6 +838,10 @@ class TestScriptValidation:
     def test_empty(self):
         with pytest.raises(ValueError):
             SimScript(steps=(), sample_period=0.01)
+
+    def test_negative_noise(self):
+        with pytest.raises(ValueError, match="noise amplitude must be nonnegative"):
+            SimScript(steps=(SimStep(0.4e-6, 0.0, 1.0),), sample_period=0.01, noise_pa=-1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["v_f", "force", "hold", "sample_period", "noise_pa"])

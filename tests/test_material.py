@@ -174,6 +174,11 @@ class TestYeohEnergy:
     def test_second_order_vanishes_at_reference(self):
         assert yeoh_energy_density(1.0, YeohCoeffs(c2=1e5)) == 0.0
 
+    @pytest.mark.parametrize("lam", [0.0, -1.2])
+    def test_nonpositive_stretch_rejected(self, lam):
+        with pytest.raises(ValueError, match="stretch must be positive"):
+            yeoh_energy_density(lam, YeohCoeffs(c1=1e5))
+
     def test_symbolic_full_sum(self):
         import sympy
         lam_v = 1.7
