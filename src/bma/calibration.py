@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +33,6 @@ class HeightFit:
 
     Coefficients are over volume normalized by v_max (ascending powers).
     Evaluation outside [v_min, v_max] is rejected, never extrapolated.
-    `evaluation` is a cached property: computed once per fit.
     """
 
     coeffs: tuple[float, ...]   # ascending powers of V_f / v_max
@@ -51,12 +49,6 @@ class HeightFit:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @cached_property
-    def evaluation(self) -> tuple[float, float, tuple[float, ...]]:
-        """Range guard v_min - eps, v_max + eps and the coefficients highest power first."""
-        eps = _RANGE_EPS * self.v_max
-        return self.v_min - eps, self.v_max + eps, tuple(reversed(self.coeffs))
 
 
 def fit_height_poly(samples, degree: int = DEFAULT_DEGREE) -> HeightFit:
@@ -104,15 +96,15 @@ def fit_height_poly(samples, degree: int = DEFAULT_DEGREE) -> HeightFit:
 
 def evaluate_height(fit: HeightFit, v_f: float) -> float:
     """Evaluate the fitted unindented height at injected volume v_f [m] by Horner's rule."""
-    lo, hi, coeffs = fit.evaluation
-    if not (lo <= v_f <= hi):
+    eps = _RANGE_EPS * fit.v_max
+    if not (fit.v_min - eps <= v_f <= fit.v_max + eps):
         raise OutOfRange(
             f"volume {v_f} outside calibrated range [{fit.v_min}, {fit.v_max}]"
         )
     # Horner's rule in the order polyval uses, without its array set-up
     x = v_f / fit.v_max
     h = 0.0
-    for c in coeffs:
+    for c in reversed(fit.coeffs):
         h = h * x + c
     h = float(h)
     if not 0 < h < math.inf:   # a finite fit can still overflow to inf

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +38,7 @@ _sqrt = math.sqrt
 
 @dataclass(frozen=True)
 class RingSpec:
-    """Ring inner radius and initial membrane thickness; the ring's constants are cached."""
+    """Ring inner radius and initial membrane thickness, checked when built."""
 
     r: float      # ring inner radius [m]
     t_i: float    # initial (uniform) membrane thickness [m]
@@ -51,12 +50,7 @@ class RingSpec:
             raise ValueError(f"ring radius {self.r} and membrane thickness {self.t_i} must be "
                              f"positive, with a finite membrane volume pi r^2 t_i")
 
-    @cached_property
-    def area(self) -> float:
-        """Initial membrane surface area pi*r^2 [m2], computed once per ring."""
-        return math.pi * self.r ** 2
-
-    @cached_property
+    @property
     def membrane_volume(self) -> float:
         """Volume of the undeformed membrane disc, r^2 * pi * t_i [m3]."""
         return self.r ** 2 * math.pi * self.t_i
@@ -74,7 +68,7 @@ def solve_axes(v_bma: float, h: float, ring: RingSpec) -> tuple[float, float]:
     """
     if h <= 0:
         raise DegenerateGeometry(f"apex height must be positive, got {h}")
-    r2pi = ring.area
+    r2pi = _PI * ring.r ** 2
     h3r2pi, v6 = 3 * h * r2pi, 6 * v_bma
     denom = h3r2pi - v6
     if abs(denom) < _DENOM_REL_EPS * (abs(h3r2pi) + abs(v6)):

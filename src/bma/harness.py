@@ -10,6 +10,7 @@ Internally everything is SI; conversion happens here at the file boundary.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import sys
 from contextlib import nullcontext
@@ -112,7 +113,8 @@ def read_rows(path, required, optional=()):
     UTF-8 byte-order mark and blank lines, before the header too, are skipped
     and not counted as lines; a repeated column name means its last column, a
     short row's missing cells read as None, and no dict is built per row.  A
-    row `csv` refuses (an oversized field; a NUL byte before 3.11) is a ParseError.
+    row `csv` refuses (an oversized field; a NUL byte before 3.11) is a ParseError,
+    and so is the row of the first byte that is not UTF-8 (`_undecodable`).
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -120,8 +122,8 @@ def read_rows(path, required, optional=()):
         try:
             header = next((row for row in reader if row), [])
             line = 1
-            if missing := set(required).difference(header):
-                raise ParseError(f"missing required columns {sorted(missing)}", line=1)
+            if refusal := _missing_columns(header, required):
+                raise refusal
             width = len(header)
             col = {name: j for j, name in enumerate(header)}
             # an absent column reads the None appended to every row at `width`
@@ -137,6 +139,42 @@ def read_rows(path, required, optional=()):
                 yield line, pick(row)
         except csv.Error as exc:
             raise ParseError(str(exc), line=line + 1) from exc
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, required) from exc
+
+
+def _missing_columns(header, required):
+    """The line-1 refusal of a header that lacks a required column, or None."""
+    if missing := set(required).difference(header):
+        return ParseError(f"missing required columns {sorted(missing)}", line=1)
+    return None
+
+
+def _undecodable(path, required) -> ParseError:
+    """The refusal of a file's first byte that is not UTF-8, at its row as `read_rows` counts rows.
+
+    The text layer decodes ahead in 8 KB chunks, so `read_rows` meets the
+    byte up to a chunk before its row; the row is counted again here, in the
+    text before the byte, with a placeholder for the byte so that its row
+    cannot read as blank.  A refusal that reading in order meets first, of a
+    header that lacks a column or of a row `csv` refuses, is made instead.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode()   # a byte-order mark is valid UTF-8, so offsets count from the file's start
+    except UnicodeDecodeError as exc:
+        bad = exc.start
+    line, header = 0, None
+    try:
+        for row in csv.reader(io.StringIO(data[:bad].decode("utf-8-sig") + "?", newline="")):
+            if row:
+                line, header = line + 1, header or row
+        refusal = ParseError(f"byte 0x{data[bad]:02x} at offset {bad} is not UTF-8", line=line)
+    except csv.Error as exc:
+        refusal = ParseError(str(exc), line=line + 1)
+    # the header is checked before any later row is read
+    return (refusal.line > 1 and _missing_columns(header, required)) or refusal
 
 
 def write_rows(path, header, template, rows) -> None:

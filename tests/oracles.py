@@ -75,7 +75,7 @@ def solve_axes_reference(v_bma: float, h: float, ring: RingSpec) -> tuple[float,
     """
     if h <= 0:
         raise DegenerateGeometry(f"apex height must be positive, got {h}")
-    r2pi = ring.area
+    r2pi = math.pi * ring.r ** 2
     denom = 3 * h * r2pi - 6 * v_bma
     scale = abs(3 * h * r2pi) + abs(6 * v_bma)
     if abs(denom) < 1e-12 * scale:

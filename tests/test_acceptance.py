@@ -53,7 +53,8 @@ def test_geometry_round_trip():
         worst_axis = max(worst_axis, abs(a_got - a) / a, abs(c_got - c) / c)
         h_b = 2 * c_got - h
         area = a_got ** 2 * (1 - (1 - h_b / c_got) ** 2) * math.pi
-        worst_boundary = max(worst_boundary, abs(area - ring.area) / ring.area)
+        ring_area = math.pi * ring.r ** 2
+        worst_boundary = max(worst_boundary, abs(area - ring_area) / ring_area)
         n += 1
     elapsed = time.perf_counter() - start
     assert worst_axis <= 1e-8

@@ -1,14 +1,17 @@
 import csv
+import errno
 import math
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from bma import config as cfgmod
 from bma.cli import main
 from bma.config import load_config
 from bma.errors import BmaError
@@ -190,6 +193,34 @@ class TestCalibrate:
         assert "line 6" in capsys.readouterr().err
         assert cfg.read_bytes() == before
 
+
+    def test_failed_write_leaves_the_config_whole(self, workdir, monkeypatch):
+        # the config used to be opened with "w" before the YAML was written, so
+        # a full disk left the first bytes of the new text in place of the old
+        cfg = workdir / "config.yaml"
+        before, listing = cfg.read_bytes(), sorted(os.listdir(workdir))
+
+        def full_disk(data, stream, **kwargs):
+            stream.write("ring:\n")
+            stream.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cfgmod.yaml, "safe_dump", full_disk)
+        assert run(["calibrate", workdir / "calibration.csv", "--config", cfg]) == 2
+        assert cfg.read_bytes() == before
+        assert sorted(os.listdir(workdir)) == listing
+
+    def test_writes_through_a_symlink_and_keeps_the_mode(self, workdir):
+        cfg, link, plain = (workdir / name for name in ("config.yaml", "link.yaml", "plain.yaml"))
+        shutil.copy(cfg, plain)
+        link.symlink_to(cfg.name)
+        cfg.chmod(0o640)
+        assert run(["calibrate", workdir / "calibration.csv", "--config", link]) == 0
+        assert run(["calibrate", workdir / "calibration.csv", "--config", plain]) == 0
+        assert link.is_symlink() and cfg.read_bytes() == plain.read_bytes()
+        assert stat.S_IMODE(cfg.stat().st_mode) == 0o640
+        assert sorted(os.listdir(workdir)) == sorted(
+            ["calibration.csv", "config.yaml", "link.yaml", "plain.yaml", "script.yaml"])
 
     def test_negative_degree_rejected(self, workdir, capsys):
         cfg = workdir / "config.yaml"
@@ -572,6 +603,25 @@ class TestExitCodes:
         # the blank line is not counted
         assert assert_refused(capsys, args) == (
             "error: line 3: field larger than field limit (131072)\n")
+        assert cfg.read_bytes() == before and not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "calibrate"])
+    def test_undecodable_byte_exits_1(self, workdir, capsys, command):
+        # a byte that is not UTF-8 used to exit with the codec's message,
+        # which names no line and counts its position from an 8 KB chunk
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        bad, out = workdir / "bad.csv", workdir / "out.csv"
+        if command == "estimate":
+            bad.write_bytes(b"t_s,volume_ml,pressure_pa\n0.0,0.4,9000\n0.01,0.4,9\xff00\n")
+            args = ["estimate", bad, "--config", cfg, "--out", out]
+        else:
+            bad.write_bytes(b"volume_ml,height_mm,phase\n0.1,3.0,inflate\n0.2,3\xff,inflate\n")
+            args = ["calibrate", bad, "--config", cfg]
+        before = cfg.read_bytes()
+        offset = bad.read_bytes().index(b"\xff")
+        assert assert_refused(capsys, args) == (
+            f"error: line 3: byte 0xff at offset {offset} is not UTF-8\n")
         assert cfg.read_bytes() == before and not out.exists()
 
     def test_oversized_header_exits_1(self, workdir, capsys):

@@ -346,6 +346,40 @@ class TestReadRows:
                 read(marked)
             assert exc.value.line == 4
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r"], ids=["lf", "cr"])
+    @pytest.mark.parametrize("rows_before", [1, 800], ids=["row3", "past-8kb"])
+    def test_undecodable_byte_names_its_row(self, tmp_path, rows_before, newline):
+        # the text layer decodes 8 KB ahead of the rows csv has read; the
+        # refusal names the row of the byte, counted as every other refusal
+        # counts rows (no byte-order mark, no blank line), and the byte's offset
+        path = tmp_path / "bad.csv"
+        for read, header, row in (
+                (ingest_trace, b"t_s,volume_ml,pressure_pa", b"%d,0.4,9000"),
+                (harness.read_calibration, b"volume_ml,height_mm,phase", b"%d,4.0,inflate")):
+            lines = [header, b"", *(row % i for i in range(rows_before)),
+                     row % rows_before + b"\xff"]
+            data = b"\xef\xbb\xbf" + newline.join(lines) + newline
+            offset = len(data) - 2
+            assert (offset > 8192) == (rows_before > 1)
+            path.write_bytes(data)
+            with pytest.raises(ParseError, match=f"^line {rows_before + 2}: byte 0xff at "
+                                                 f"offset {offset} is not UTF-8$"):
+                read(path)
+
+    @pytest.mark.parametrize("head, refusal", [
+        (b"t_s,volume_ml,pressure_pa\n0.0,0.4," + b"9" * 140_000 + b"\n",
+         "line 2: field larger than field limit"),
+        (b"t_s,volume_ml\n0.0,0.4\n", r"line 1: missing required columns \['pressure_pa'\]$"),
+        (b"t_s,volume_ml\n" + b"0.0,0.4\n" * 2000, r"line 1: missing required columns"),
+    ], ids=["oversized-row", "header", "header-past-8kb"])
+    def test_refusal_met_first_comes_before_an_undecodable_byte(self, tmp_path, head, refusal):
+        # the refusal of an oversized row or of the header does not depend on
+        # whether the text layer decoded the byte's chunk before csv met it
+        path = tmp_path / "bad.csv"
+        path.write_bytes(head + b"0.01,0.4,9\xff00\n")
+        with pytest.raises(ParseError, match=f"^{refusal}"):
+            ingest_trace(path)
+
 
 class TestReadCalibration:
     HEADER = "volume_ml,height_mm,phase\n"
