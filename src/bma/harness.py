@@ -10,8 +10,8 @@ Internally everything is SI; conversion happens here at the file boundary.
 from __future__ import annotations
 
 import csv
-import io
 import math
+import reprlib
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -86,19 +86,22 @@ class SimScript:
                 raise ValueError(f"hold {s.hold} s is not a finite number of sample periods")
 
 
-def parse_float(text, line: int) -> float:
-    """A CSV cell as a float; ParseError naming the line if it is not a number."""
+def parse_float(text, line: int, name: str) -> float:
+    """A CSV cell as a float; ParseError naming the line if it is missing or not a number."""
+    if text is None:   # a short row's missing cell
+        raise ParseError(f"missing {name}", line=line)
     try:
         return float(text)
-    except (TypeError, ValueError) as exc:   # TypeError: a short row's None
-        raise ParseError(str(exc), line=line) from exc
+    except ValueError as exc:   # reprlib cuts a long cell
+        raise ParseError(f"could not convert string to float: {reprlib.repr(text)}",
+                         line=line) from exc
 
 
 def parse_truth(text, line: int, name: str) -> float | None:
     """An optional ground-truth cell: None when empty or missing, else a finite float."""
     if not text:
         return None
-    value = parse_float(text, line)
+    value = parse_float(text, line, name)
     if not math.isfinite(value):
         raise ParseError(f"non-finite {name} {value}", line=line)
     return value
@@ -114,16 +117,19 @@ def read_rows(path, required, optional=()):
     and not counted as lines; a repeated column name means its last column, a
     short row's missing cells read as None, and no dict is built per row.  A
     row `csv` refuses (an oversized field; a NUL byte before 3.11) is a ParseError,
-    and so is the row of the first byte that is not UTF-8 (`_undecodable`).
+    and so is a row, the header too, holding a byte that is not UTF-8: read with
+    surrogateescape, the byte is a lone surrogate in its row's cells.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         line = 0
         try:
             header = next((row for row in reader if row), [])
             line = 1
-            if refusal := _missing_columns(header, required):
-                raise refusal
+            if not "".join(header).isascii():
+                _refuse_surrogates(path, header, line)
+            if missing := set(required).difference(header):
+                raise ParseError(f"missing required columns {sorted(missing)}", line=1)
             width = len(header)
             col = {name: j for j, name in enumerate(header)}
             # an absent column reads the None appended to every row at `width`
@@ -133,48 +139,28 @@ def read_rows(path, required, optional=()):
                 if not row:
                     continue
                 line += 1
+                if not "".join(row).isascii():
+                    _refuse_surrogates(path, row, line)
                 if len(row) != width:
                     row = (row + [None] * width)[:width]
                 row.append(None)
                 yield line, pick(row)
         except csv.Error as exc:
             raise ParseError(str(exc), line=line + 1) from exc
-        except UnicodeDecodeError as exc:
-            raise _undecodable(path, required) from exc
 
 
-def _missing_columns(header, required):
-    """The line-1 refusal of a header that lacks a required column, or None."""
-    if missing := set(required).difference(header):
-        return ParseError(f"missing required columns {sorted(missing)}", line=1)
-    return None
-
-
-def _undecodable(path, required) -> ParseError:
-    """The refusal of a file's first byte that is not UTF-8, at its row as `read_rows` counts rows.
-
-    The text layer decodes ahead in 8 KB chunks, so `read_rows` meets the
-    byte up to a chunk before its row; the row is counted again here, in the
-    text before the byte, with a placeholder for the byte so that its row
-    cannot read as blank.  A refusal that reading in order meets first, of a
-    header that lacks a column or of a row `csv` refuses, is made instead.
-    """
+def _refuse_surrogates(path, row, line) -> None:
+    """Refuse a row that holds a byte that is not UTF-8; read in order, it is the file's first."""
+    if not any("\udc80" <= c <= "\udcff" for cell in row for c in cell):
+        return
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         data.decode()   # a byte-order mark is valid UTF-8, so offsets count from the file's start
     except UnicodeDecodeError as exc:
-        bad = exc.start
-    line, header = 0, None
-    try:
-        for row in csv.reader(io.StringIO(data[:bad].decode("utf-8-sig") + "?", newline="")):
-            if row:
-                line, header = line + 1, header or row
-        refusal = ParseError(f"byte 0x{data[bad]:02x} at offset {bad} is not UTF-8", line=line)
-    except csv.Error as exc:
-        refusal = ParseError(str(exc), line=line + 1)
-    # the header is checked before any later row is read
-    return (refusal.line > 1 and _missing_columns(header, required)) or refusal
+        raise ParseError(f"byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8",
+                         line=line) from exc
+    raise ParseError("byte that is not UTF-8 in a file that changed as it was read", line=line)
 
 
 def write_rows(path, header, template, rows) -> None:
@@ -208,9 +194,9 @@ def ingest_trace(path) -> list[TraceRecord]:
     records = []
     prev_t = None
     for i, (t, v_ml, p, f, h) in read_rows(path, TRACE_COLUMNS, ("force_n", "indent_mm")):
-        t = parse_float(t, i)
-        v_ml = parse_float(v_ml, i)
-        p = parse_float(p, i)
+        t = parse_float(t, i, "t_s")
+        v_ml = parse_float(v_ml, i, "volume_ml")
+        p = parse_float(p, i, "pressure_pa")
         if not (math.isfinite(t) and math.isfinite(v_ml)):
             raise ParseError(f"non-finite time {t} or volume {v_ml}", line=i)
         if v_ml < 0:
@@ -241,9 +227,9 @@ def read_calibration(path) -> list[tuple[float, float, str]]:
     for i, (v_ml, h_mm, phase) in read_rows(path, ("volume_ml", "height_mm", "phase")):
         phase = (phase or "").strip()
         if phase not in ("inflate", "deflate"):
-            raise ParseError(f"unknown phase {phase!r}", line=i)
-        v = parse_float(v_ml, i) * ML_TO_M3
-        h = parse_float(h_mm, i) * MM_TO_M
+            raise ParseError(f"unknown phase {reprlib.repr(phase)}", line=i)
+        v = parse_float(v_ml, i, "volume_ml") * ML_TO_M3
+        h = parse_float(h_mm, i, "height_mm") * MM_TO_M
         if not (math.isfinite(v) and math.isfinite(h)):
             raise ParseError("volume_ml and height_mm must be finite", line=i)
         samples.append((v, h, phase))

@@ -624,6 +624,36 @@ class TestExitCodes:
             f"error: line 3: byte 0xff at offset {offset} is not UTF-8\n")
         assert cfg.read_bytes() == before and not out.exists()
 
+    def test_short_trace_row_names_the_missing_cell(self, workdir, capsys):
+        # a missing cell used to be refused with float()'s message about None
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        short, out = workdir / "short.csv", workdir / "out.csv"
+        short.write_text("t_s,volume_ml,pressure_pa\n0.0,0.4,9000\n0.01,0.5\n")
+        assert assert_refused(capsys, ["estimate", short, "--config", cfg, "--out", out]) == (
+            "error: line 3: missing pressure_pa\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "calibrate"])
+    def test_long_cell_is_cut_in_the_error_line(self, workdir, capsys, command):
+        # a cell under csv's field limit used to be printed whole, a
+        # 100 054-byte error line from estimate
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        long, out = workdir / "long.csv", workdir / "out.csv"
+        if command == "estimate":
+            long.write_text("t_s,volume_ml,pressure_pa\n0.0,0.4," + "x" * 100_001 + "\n")
+            args = ["estimate", long, "--config", cfg, "--out", out]
+            reason = "could not convert string to float:"
+        else:
+            long.write_text("volume_ml,height_mm,phase\n0.1,3.0," + "x" * 100_000 + "\n")
+            args = ["calibrate", long, "--config", cfg]
+            reason = "unknown phase"
+        before = cfg.read_bytes()
+        assert assert_refused(capsys, args) == (
+            f"error: line 2: {reason} 'xxxxxxxxxxxx...xxxxxxxxxxxxx'\n")
+        assert cfg.read_bytes() == before and not out.exists()
+
     def test_oversized_header_exits_1(self, workdir, capsys):
         cfg = workdir / "config.yaml"
         run(["calibrate", workdir / "calibration.csv", "--config", cfg])

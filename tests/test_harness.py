@@ -68,6 +68,37 @@ def trace_records(draw):
                         draw(TRUTH)) for t in times]
 
 
+# (kind, row, k): a byte inserted at offset k of the row, a blank line before
+# it, a 40 000-character cell inserted as its cell k, its cell k dropped, or
+# the row swapped with row k; each index is taken modulo what it indexes
+CSV_MUTATION = st.tuples(st.sampled_from([b"\xff", b"\x00", b"\r", "blank", "long", "drop",
+                                          "swap"]),
+                         st.integers(0, 99), st.integers(0, 99))
+
+
+def mutate_csv(data: bytes, mutations) -> bytes:
+    """data with each (kind, row, k) of `CSV_MUTATION` applied in turn."""
+    rows = data.split(b"\n")
+    for kind, i, k in mutations:
+        i %= len(rows)
+        cells = rows[i].split(b",")
+        if kind == "blank":
+            rows.insert(i, b"")
+        elif kind == "swap":
+            k %= len(rows)
+            rows[i], rows[k] = rows[k], rows[i]
+        elif kind == "long":
+            cells.insert(k % (len(cells) + 1), b"x" * 40_000)
+            rows[i] = b",".join(cells)
+        elif kind == "drop":
+            del cells[k % len(cells)]
+            rows[i] = b",".join(cells)
+        else:
+            k %= len(rows[i]) + 1
+            rows[i] = rows[i][:k] + kind + rows[i][k:]
+    return b"\n".join(rows)
+
+
 class TestIngest:
     def test_well_formed(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -151,6 +182,36 @@ class TestIngest:
         with pytest.raises(ParseError) as exc_info:
             ingest_trace(path)
         assert exc_info.value.line == 3
+
+    @pytest.mark.parametrize("row, missing", [
+        ("0.01,0.5", "pressure_pa"), ("0.01", "volume_ml")])
+    def test_short_row_names_the_missing_cell(self, tmp_path, row, missing):
+        # a missing cell used to read as float()'s TypeError on None
+        path = tmp_path / "t.csv"
+        path.write_text(f"t_s,volume_ml,pressure_pa\n0.0,0.4,9000\n{row}\n")
+        with pytest.raises(ParseError, match=f"^line 3: missing {missing}$"):
+            ingest_trace(path)
+
+    @pytest.mark.parametrize("read, header, row, short", [
+        (ingest_trace, "t_s,volume_ml,pressure_pa", "0.0,0.4,{}",
+         "could not convert string to float: 'x'"),
+        (harness.read_calibration, "volume_ml,height_mm,phase", "0.5,{},inflate",
+         "could not convert string to float: 'x'"),
+        (harness.read_calibration, "volume_ml,height_mm,phase", "0.5,4.0,{}",
+         "unknown phase 'x'"),
+    ], ids=["pressure", "height", "phase"])
+    def test_long_cell_is_cut_in_the_refusal(self, tmp_path, read, header, row, short):
+        # a cell under csv's field limit used to be quoted whole; a short one
+        # keeps the text it had, float()'s own message or the phase's repr
+        path = tmp_path / "t.csv"
+        path.write_text(f"{header}\n{row.format('x')}\n")
+        with pytest.raises(ParseError, match=f"^line 2: {short}$"):
+            read(path)
+        path.write_text(f"{header}\n{row.format('x' * 100_000)}\n")
+        with pytest.raises(ParseError) as exc:
+            read(path)
+        prefix, quoted = str(exc.value).split(" '")
+        assert f"{prefix} 'x'" == f"line 2: {short}" and quoted == "xxxxxxxxxxxx...xxxxxxxxxxxxx'"
 
     def test_blank_lines_skipped_and_not_counted(self, tmp_path):
         # like csv.DictReader: error lines count the rows read, not blank lines
@@ -379,6 +440,83 @@ class TestReadRows:
         path.write_bytes(head + b"0.01,0.4,9\xff00\n")
         with pytest.raises(ParseError, match=f"^{refusal}"):
             ingest_trace(path)
+
+    @pytest.mark.parametrize("filler", [0, 1000], ids=["first-8kb", "past-8kb"])
+    @pytest.mark.parametrize("read, text, fault", [
+        (ingest_trace, b"t_s,volume_ml,pressure_pa\n0.0,0.4,9000\n0.01,-0.5,9000\n"
+         b"0.02,0.4,9000\n", "negative volume -0.5"),
+        (harness.read_calibration, b"volume_ml,height_mm,phase\n0.1,3.0,inflate\n"
+         b"0.2,3.0,inflat\n0.3,3.0,inflate\n", "unknown phase 'inflat'"),
+    ], ids=["trace", "calibration"])
+    def test_callers_refusal_of_an_earlier_row_comes_first(self, tmp_path, read, text, fault,
+                                                           filler):
+        # row 3's fault is refused before the byte of a later row, whether the
+        # text layer decodes the byte's chunk before csv reads row 3 or after
+        last = text.splitlines(keepends=True)[-1]
+        data = text + last * filler + b"\xff" + last
+        assert (len(data) > 8192) == (filler > 0)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=f"^line 3: {fault}$"):
+            read(path)
+
+    def test_valid_non_ascii_reads(self, tmp_path):
+        # UTF-8 that is not ASCII, in the header and in a column no caller
+        # reads, is not a byte to refuse
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        for read, header, rows in (
+                (ingest_trace, b"t_s,volume_ml,pressure_pa", [b"0.0,0.4,9000", b"0.01,0.5,9100"]),
+                (harness.read_calibration, b"volume_ml,height_mm,phase",
+                 [b"0.5,4.0,inflate", b"0.6,4.2,deflate"])):
+            plain.write_bytes(b"\n".join([header, *rows, b""]))
+            marked.write_bytes(b"\n".join([header + b",note \xc2\xb5m",
+                                           *(row + b",5 \xc2\xb5m" for row in rows), b""]))
+            assert read(marked) == read(plain) and len(read(plain)) == 2
+
+    @pytest.mark.parametrize("header", [b"t_s,volume_ml,pressure_pa,n\xffte",
+                                        b"t_s,vol\xffume_ml,pressure_pa"],
+                             ids=["extra-column", "required-column"])
+    def test_undecodable_byte_in_header(self, tmp_path, header):
+        # refused at line 1 before the header's columns are checked
+        path = tmp_path / "bad.csv"
+        path.write_bytes(header + b"\n0.0,0.4,9000\n")
+        offset = header.index(b"\xff")
+        with pytest.raises(ParseError, match=f"^line 1: byte 0xff at offset {offset} is not "
+                                             "UTF-8$"):
+            ingest_trace(path)
+
+    def test_file_that_changes_as_it_is_read_is_refused(self, tmp_path):
+        # the text layer has decoded the whole file before row 3 is read, and
+        # the bytes reread for the offset no longer hold the byte
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"t_s,volume_ml,pressure_pa\n0.0,0.4,9000\n0.01,0.4,9\xff00\n")
+        rows = harness.read_rows(path, harness.TRACE_COLUMNS)
+        assert next(rows) == (2, ("0.0", "0.4", "9000"))
+        path.write_bytes(b"t_s,volume_ml,pressure_pa\n0.0,0.4,9000\n0.01,0.4,9000\n")
+        with pytest.raises(ParseError, match="^line 3: byte that is not UTF-8 in a file that "
+                                             "changed as it was read$"):
+            next(rows)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mutations=st.lists(CSV_MUTATION, min_size=1, max_size=3))
+    # a long phase or pressure cell used to be quoted whole in the refusal
+    @example(mutations=[("long", 1, 2)])
+    @pytest.mark.parametrize("read, text", [
+        (ingest_trace, b"t_s,volume_ml,pressure_pa,force_n,indent_mm\n0.0,0.4,9000,,\n"
+         b"0.01,0.5,9100,0.1,1.0\n0.02,0.6,9200,0.2,1.5\n"),
+        (harness.read_calibration, b"volume_ml,height_mm,phase\n0.5,4.0,inflate\n"
+         b"0.6,4.2,inflate\n0.6,4.1,deflate\n"),
+    ], ids=["trace", "calibration"])
+    def test_mutated_file_reads_or_refuses_on_one_short_line(self, tmp_path_factory, read,
+                                                             text, mutations):
+        path = tmp_path_factory.mktemp("mutant") / "mutant.csv"
+        path.write_bytes(mutate_csv(text, mutations))
+        try:
+            read(path)
+        except ParseError as exc:
+            message = str(exc)
+            assert len(message) <= 200 and len(message.splitlines()) == 1
+            message.encode()   # no lone surrogate, which a UTF-8 stderr cannot print
 
 
 class TestReadCalibration:
