@@ -40,7 +40,11 @@ class HeightFit:
     v_max: float                # validity range upper bound and normalization divisor [m3]
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (*self.coeffs, self.v_min, self.v_max))):
+        try:
+            finite = all(map(math.isfinite, (*self.coeffs, self.v_min, self.v_max)))
+        except OverflowError:   # an int past the float range reads as an infinity
+            finite = False
+        if not finite:
             raise ValueError("height fit coefficients and ranges must be finite")
         if not (self.coeffs and 0 <= self.v_min <= self.v_max and self.v_max > 0):
             raise ValueError("height fit needs a coefficient and 0 <= v_min <= v_max "
@@ -61,7 +65,11 @@ def fit_height_poly(samples, degree: int = DEFAULT_DEGREE) -> HeightFit:
     if degree < 0:
         raise ValueError(f"polynomial degree must be nonnegative, got {degree}")
     samples = list(samples)
-    if not all(math.isfinite(v) and math.isfinite(h) for v, h, _ in samples):
+    try:
+        finite = all(math.isfinite(v) and math.isfinite(h) for v, h, _ in samples)
+    except OverflowError:   # an int past the float range reads as an infinity
+        finite = False
+    if not finite:
         raise ValueError("calibration volumes and heights must be finite")
     if any(v < 0 for v, _, _ in samples):
         raise ValueError("calibration volumes must be nonnegative")

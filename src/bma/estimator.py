@@ -9,7 +9,12 @@ an indentation stage, which depends on V_f and the carried h2.  Each
 config's one model object keeps its last shape, which serves a settled
 hold, and its last 4 096 volume stages, so a volume that a syringe stroke
 returns to builds none; a shape carries no flags.  The energy balance then
-yields the force and the next h2 (`indent`, the core of `step`).  `step`
+yields the force and the next h2 (`indent`, the core of `step`).  The
+terms of that balance that depend on the shape alone (V_fm W, the F = 0
+pressure p_hat and the slice constants pi a, pi^2 a^2 and pi a c) are
+fields of the shape's record, each the very product `indent` would form,
+so a sample at a kept shape recomputes none of them and no output moves
+by a bit.  `step`
 raises no `BmaError`: a sample it cannot estimate, a model error's
 included, is a flagged null estimate.
 
@@ -25,6 +30,7 @@ functions, and a property test holds the two equal value for value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import ClassVar, NamedTuple
@@ -43,6 +49,7 @@ _sqrt = math.sqrt
 _atan = math.atan
 _isfinite = math.isfinite
 _INF = math.inf
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -64,8 +71,9 @@ class EstimatorConfig:
 class _Model:
     """Per-config state of `reconstruct`, with no reference to its config:
     `constants` (ring, r, V_m, t_i r^2, coeffs), `volume_stage`, an LRU of
-    V_f -> (h1, V_bma, a, c) that keeps no refusal, and `last`, the shape
-    (V_f, stage, h2, record), replaced whole, never mutated."""
+    V_f -> (h1, V_bma, a, c, pi a, pi^2 a^2, pi a c) that keeps no refusal,
+    and `last`, the shape (V_f, stage, h2, record), replaced whole, never
+    mutated."""
 
     __slots__ = ("constants", "volume_stage", "last")
 
@@ -81,7 +89,12 @@ class _Model:
             h1 = evaluate_height(fit, v_f)
             v_bma = v_f + v_m
             a, c = solve_axes(v_bma, h1, ring)
-            return h1, v_bma, a, c
+            try:   # the slice constants of `indent`, each the product it would form
+                pi2_a2 = _PI_SQUARED * a ** 2
+            except OverflowError as exc:   # a ** 2 past the float range
+                raise DegenerateGeometry(
+                    f"equatorial semi-axis {a} is outside the float range") from exc
+            return h1, v_bma, a, c, _PI * a, pi2_a2, _PI * a * c
 
         self.volume_stage = volume_stage
 
@@ -135,8 +148,11 @@ class StateEstimate:
 class Reconstruction(NamedTuple):
     """Per-sample shape and material chain at one carried indentation.
 
-    Ten floats: the unindented spheroid, the contact-deformed one, then the
-    membrane's energy terms.  It carries no flags: `step` flags a restart.
+    Fifteen floats: the unindented spheroid, the contact-deformed one, the
+    membrane's energy terms, then five terms that `indent` and the energy
+    balance read at this shape (V_fm W, the F = 0 balance pressure and the
+    slice constants), each the very product they would form.  It carries
+    no flags: `step` flags a restart.
     """
 
     h1: float           # unindented apex height [m]
@@ -149,6 +165,11 @@ class Reconstruction(NamedTuple):
     k: float            # contact-patch radius [m]
     w: float            # Yeoh energy term W [Pa]
     v_fm: float         # membrane volume in the free-inflation region [m3]
+    vfm_w: float        # V_fm W, the membrane's strain energy [J]
+    p_hat: float        # F = 0 balance pressure (V_fm W + 0 h3) / V_f [Pa]
+    pi_a: float         # pi a [m]
+    pi2_a2: float       # pi^2 a^2 [m2]
+    pi_a_c: float       # pi a c [m2]
 
 
 def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruction:
@@ -161,13 +182,19 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
     restart rule) are the last call's, as while a hold settles; a built
     record replaces it.  At h2 = 0 the deformed spheroid is the unindented
     one, as h3 = h1.  The kept record itself is returned, on a restart too.
-    Numpy scalar inputs are converted, so every field and cache key is a float.
+    Numpy scalar inputs are converted, so every field and cache key is a
+    float; an int past the float range reads as the infinity of its sign.
+    The slice constants are computed once per volume, in the volume stage.
 
     Past `solve_axes` nothing is refused or clamped: its shapes keep h1 < 2c
     and c_c >= 0, so the slice lies less than 2c deep, and the contact radius
     below the meridian arc, so V_fm > 0 (`TestGeometryGuards` in the tests).
     """
-    v_f, h2_prev = float(v_f), float(h2_prev)
+    try:
+        v_f, h2_prev = float(v_f), float(h2_prev)
+    except OverflowError:   # an int past the float range reads as the infinity of its sign
+        v_f, h2_prev = (float(x) if abs(x) <= _FLOAT_MAX else _INF if x > 0 else -_INF
+                        for x in (v_f, h2_prev))
     model = cfg._model
     last_v_f, stage, last_h2, g = model.last
     if last_v_f != v_f:
@@ -179,7 +206,7 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
     if not 0.0 <= h2_prev < stage[0]:
         h2_prev = 0.0
     if h2_prev != last_h2:
-        h1, v_bma, a, c = stage
+        h1, v_bma, a, c, pi_a, pi2_a2, pi_a_c = stage
         ring, r, v_m, t_i_r2, coeffs = model.constants
         h3 = h1 - h2_prev
         if h2_prev:
@@ -206,19 +233,22 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
             if k > a:
                 k = a
             v_fm = v_m - k ** 2 * _PI * (t_i_r2 / arc ** 2)
-        g = _new_tuple(Reconstruction, (h1, a, c, h3, a_d, c_d, c_c, k, w, v_fm))
+        # the energy balance (V_fm W + F h3) / V_f at F = 0, in its own arithmetic
+        vfm_w = v_fm * w
+        g = _new_tuple(Reconstruction, (h1, a, c, h3, a_d, c_d, c_c, k, w, v_fm, vfm_w,
+                                        (vfm_w + 0.0 * h3) / v_f, pi_a, pi2_a2, pi_a_c))
         model.last = (v_f, stage, h2_prev, g)
     return g
 
 
 def balance_pressure(g: Reconstruction, v_f: float, force: float = 0.0) -> float:
     """Energy-balance pressure (V_fm W + F h3) / V_f at a reconstruction [Pa]."""
-    return (g.v_fm * g.w + force * g.h3) / v_f
+    return (g.vfm_w + force * g.h3) / v_f
 
 
 def predict_pressure(v_f: float, cfg: EstimatorConfig) -> float:
     """Pressure predicted for free (no-contact) inflation at volume v_f [Pa]."""
-    return balance_pressure(reconstruct(v_f, 0.0, cfg), v_f)
+    return reconstruct(v_f, 0.0, cfg).p_hat
 
 
 def equilibrium(v_f: float, h2: float, cfg: EstimatorConfig) -> tuple[float, float]:
@@ -227,9 +257,9 @@ def equilibrium(v_f: float, h2: float, cfg: EstimatorConfig) -> tuple[float, flo
     F = s pi a^2 p, s = 1 - (1 - h4/c)^2 with h4 = h2 - c_c, V_f p = V_fm W + F h3.
     On all of [0, h1): below contact onset (h4 < 0) F is a pull, F < 0.
     """
-    _, a, c, h3, _, _, c_c, _, w, v_fm = reconstruct(v_f, h2, cfg)
+    _, a, c, h3, _, _, c_c, _, _, _, vfm_w, _, _, _, _ = reconstruct(v_f, h2, cfg)
     bound = (1 - (1 - (h2 - c_c) / c) ** 2) * _PI * a ** 2   # F / p
-    p = v_fm * w / (v_f - bound * h3)
+    p = vfm_w / (v_f - bound * h3)
     return p, bound * p
 
 
@@ -243,9 +273,16 @@ def step(state: EstimatorState, v_f: float, p: float,
     `reconstruct`, flagged `h2_prev_clamped` where the carried h2 is outside
     [0, h1) and `reconstruct` restarted from the free shape.  Every call
     advances `step_index`.  Numpy scalar inputs are converted, so every
-    field of the estimate is a float.
+    field of the estimate is a float; an int past the float range reads as
+    the infinity of its sign, a non-finite sample or a carried h2 that
+    restarts.  p_hat is the record's own, so a sample at a kept shape
+    computes no energy balance but its force's.
     """
-    v_f, p = float(v_f), float(p)
+    try:
+        v_f, p = float(v_f), float(p)
+    except OverflowError:   # an int past the float range reads as the infinity of its sign
+        v_f, p = (float(x) if abs(x) <= _FLOAT_MAX else _INF if x > 0 else -_INF
+                  for x in (v_f, p))
     h2_prev, step_index = state
     if not (cfg.v_min_model <= v_f < _INF and _isfinite(p)):
         flags = frozenset({"nonfinite_input" if not (_isfinite(v_f) and _isfinite(p))
@@ -259,7 +296,7 @@ def step(state: EstimatorState, v_f: float, p: float,
         else:
             if not 0.0 <= h2_prev < g.h1:
                 flags = frozenset({"h2_prev_clamped"}) | flags
-            return (StateEstimate(g.h1, h2, g.h3, force, balance_pressure(g, v_f), flags),
+            return (StateEstimate(g.h1, h2, g.h3, force, g.p_hat, flags),
                     _new_tuple(EstimatorState, (h2, step_index + 1)))
     nan = float("nan")
     return (StateEstimate(nan, nan, nan, nan, nan, flags),
@@ -275,20 +312,20 @@ def indent(g: Reconstruction, v_f: float, p: float) -> tuple[float, float, froze
     -(c sqrt(pi^2 a^2 p^2 - pi F p) - pi a c p) / (pi a p); and
     h2 = h4 + c_c is clamped to [0, h1].  Builds no estimate or state.
     """
-    h1, a, c, h3, _, _, c_c, _, w, v_fm = g
+    h1, _, c, h3, _, _, c_c, _, _, _, vfm_w, _, pi_a, pi2_a2, pi_a_c = g
     flags = NO_FLAGS
-    force = (v_f * p - v_fm * w) / h3
+    force = (v_f * p - vfm_w) / h3
     if p <= 0:
         h4 = 0.0
         flags = flags | {"nonpositive_pressure"}
     else:
         try:   # ** raises OverflowError past p ~ 1e154 Pa; p * p would give inf and a NaN h2
-            disc = _PI_SQUARED * a ** 2 * p ** 2 - _PI * force * p
+            disc = pi2_a2 * p ** 2 - _PI * force * p
             if disc < 0:   # F beyond the cross-section's bound pi a^2 p
                 h4 = c
                 flags = flags | {"force_exceeds_bound"}
             else:
-                h4 = -(c * _sqrt(disc) - _PI * a * c * p) / (_PI * a * p)
+                h4 = -(c * _sqrt(disc) - pi_a_c * p) / (pi_a * p)
         except ArithmeticError as exc:   # p^2 overflows, or pi a p underflows to 0
             raise DegenerateGeometry(f"pressure {p} is outside the float range") from exc
     h2 = h4 + c_c

@@ -45,8 +45,13 @@ class RingSpec:
 
     def __post_init__(self):
         # the membrane volume pi r^2 t_i must be finite as well as r and t_i;
-        # r * r overflows to inf where r ** 2 would raise OverflowError
-        if not (0 < self.r and 0 < self.t_i and self.r * self.r * math.pi * self.t_i < math.inf):
+        # r * r overflows to inf where r ** 2 would raise OverflowError; an int
+        # operand past the float range raises it, and reads as an infinite volume
+        try:
+            v_m = self.r * self.r * math.pi * self.t_i
+        except OverflowError:
+            v_m = math.inf
+        if not (0 < self.r and 0 < self.t_i and v_m < math.inf):
             raise ValueError(f"ring radius {self.r} and membrane thickness {self.t_i} must be "
                              f"positive, with a finite membrane volume pi r^2 t_i")
 

@@ -71,7 +71,11 @@ class SimScript:
         named += [(f"step {i} {k}", v) for i, s in enumerate(self.steps)
                   for k, v in vars(s).items()]
         for name, value in named:
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:   # an int past the float range reads as an infinity
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.sample_period <= 0:
             raise ValueError("sample period must be positive")

@@ -72,7 +72,11 @@ class YeohCoeffs:
     c6: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, self.as_tuple())):
+        try:
+            finite = all(map(math.isfinite, self.as_tuple()))
+        except OverflowError:   # an int past the float range reads as an infinity
+            finite = False
+        if not finite:
             raise ValueError(f"Yeoh coefficients must be finite, got {self.as_tuple()}")
 
     def as_tuple(self) -> tuple[float, ...]:

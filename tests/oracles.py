@@ -11,7 +11,9 @@ The closed forms between the estimator's layers are lines of
 Here each is a function of its own, with the checks on its arguments;
 `reconstruct_chain` and `indent_chain` compose them with the package's
 layers, one call per formula, and the property tests hold the package
-equal to these compositions value for value.  `reconstruct_chain` refuses
+equal to these compositions value for value; the record's V_fm W, p_hat
+and slice constants pi a, pi^2 a^2, pi a c are written out here where
+`reconstruct` takes them from its volume stage.  `reconstruct_chain` refuses
 nothing the real layers let through and sets no flags: a reconstruction is
 floats only.  `update` is `step` after its input guards, on a
 reconstruction the caller already holds, with the restart flag that `step`
@@ -215,6 +217,10 @@ def reconstruct_chain(v_f: float, h2_prev: float, cfg) -> Reconstruction:
     h1 = evaluate_height(cfg.fit, v_f)
     v_bma = v_f + ring.membrane_volume
     a, c = solve_axes(v_bma, h1, ring)
+    try:   # a ** 2 past the float range is a model error, as in the volume stage
+        pi2_a2 = math.pi ** 2 * a ** 2
+    except OverflowError as exc:
+        raise DegenerateGeometry(f"equatorial semi-axis {a} is outside the float range") from exc
     if not 0.0 <= h2_prev < h1:
         h2_prev = 0.0
     h3 = h1 - h2_prev
@@ -224,7 +230,10 @@ def reconstruct_chain(v_f: float, h2_prev: float, cfg) -> Reconstruction:
     arc = perimeter(a_d, c_d, h3, integration_angle(ring.r, h3, c_d))
     w = yeoh_reference(stretch(arc, ring), cfg.coeffs)
     v_fm = free_membrane_volume(ring.membrane_volume, k, inflated_thickness(ring, arc))
-    return Reconstruction(h1, a, c, h3, a_d, c_d, c_c, k, w, v_fm)
+    # the energy balance V_f p = V_fm W + F h3 at F = 0
+    p_hat = (v_fm * w + 0.0 * h3) / v_f
+    return Reconstruction(h1, a, c, h3, a_d, c_d, c_c, k, w, v_fm, v_fm * w, p_hat,
+                          math.pi * a, pi2_a2, math.pi * a * c)
 
 
 def indent_chain(g: Reconstruction, v_f: float, p: float):

@@ -7,16 +7,20 @@ A "same outputs" claim is this script run at two checkouts on one machine:
 CHECKOUT (default: the checkout this file sits in) names the repository
 whose ``src`` is digested; its ``perfbench/inputs.py`` and its sample
 config and calibration are the inputs, read only.  Equal lines mean that
-every `simulate_trace` record and every `run_trace` estimate is
-repr-identical, and that every file of the CLI walkthrough is
-byte-identical.  A flag set's repr follows string hashing, hence the fixed
+every `simulate_trace` record, every `run_trace` estimate and every point
+of the equilibrium curve is repr-identical, and that every file of the CLI
+walkthrough is byte-identical.  A flag set's repr follows string hashing, hence the fixed
 PYTHONHASHSEED.  The digests depend on the platform's libm, so no values
 are kept in the repository.
 
 Inputs: the README walkthrough (``data/sample_script.yaml``, seed 7), the
 acceptance closed-loop script, the 40 scripts of ``perfbench.inputs.sim_scripts``
 for each of seeds 1-10 (noise seeds as the benchmark draws them) and
-the benchmark's 10 000-row inflate/deflate ramp (seed 1).  All run on
+the benchmark's 10 000-row inflate/deflate ramp (seed 1).  One more line
+digests the model's equilibrium curve directly: `predict_pressure` and
+the (p, F) of `estimator.equilibrium` at 19 volumes from 0.1 to 1.0 ml,
+each at 40 indentations in [0, h1), a refused point recorded by its
+error.  All run on
 ``configs/sample.yaml`` calibrated on ``data/sample_calibration.csv``,
 read back from the file as ``bma calibrate`` leaves it.
 
@@ -56,6 +60,33 @@ def simulate_and_estimate(script, cfg, seed: int) -> tuple[str, str]:
     except BmaError as exc:   # a refused hold is an output too
         return digest([f"{type(exc).__name__}: {exc}"]), "-"
     return digest(map(repr, records)), digest(map(repr, run_trace(records, cfg)))
+
+
+def equilibrium_curve(cfg) -> str:
+    """Digest of `predict_pressure` and `equilibrium`'s (p, F) over a grid of (volume, h2).
+
+    19 volumes from 0.1 to 1.0 ml, at each 40 indentations h1 i / 40 for i
+    in 0..39, all in [0, h1).
+    """
+    from bma import BmaError, evaluate_height, predict_pressure
+    from bma.estimator import equilibrium
+
+    def outcome(fn, *args) -> str:
+        try:
+            return repr(fn(*args))
+        except BmaError as exc:   # a refused point is an output too
+            return f"{type(exc).__name__}: {exc}"
+
+    lines = []
+    for v_f in (k / 20 * 1e-6 for k in range(2, 21)):
+        lines.append(f"{v_f!r} {outcome(predict_pressure, v_f, cfg)}")
+        try:
+            h1 = evaluate_height(cfg.fit, v_f)
+        except BmaError:   # predict_pressure's line records the refusal
+            continue
+        lines += [f"{h2!r} {outcome(equilibrium, v_f, h2, cfg)}"
+                  for h2 in (h1 * i / 40 for i in range(40))]
+    return digest(lines)
 
 
 def cli_walkthrough(root: Path) -> list[tuple[str, str]]:
@@ -128,6 +159,7 @@ def main(argv: list[str]) -> int:
                  digest(map(repr, run_trace(ramp, cfg)))))
     for name, records, estimates in rows:
         print(f"{name:26s} records {records}  estimates {estimates}")
+    print(f"{'equilibrium_curve':26s} values {equilibrium_curve(cfg)}")
     for name, bytes_digest in cli_walkthrough(root):
         print(f"cli {name:22s} bytes {bytes_digest}")
     return 0

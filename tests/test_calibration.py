@@ -114,7 +114,8 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_height_poly([(-1e-9, 4e-3, "inflate")] * 10, degree=1)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf,
+                                     pytest.param(10 ** 400, id="int_past_float")])
     @pytest.mark.parametrize("column", [0, 1])   # volume, height
     def test_nonfinite_sample_rejected(self, column, bad):
         samples = make_samples()
@@ -148,7 +149,8 @@ class TestFit:
 
 
 class TestHeightFit:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     pytest.param(10 ** 400, id="int_past_float")])
     @pytest.mark.parametrize("field", ["coeffs", "v_min", "v_max"])
     def test_nonfinite_rejected(self, field, bad):
         fit = fit_height_poly(make_samples(), degree=7)

@@ -196,7 +196,7 @@ class TestStep:
         # no nested shape records: plain float fields, ready to become arrays
         g = reconstruct(0.5e-6, 3e-3, cfg)
         assert g.k > 0
-        assert len(Reconstruction._fields) == 10 and {type(x) for x in g} == {float}
+        assert len(Reconstruction._fields) == 15 and {type(x) for x in g} == {float}
 
     def test_estimate_holds_no_shape_objects(self, cfg):
         # each nested object a kept estimate holds adds garbage-collector work
@@ -932,6 +932,19 @@ class TestFoldedChain:
             assert_chain_matches_oracle(stubbed, v_f, c, pressures)
             assert reconstruct(v_f, c, stubbed).k == a
 
+    def test_slice_constant_past_the_float_range_is_a_model_error(self, cfg):
+        # a ** 2 past the float range is refused where the volume stage is
+        # built, so no OverflowError leaves reconstruct and step flags the sample
+        v_f = 0.5e-6
+        h1 = evaluate_height(cfg.fit, v_f)
+        with substituted_axes(cfg, h1, (1e160, h1), (1e160, h1)) as stubbed:
+            assert assert_chain_matches_oracle(stubbed, v_f, 0.0, (12e3,)) == {
+                "DegenerateGeometry"}
+            with pytest.raises(DegenerateGeometry, match="equatorial semi-axis 1e.160"):
+                reconstruct(v_f, 1e-3, stubbed)
+            est, state = step(EstimatorState(h2_prev=1e-3), v_f, 12e3, stubbed)
+            assert est.flags == {"step_error", "DegenerateGeometry"} and state.h2_prev == 1e-3
+
 
 class TestCenterShift:
     """c_c = c - c_d from the real `solve_axes`, on the fixture config and on
@@ -965,6 +978,26 @@ class TestCenterShift:
         c_c = c - c_d
         assert c_c >= -4 * math.ulp(c)
         assert h2_prev - c_c <= 2 * c
+
+
+class TestFreePressure:
+    """One free pressure: `predict_pressure`, the curve of `equilibrium` at
+    h2 = 0 and the record's p_hat, on the fixture, the calibrated sample
+    config and config A."""
+
+    @pytest.fixture(scope="class")
+    def configs(self, cfg, cfg_a):
+        repo = Path(__file__).resolve().parent.parent
+        sample = load_config(repo / "configs" / "sample.yaml", require_fit=False)
+        fit = fit_height_poly(read_calibration(repo / "data" / "sample_calibration.csv"))
+        return cfg, replace(sample, fit=fit), cfg_a
+
+    def test_three_readings_agree_value_for_value(self, configs):
+        for cfg in configs:
+            for v_f in np.linspace(0.1e-6, 1.0e-6, 19).tolist():
+                p, force = estimator.equilibrium(v_f, 0.0, cfg)
+                assert predict_pressure(v_f, cfg) == p == reconstruct(v_f, 0.0, cfg).p_hat
+                assert force == 0.0
 
 
 @st.composite

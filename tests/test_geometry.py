@@ -47,7 +47,8 @@ class TestMembraneVolume:
         with pytest.raises(ValueError):
             RingSpec(r=5e-3, t_i=0.0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     pytest.param(10 ** 400, id="int_past_float")])
     @pytest.mark.parametrize("field", ["r", "t_i"])
     def test_nonfinite_ring_rejected(self, field, bad):
         with pytest.raises(ValueError, match="finite"):

@@ -885,20 +885,23 @@ class TestRunTrace:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
         v_f=st.one_of(
-            st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310]),
+            st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
+                             10 ** 400, -10 ** 400]),
             st.floats(-1e-3, 0.0999e-6),          # below the 0.1 ml model floor
             st.floats(0.1e-6, 1.0e-6),            # inside the fixture fit's range
             st.floats(1.0001e-6, 1.7e308),        # above the fit's v_max of 1 ml
         ),
         p=st.one_of(
-            st.sampled_from([math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 5e-324]),
+            st.sampled_from([math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 5e-324,
+                             10 ** 400, -10 ** 400]),
             st.floats(-1e9, 0.0),
             st.floats(0.0, 1e9),
         ),
         # a float, or ("h1", k): k times the apex height at v_f, at or above it
         # (k mm where the fit has no height at v_f: such a sample is null)
         h2=st.one_of(
-            st.sampled_from([math.nan, math.inf, -math.inf, -1e-3, -5e-324, 0.0]),
+            st.sampled_from([math.nan, math.inf, -math.inf, -1e-3, -5e-324, 0.0,
+                             10 ** 400, -10 ** 400]),
             st.floats(-1e-2, 2e-2),
             st.tuples(st.just("h1"), st.sampled_from([1.0, 1.0 + 1e-12, 1.5, 10.0])),
         ),
@@ -907,6 +910,10 @@ class TestRunTrace:
     @example(v_f=1.5e-6, p=11000.0, h2=0.0, step_index=0)          # OutOfRange
     @example(v_f=0.5e-6, p=1.7e308, h2=0.0, step_index=0)          # DegenerateGeometry
     @example(v_f=0.5e-6, p=11000.0, h2=("h1", 1.0), step_index=0)  # restart at h1
+    # ints past the float range: two null samples and a restart
+    @example(v_f=10 ** 400, p=11000.0, h2=0.0, step_index=0)
+    @example(v_f=0.5e-6, p=-10 ** 400, h2=0.0, step_index=0)
+    @example(v_f=0.5e-6, p=11000.0, h2=10 ** 400, step_index=0)
     def test_step_is_total(self, cfg, v_f, p, h2, step_index):
         # step decides every sample itself: it raises nothing, a null estimate
         # names one refusal and keeps the carried h2, any other estimate lies
@@ -1015,7 +1022,8 @@ class TestScriptValidation:
         with pytest.raises(ValueError, match="noise amplitude must be nonnegative"):
             SimScript(steps=(SimStep(0.4e-6, 0.0, 1.0),), sample_period=0.01, noise_pa=-1.0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     pytest.param(10 ** 400, id="int_past_float")])
     @pytest.mark.parametrize("field", ["v_f", "force", "hold", "sample_period", "noise_pa"])
     def test_nonfinite_rejected(self, field, bad):
         step_values = {"v_f": 0.4e-6, "force": 0.1, "hold": 0.1}

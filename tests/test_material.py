@@ -147,7 +147,8 @@ class TestInvariant:
 
 
 class TestYeohCoeffs:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     pytest.param(-10 ** 400, id="neg_int_past_float")])
     @pytest.mark.parametrize("field", ["c1", "c2", "c3", "c4", "c5", "c6"])
     def test_nonfinite_rejected(self, field, bad):
         with pytest.raises(ValueError, match="finite"):
