@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditioned, InsufficientData, OutOfRange
+from .errors import IllConditioned, InsufficientData, OutOfRange, finite, quote
 
 DEFAULT_DEGREE = 7
 
@@ -40,11 +40,7 @@ class HeightFit:
     v_max: float                # validity range upper bound and normalization divisor [m3]
 
     def __post_init__(self):
-        try:
-            finite = all(map(math.isfinite, (*self.coeffs, self.v_min, self.v_max)))
-        except OverflowError:   # an int past the float range reads as an infinity
-            finite = False
-        if not finite:
+        if not finite(*self.coeffs, self.v_min, self.v_max):
             raise ValueError("height fit coefficients and ranges must be finite")
         if not (self.coeffs and 0 <= self.v_min <= self.v_max and self.v_max > 0):
             raise ValueError("height fit needs a coefficient and 0 <= v_min <= v_max "
@@ -63,13 +59,9 @@ def fit_height_poly(samples, degree: int = DEFAULT_DEGREE) -> HeightFit:
     so sample order moves only the rounding of a mean over three or more.
     """
     if degree < 0:
-        raise ValueError(f"polynomial degree must be nonnegative, got {degree}")
+        raise ValueError(f"polynomial degree must be nonnegative, got {quote(degree)}")
     samples = list(samples)
-    try:
-        finite = all(math.isfinite(v) and math.isfinite(h) for v, h, _ in samples)
-    except OverflowError:   # an int past the float range reads as an infinity
-        finite = False
-    if not finite:
+    if not all(finite(v, h) for v, h, _ in samples):
         raise ValueError("calibration volumes and heights must be finite")
     if any(v < 0 for v, _, _ in samples):
         raise ValueError("calibration volumes must be nonnegative")
@@ -81,7 +73,7 @@ def fit_height_poly(samples, degree: int = DEFAULT_DEGREE) -> HeightFit:
     heights = np.bincount(group, hs) / np.bincount(group)
     if len(volumes) < degree + 1:
         raise InsufficientData(
-            f"need at least {degree + 1} distinct volumes, got {len(volumes)}"
+            f"need at least {quote(degree + 1)} distinct volumes, got {len(volumes)}"
         )
 
     v_max = float(volumes.max())

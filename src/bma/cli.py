@@ -16,7 +16,7 @@ import sys
 
 from . import config as cfgmod
 from .calibration import DEFAULT_DEGREE, fit_height_poly
-from .errors import BmaError, DegenerateGeometry, OutOfRange
+from .errors import BmaError, DegenerateGeometry, OutOfRange, quote
 from .estimator import predict_pressure, reconstruct
 from .geometry import profile_polyline, sphere_baseline
 from .harness import (
@@ -73,6 +73,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:   # numpy's own refusal names neither the option nor the value
+        raise ValueError(f"--seed must be nonnegative, got {quote(args.seed)}")
     cfg = cfgmod.load_config(_config_path(args))
     script = cfgmod.load_script(args.script)
     records = simulate_trace(script, cfg, seed=args.seed)

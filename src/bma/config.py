@@ -7,7 +7,6 @@ repeated in one mapping, or one that its section does not read, is refused.
 from __future__ import annotations
 
 import os
-import reprlib
 import shutil
 import tempfile
 from contextlib import contextmanager
@@ -15,7 +14,7 @@ from contextlib import contextmanager
 import yaml
 
 from .calibration import HeightFit
-from .errors import BmaError
+from .errors import BmaError, quote
 from .estimator import EstimatorConfig
 from .geometry import RingSpec
 from .harness import ML_TO_M3, MM_TO_M, SimScript, SimStep
@@ -43,8 +42,7 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
             tag = node.tag.replace("tag:yaml.org,2002:", "!!")
             raise yaml.constructor.ConstructorError(
-                None, None, f"cannot read {reprlib.repr(node.value)} as {tag}",
-                node.start_mark) from exc
+                None, None, f"cannot read {quote(node.value)} as {tag}", node.start_mark) from exc
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -106,7 +104,7 @@ def _section(name: str):
     """Turn a malformed value met while building one section into a ConfigError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"{name}: {detail}") from exc
 
@@ -141,15 +139,14 @@ def _number(value, key: str) -> float:
     """value as a float, refused unless an int, a float or a numeric string.
 
     A YAML bool is a Python int, which float() reads as 1.0 or 0.0.  The
-    refusal names the key, and quotes a string at most 30 characters long,
-    its ends kept, so the line stays short for a value of any length.
+    refusal names the key, and `quote` cuts a long string to one short line.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise TypeError(f"{key} must be a number, got {type(value).__name__}")
     try:
         return float(value)
-    except ValueError:   # a string that is not a number; reprlib cuts a long one
-        raise ValueError(f"{key} must be a number, got {reprlib.repr(value)}") from None
+    except ValueError:   # a string that is not a number; quote cuts a long one
+        raise ValueError(f"{key} must be a number, got {quote(value)}") from None
     except OverflowError:   # an int past the float range
         raise ValueError(f"{key} must be a number, got an int too large for a float") from None
 

@@ -1,4 +1,33 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one rule, owned here, for a number
+from outside: `finite` checks it, `as_float` reads it and `quote` names it in a refusal."""
+
+import math
+import reprlib
+
+
+def finite(*values) -> bool:
+    """False if any value is NaN, an infinity or an int past the float range."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:
+        return False
+
+
+def as_float(x) -> float:
+    """x as a float; an int past the float range reads as the infinity of its sign."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+class _Quote(reprlib.Repr):
+    def repr_int(self, x, level):
+        return (super().repr_int(x, level) if finite(x)
+                else "-" * (x < 0) + "<int past the float range>")
+
+
+quote = _Quote().repr   # reprlib's cut, with an int past the float range named, never printed
 
 
 class BmaError(Exception):

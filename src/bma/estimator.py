@@ -14,9 +14,8 @@ terms of that balance that depend on the shape alone (V_fm W, the F = 0
 pressure p_hat and the slice constants pi a, pi^2 a^2 and pi a c) are
 fields of the shape's record, each the very product `indent` would form,
 so a sample at a kept shape recomputes none of them and no output moves
-by a bit.  `step`
-raises no `BmaError`: a sample it cannot estimate, a model error's
-included, is a flagged null estimate.
+by a bit.  `step` raises no `BmaError`: a sample it cannot estimate, a
+model error's included, is a flagged null estimate.
 
 The chain runs as straight-line float arithmetic around four layers kept
 as functions and called through this module's names: `evaluate_height`,
@@ -30,7 +29,6 @@ functions, and a property test holds the two equal value for value.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import ClassVar, NamedTuple
@@ -38,7 +36,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .calibration import HeightFit, evaluate_height
-from .errors import BmaError, DegenerateGeometry, LengthMismatch
+from .errors import BmaError, DegenerateGeometry, LengthMismatch, as_float
 from .geometry import RingSpec, solve_axes
 from .material import YeohCoeffs, perimeter, yeoh_energy_density
 
@@ -49,7 +47,6 @@ _sqrt = math.sqrt
 _atan = math.atan
 _isfinite = math.isfinite
 _INF = math.inf
-_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -182,8 +179,7 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
     restart rule) are the last call's, as while a hold settles; a built
     record replaces it.  At h2 = 0 the deformed spheroid is the unindented
     one, as h3 = h1.  The kept record itself is returned, on a restart too.
-    Numpy scalar inputs are converted, so every field and cache key is a
-    float; an int past the float range reads as the infinity of its sign.
+    Inputs are read by `as_float`, so every field and cache key is a float.
     The slice constants are computed once per volume, in the volume stage.
 
     Past `solve_axes` nothing is refused or clamped: its shapes keep h1 < 2c
@@ -192,9 +188,8 @@ def reconstruct(v_f: float, h2_prev: float, cfg: EstimatorConfig) -> Reconstruct
     """
     try:
         v_f, h2_prev = float(v_f), float(h2_prev)
-    except OverflowError:   # an int past the float range reads as the infinity of its sign
-        v_f, h2_prev = (float(x) if abs(x) <= _FLOAT_MAX else _INF if x > 0 else -_INF
-                        for x in (v_f, h2_prev))
+    except OverflowError:   # an int past the float range
+        v_f, h2_prev = as_float(v_f), as_float(h2_prev)
     model = cfg._model
     last_v_f, stage, last_h2, g = model.last
     if last_v_f != v_f:
@@ -272,17 +267,15 @@ def step(state: EstimatorState, v_f: float, p: float,
     emit a null estimate and keep the carried h2; the rest run `indent` on
     `reconstruct`, flagged `h2_prev_clamped` where the carried h2 is outside
     [0, h1) and `reconstruct` restarted from the free shape.  Every call
-    advances `step_index`.  Numpy scalar inputs are converted, so every
-    field of the estimate is a float; an int past the float range reads as
-    the infinity of its sign, a non-finite sample or a carried h2 that
-    restarts.  p_hat is the record's own, so a sample at a kept shape
-    computes no energy balance but its force's.
+    advances `step_index`.  Inputs are read by `as_float`, so every field of
+    the estimate is a float, and an int past the float range is a non-finite
+    sample or a carried h2 that restarts.  p_hat is the record's own, so a
+    sample at a kept shape computes no energy balance but its force's.
     """
     try:
         v_f, p = float(v_f), float(p)
-    except OverflowError:   # an int past the float range reads as the infinity of its sign
-        v_f, p = (float(x) if abs(x) <= _FLOAT_MAX else _INF if x > 0 else -_INF
-                  for x in (v_f, p))
+    except OverflowError:   # an int past the float range
+        v_f, p = as_float(v_f), as_float(p)
     h2_prev, step_index = state
     if not (cfg.v_min_model <= v_f < _INF and _isfinite(p)):
         flags = frozenset({"nonfinite_input" if not (_isfinite(v_f) and _isfinite(p))

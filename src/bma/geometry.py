@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry
+from .errors import DegenerateGeometry, finite, quote
 
 # relative magnitude below which a denominator counts as singular
 _DENOM_REL_EPS = 1e-12
@@ -44,16 +44,11 @@ class RingSpec:
     t_i: float    # initial (uniform) membrane thickness [m]
 
     def __post_init__(self):
-        # the membrane volume pi r^2 t_i must be finite as well as r and t_i;
-        # r * r overflows to inf where r ** 2 would raise OverflowError; an int
-        # operand past the float range raises it, and reads as an infinite volume
-        try:
-            v_m = self.r * self.r * math.pi * self.t_i
-        except OverflowError:
-            v_m = math.inf
-        if not (0 < self.r and 0 < self.t_i and v_m < math.inf):
-            raise ValueError(f"ring radius {self.r} and membrane thickness {self.t_i} must be "
-                             f"positive, with a finite membrane volume pi r^2 t_i")
+        # and pi r^2 t_i finite: float(r) * r reads inf where r ** 2, or an int r * r * pi, raises
+        if not (finite(self.r, self.t_i) and 0 < self.r and 0 < self.t_i
+                and float(self.r) * self.r * math.pi * self.t_i < math.inf):
+            raise ValueError(f"ring radius {quote(self.r)} and membrane thickness {quote(self.t_i)}"
+                             " must be positive, with a finite membrane volume pi r^2 t_i")
 
     @property
     def membrane_volume(self) -> float:

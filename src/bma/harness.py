@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import reprlib
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -19,7 +18,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DegenerateGeometry, MissingGroundTruth, NoConvergence, OutOfRange, ParseError
+from .errors import (DegenerateGeometry, MissingGroundTruth, NoConvergence, OutOfRange,
+                     ParseError, finite, quote)
 from .estimator import (
     EstimatorConfig,
     EstimatorState,
@@ -67,16 +67,11 @@ class SimScript:
     noise_pa: float = 0.0      # Gaussian pressure noise amplitude [Pa]
 
     def __post_init__(self):
-        named = [("sample_period", self.sample_period), ("noise_pa", self.noise_pa)]
-        named += [(f"step {i} {k}", v) for i, s in enumerate(self.steps)
-                  for k, v in vars(s).items()]
+        named = [("sample_period", self.sample_period), ("noise_pa", self.noise_pa)] + [
+            (f"step {i} {k}", v) for i, s in enumerate(self.steps) for k, v in vars(s).items()]
         for name, value in named:
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:   # an int past the float range reads as an infinity
-                finite = False
-            if not finite:
-                raise ValueError(f"{name} must be finite, got {value}")
+            if not finite(value):
+                raise ValueError(f"{name} must be finite, got {quote(value)}")
         if self.sample_period <= 0:
             raise ValueError("sample period must be positive")
         if self.noise_pa < 0:
@@ -96,9 +91,8 @@ def parse_float(text, line: int, name: str) -> float:
         raise ParseError(f"missing {name}", line=line)
     try:
         return float(text)
-    except ValueError as exc:   # reprlib cuts a long cell
-        raise ParseError(f"could not convert string to float: {reprlib.repr(text)}",
-                         line=line) from exc
+    except ValueError as exc:   # quote cuts a long cell
+        raise ParseError(f"could not convert string to float: {quote(text)}", line=line) from exc
 
 
 def parse_truth(text, line: int, name: str) -> float | None:
@@ -231,7 +225,7 @@ def read_calibration(path) -> list[tuple[float, float, str]]:
     for i, (v_ml, h_mm, phase) in read_rows(path, ("volume_ml", "height_mm", "phase")):
         phase = (phase or "").strip()
         if phase not in ("inflate", "deflate"):
-            raise ParseError(f"unknown phase {reprlib.repr(phase)}", line=i)
+            raise ParseError(f"unknown phase {quote(phase)}", line=i)
         v = parse_float(v_ml, i, "volume_ml") * ML_TO_M3
         h = parse_float(h_mm, i, "height_mm") * MM_TO_M
         if not (math.isfinite(v) and math.isfinite(h)):
@@ -366,7 +360,7 @@ def evaluate(records, cfg: EstimatorConfig,
     The three shares give RMSE_h2 and RMSE_F in the paper's units.
     """
     if contact_window is not None and not contact_window[0] <= contact_window[1]:
-        raise ValueError(f"contact window {contact_window} needs t0 <= t1")
+        raise ValueError(f"contact window {quote(contact_window)} needs t0 <= t1")
     if not records or not all(r.has_truth for r in records):
         raise MissingGroundTruth("trace lacks force_n/indent_mm ground truth")
 

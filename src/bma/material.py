@@ -29,6 +29,8 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
+from .errors import finite, quote
+
 
 def _load_ellipeinc():
     """``scipy.special.cython_special.ellipeinc``, imported without ``scipy.special.__init__``."""
@@ -72,12 +74,8 @@ class YeohCoeffs:
     c6: float = 0.0
 
     def __post_init__(self):
-        try:
-            finite = all(map(math.isfinite, self.as_tuple()))
-        except OverflowError:   # an int past the float range reads as an infinity
-            finite = False
-        if not finite:
-            raise ValueError(f"Yeoh coefficients must be finite, got {self.as_tuple()}")
+        if not finite(*self.as_tuple()):
+            raise ValueError(f"Yeoh coefficients must be finite, got {quote(self.as_tuple())}")
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.c1, self.c2, self.c3, self.c4, self.c5, self.c6)

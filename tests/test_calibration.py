@@ -110,20 +110,29 @@ class TestFit:
         with pytest.raises(ValueError, match=f"degree must be nonnegative, got {degree}"):
             fit_height_poly(make_samples(), degree=degree)
 
+    def test_degree_past_str_limit_rejected_on_one_short_line(self):
+        # printed whole, the degree's digits used to replace the refusal's message
+        with pytest.raises(ValueError, match="degree must be nonnegative") as exc:
+            fit_height_poly(make_samples(), degree=-10 ** 5000)
+        assert "\n" not in str(exc.value) and len(str(exc.value)) <= 200
+
     def test_negative_volume_rejected(self):
         with pytest.raises(ValueError):
             fit_height_poly([(-1e-9, 4e-3, "inflate")] * 10, degree=1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf,
-                                     pytest.param(10 ** 400, id="int_past_float")])
+                                     pytest.param(10 ** 400, id="int_past_float"),
+                                     pytest.param(10 ** 5000, id="int_past_str_limit")])
     @pytest.mark.parametrize("column", [0, 1])   # volume, height
     def test_nonfinite_sample_rejected(self, column, bad):
         samples = make_samples()
         row = list(samples[4])
         row[column] = bad
         samples[4] = tuple(row)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite") as exc:
             fit_height_poly(samples, degree=7)
+        assert ("volumes", "heights")[column] in str(exc.value)
+        assert "\n" not in str(exc.value) and len(str(exc.value)) <= 200
 
     def test_nesting_property(self):
         # least-squares residual never improves when the degree drops
@@ -150,12 +159,15 @@ class TestFit:
 
 class TestHeightFit:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
-                                     pytest.param(10 ** 400, id="int_past_float")])
+                                     pytest.param(10 ** 400, id="int_past_float"),
+                                     pytest.param(10 ** 5000, id="int_past_str_limit")])
     @pytest.mark.parametrize("field", ["coeffs", "v_min", "v_max"])
     def test_nonfinite_rejected(self, field, bad):
         fit = fit_height_poly(make_samples(), degree=7)
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="must be finite") as exc:
             replace(fit, **{field: (*fit.coeffs[:-1], bad) if field == "coeffs" else bad})
+        assert ("coefficients" if field == "coeffs" else "ranges") in str(exc.value)
+        assert "\n" not in str(exc.value) and len(str(exc.value)) <= 200
 
     @pytest.mark.parametrize("change", [
         {"coeffs": ()}, {"v_min": -1e-9}, {"v_min": 2e-6}, {"v_min": 0.0, "v_max": 0.0},

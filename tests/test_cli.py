@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import errno
+import io
 import math
 import os
 import re
@@ -7,9 +9,11 @@ import shutil
 import stat
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bma import config as cfgmod
 from bma.cli import main
@@ -541,6 +545,17 @@ class TestExitCodes:
         assert err == f"error: step 1 (volume_ml {volume_ml}, force_n 0.1): {reason}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [-1, -2 ** 64])
+    def test_negative_seed_names_the_option(self, workdir, capsys, seed):
+        # numpy's own refusal, "expected non-negative integer", named neither
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        out = workdir / "trace.csv"
+        err = assert_refused(capsys, ["simulate", workdir / "script.yaml", "--config", cfg,
+                                      f"--seed={seed}", "--out", out])
+        assert err == f"error: --seed must be nonnegative, got {seed}\n"
+        assert not out.exists()
+
     def test_memory_error_exits_1(self, workdir, capsys, monkeypatch):
         # a finite but huge sample count, such as hold_s: 1.0e+12 at 0.01 s,
         # leaves numpy unable to allocate the noise draws
@@ -721,6 +736,88 @@ class TestExitCodes:
         assert run(["estimate", workdir / "calibration.csv",
                     "--config", workdir / "config.yaml",
                     "--out", workdir / "x.csv"]) == 1
+
+
+# argument values: the edges of the float range, non-finite floats, and
+# ordinary values, so that the success path is taken too
+EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, 1e-300])
+
+
+def float_arg(ordinary):
+    return st.one_of(EDGE_FLOATS, ordinary, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def cli_arguments(draw, root: Path):
+    """(args, out): one subcommand's argument list and its --out file, or None."""
+    config = ["--config", str(root / "config.yaml")]
+    command = draw(st.sampled_from(["export-shape", "eval", "simulate"]))
+    if command == "export-shape":
+        out = root / draw(st.sampled_from(["shape.csv", "shape.svg"]))
+        volume = draw(float_arg(st.floats(0.0, 1.2)))
+        indent = draw(float_arg(st.floats(0.0, 6.0)))
+        return ["export-shape", f"--volume-ml={volume!r}", f"--indent-mm={indent!r}",
+                f"--points={draw(st.integers(-5, 2000))}", "--out", str(out), *config], out
+    if command == "eval":
+        window = draw(st.lists(st.one_of(st.sampled_from([math.nan, math.inf]), st.floats(0, 3),
+                                         st.floats(allow_nan=False, allow_infinity=False)),
+                               min_size=2, max_size=2))
+        return ["eval", str(root / "trace.csv"), "--window", *map(repr, window), *config], None
+    seed = draw(st.one_of(st.sampled_from([-1, 0, 2 ** 64]), st.integers(-2 ** 70, 2 ** 70)))
+    out = root / "simulated.csv"
+    return ["simulate", str(root / "script.yaml"), f"--seed={seed}", "--out", str(out),
+            *config], out
+
+
+@pytest.fixture(scope="module")
+def argument_dir(tmp_path_factory):
+    """A calibrated sample config, a two-hold script and a ground-truth trace."""
+    root = tmp_path_factory.mktemp("arguments")
+    shutil.copy(SAMPLE_CONFIG, root / "config.yaml")
+    (root / "script.yaml").write_text("sample_period_s: 0.01\nsteps:\n"
+                                      "  - {volume_ml: 0.4, force_n: 0.0, hold_s: 0.05}\n"
+                                      "  - {volume_ml: 0.5, force_n: 0.2, hold_s: 0.05}\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["calibrate", SAMPLE_CALIBRATION, "--config", root / "config.yaml"]) == 0
+        assert run(["simulate", SAMPLE_SCRIPT, "--config", root / "config.yaml",
+                    "--out", root / "trace.csv"]) == 0
+    return root
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_argument_values_exit_cleanly(argument_dir, data):
+    # one-value options are passed as --opt=value, so argparse never reads -inf as an option
+    args, out = data.draw(cli_arguments(argument_dir))
+    if out is not None and out.exists():
+        out.unlink()
+    err, stdout = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
+        try:
+            status = main(args)
+        except SystemExit as exc:   # argparse's own, as of a window end -1e-05 read as an option
+            status = exc.code
+    err = err.getvalue()
+    assert status in (0, 1, 2)
+    if status:
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and len(errors[0]) <= 200, err
+        assert "Traceback" not in err
+        # a refusal of a value names what it refuses: numpy's "expected
+        # non-negative integer" for a negative seed named nothing
+        assert status == 2 or re.search(r"volume|indent|points|window|seed", errors[0]), err
+        assert out is None or not out.exists()
+    elif args[0] == "export-shape" and out.suffix == ".csv":
+        with open(out) as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["x_mm", "z_mm"] and len(rows) == int(args[3].split("=")[1])
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+    elif args[0] == "export-shape":
+        assert ET.parse(out).getroot().tag.endswith("svg")
+    elif args[0] == "simulate":
+        assert len(ingest_trace(out)) == 10
+    else:
+        assert stdout.getvalue().startswith("samples:")
 
 
 def test_import_leaves_scipy_integrate_unloaded():

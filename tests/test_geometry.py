@@ -48,11 +48,15 @@ class TestMembraneVolume:
             RingSpec(r=5e-3, t_i=0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
-                                     pytest.param(10 ** 400, id="int_past_float")])
+                                     pytest.param(10 ** 400, id="int_past_float"),
+                                     pytest.param(10 ** 5000, id="int_past_str_limit")])
     @pytest.mark.parametrize("field", ["r", "t_i"])
     def test_nonfinite_ring_rejected(self, field, bad):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite") as exc:
             RingSpec(**{"r": 5e-3, "t_i": 0.5e-3, field: bad})
+        name = {"r": "ring radius", "t_i": "membrane thickness"}[field]
+        assert name in str(exc.value)
+        assert "\n" not in str(exc.value) and len(str(exc.value)) <= 200
 
     def test_overflowing_membrane_volume_rejected(self):
         # r is finite, but r^2 and so pi r^2 t_i are past the float range

@@ -962,11 +962,13 @@ class TestEvaluate:
         assert report.window_rmse_f is not None
         assert report.window_rmse_f <= 1e-6
 
-    @pytest.mark.parametrize("window", [(2.0, 0.5), (math.nan, 1.0), (0.0, math.nan)])
+    @pytest.mark.parametrize("window", [(2.0, 0.5), (math.nan, 1.0), (0.0, math.nan),
+                                        pytest.param((10 ** 5000, 0.0), id="int_past_str_limit")])
     def test_bad_window_rejected(self, cfg, window):
         records = simulate_trace(basic_script(), cfg, seed=0)
-        with pytest.raises(ValueError, match="contact window"):
+        with pytest.raises(ValueError, match="contact window") as exc:
             evaluate(records, cfg, contact_window=window)
+        assert "\n" not in str(exc.value) and len(str(exc.value)) <= 200
 
     def test_point_window_accepted(self, cfg):
         records = simulate_trace(basic_script(), cfg, seed=0)
@@ -1023,12 +1025,15 @@ class TestScriptValidation:
             SimScript(steps=(SimStep(0.4e-6, 0.0, 1.0),), sample_period=0.01, noise_pa=-1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
-                                     pytest.param(10 ** 400, id="int_past_float")])
+                                     pytest.param(10 ** 400, id="int_past_float"),
+                                     pytest.param(10 ** 5000, id="int_past_str_limit")])
     @pytest.mark.parametrize("field", ["v_f", "force", "hold", "sample_period", "noise_pa"])
     def test_nonfinite_rejected(self, field, bad):
         step_values = {"v_f": 0.4e-6, "force": 0.1, "hold": 0.1}
         script_values = {"sample_period": 0.01, "noise_pa": 0.0}
         (step_values if field in step_values else script_values)[field] = bad
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        with pytest.raises(ValueError, match=f"{field} must be finite") as exc:
             SimScript(steps=(SimStep(0.3e-6, 0.0, 0.1), SimStep(**step_values)),
                       **script_values)
+        # the value is quoted, never printed digit by digit
+        assert "\n" not in str(exc.value) and len(str(exc.value)) <= 200
