@@ -4,7 +4,7 @@ Subcommands: calibrate, estimate, simulate, predict-pressure, eval,
 export-shape.  Exit codes: 0 success, 1 validation, model or configuration
 error or a request that does not fit in memory, 2 I/O error.  The config path comes from --config or the
 BMA_CONFIG environment variable.  Every CSV file is read and written by
-`harness`.
+`harness`, and every file written is replaced whole by `harness.replacing`.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .harness import (
     evaluate,
     ingest_trace,
     read_calibration,
+    replacing,
     run_trace,
     simulate_trace,
     trace_values,
@@ -133,7 +134,7 @@ def _svg(paths, path):
              f'width="{w * scale:.0f}" height="{h * scale:.0f}">']
     parts += [f'<path d="M {" L ".join(pt(x, z) for x, z in points)}" stroke="{stroke}" '
               f'fill="none" stroke-width="{width:g}"/>' for points, stroke, width in paths]
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write("\n".join(parts) + "\n</svg>\n")
 
 
@@ -149,7 +150,10 @@ def cmd_export_shape(args) -> int:
     if not 0.0 <= h2 < g.h1:
         raise DegenerateGeometry(f"indentation {h2 / MM_TO_M:.6g} mm outside [0, "
                                  f"{g.h1 / MM_TO_M:.6g}) mm at {args.volume_ml:.6g} ml")
-    pts_mm = list(map(tuple, profile_polyline(g.a_d, g.c_d, g.h3, g.k, args.points) / MM_TO_M))
+    try:
+        pts_mm = list(map(tuple, profile_polyline(g.a_d, g.c_d, g.h3, g.k, args.points) / MM_TO_M))
+    except (MemoryError, ValueError) as exc:   # numpy's refusal names neither option nor value
+        raise ValueError(f"--points {quote(args.points)}: {exc}") from exc
 
     if args.out.lower().endswith(".csv"):
         write_rows(args.out, ("x_mm", "z_mm"), "%.6f,%.6f\n", pts_mm)
@@ -169,6 +173,17 @@ def cmd_export_shape(args) -> int:
     return EXIT_OK
 
 
+def _typed(kind):
+    """An argparse type= reader of int or float whose refusal quotes the text cut by `quote`."""
+    def read(text):
+        try:
+            return kind(text)
+        except ValueError:   # argparse's own refusal quotes the text whole
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {quote(text)}") from None
+    return read
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bma",
@@ -181,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="fit the volume-to-height polynomial")
     p.add_argument("csv", help="calibration CSV: volume_ml,height_mm,phase")
-    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE)
+    p.add_argument("--degree", type=_typed(int), default=DEFAULT_DEGREE)
     add_config(p)
     p.set_defaults(func=cmd_calibrate)
 
@@ -193,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="synthesize a trace from a script")
     p.add_argument("script")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_typed(int), default=0)
     p.add_argument("--out", required=True)
     add_config(p)
     p.set_defaults(func=cmd_simulate)
@@ -207,15 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate the estimator against ground truth")
     p.add_argument("trace")
-    p.add_argument("--window", nargs=2, type=float, metavar=("T0", "T1"),
+    p.add_argument("--window", nargs=2, type=_typed(float), metavar=("T0", "T1"),
                    help="contact window [s] for the restricted error report")
     add_config(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("export-shape", help="export a reconstructed profile")
-    p.add_argument("--volume-ml", type=float, required=True)
-    p.add_argument("--indent-mm", type=float, default=0.0)
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--volume-ml", type=_typed(float), required=True)
+    p.add_argument("--indent-mm", type=_typed(float), default=0.0)
+    p.add_argument("--points", type=_typed(int), default=201)
     p.add_argument("--out", required=True)
     add_config(p)
     p.set_defaults(func=cmd_export_shape)

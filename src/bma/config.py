@@ -6,9 +6,6 @@ repeated in one mapping, or one that its section does not read, is refused.
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 from contextlib import contextmanager
 
 import yaml
@@ -17,7 +14,7 @@ from .calibration import HeightFit
 from .errors import BmaError, quote
 from .estimator import EstimatorConfig
 from .geometry import RingSpec
-from .harness import ML_TO_M3, MM_TO_M, SimScript, SimStep
+from .harness import ML_TO_M3, MM_TO_M, SimScript, SimStep, replacing
 from .material import YeohCoeffs
 
 
@@ -80,23 +77,9 @@ def load_raw(path) -> dict:
 
 
 def save_raw(path, data: dict) -> None:
-    """Write data as YAML over path, so that a failed write leaves the old file whole.
-
-    The text goes to a temporary file beside the file a symlink names, which
-    takes the old file's permission bits and then replaces it; a new file is
-    readable by its owner alone, as `tempfile.mkstemp` makes it.
-    """
-    target = os.path.realpath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
-    try:
-        with open(fd, "w") as fh:
-            yaml.safe_dump(data, fh, sort_keys=False)
-        if os.path.exists(target):
-            shutil.copymode(target, tmp)
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    """Write data as YAML over path by `harness.replacing`: a failed write keeps the old file."""
+    with replacing(path) as fh:
+        yaml.safe_dump(data, fh, sort_keys=False)
 
 
 @contextmanager

@@ -3,7 +3,8 @@
 Traces are CSV files with header ``t_s,volume_ml,pressure_pa`` and optional
 ground-truth columns ``force_n,indent_mm``; calibration files have the
 columns ``volume_ml,height_mm,phase``.  Every CSV file the package reads
-goes through `read_rows`, and every one it writes through `write_rows`.
+goes through `read_rows`, and every one it writes through `write_rows`; every
+file it writes, CSV, SVG or config, is replaced whole by `replacing`.
 Internally everything is SI; conversion happens here at the file boundary.
 """
 
@@ -11,15 +12,17 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import shutil
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import (DegenerateGeometry, MissingGroundTruth, NoConvergence, OutOfRange,
-                     ParseError, finite, quote)
+                     ParseError, as_float, finite, quote)
 from .estimator import (
     EstimatorConfig,
     EstimatorState,
@@ -161,12 +164,41 @@ def _refuse_surrogates(path, row, line) -> None:
     raise ParseError("byte that is not UTF-8 in a file that changed as it was read", line=line)
 
 
+@contextmanager
+def replacing(path):
+    """Yield a text file whose text, when the block ends, replaces the file at path whole.
+
+    A temporary file beside the file a symlink names, made new by mode "x", takes the old
+    file's bits (a new one gets open's) and replaces it; on a failure it is removed.  None
+    is stdout; a path that is not a regular file, as /dev/null, is written in place.
+    """
+    if path is None:
+        yield sys.stdout
+        return
+    if os.path.exists(path) and not os.path.isfile(path):   # a rename would replace a device
+        with open(path, "w", newline="") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(target), f"tmp{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", newline="")
+    try:
+        with fh:
+            yield fh
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_rows(path, header, template, rows) -> None:
     """Write a CSV header, then `template % row` per row tuple; to stdout when path is None.
 
     No cell the package writes needs quoting, so these are `csv.writer`'s bytes.
     """
-    with open(path, "w", newline="") if path is not None else nullcontext(sys.stdout) as fh:
+    with replacing(path) as fh:
         fh.write(",".join(header) + "\n" + "".join([template % row for row in rows]))
 
 
@@ -359,7 +391,9 @@ def evaluate(records, cfg: EstimatorConfig,
     and the indentation region; it needs t0 <= t1, and neither may be NaN.
     The three shares give RMSE_h2 and RMSE_F in the paper's units.
     """
-    if contact_window is not None and not contact_window[0] <= contact_window[1]:
+    # an int end past the float range reads as an infinite end
+    ends = None if contact_window is None else tuple(map(as_float, contact_window))
+    if ends is not None and not ends[0] <= ends[1]:
         raise ValueError(f"contact window {quote(contact_window)} needs t0 <= t1")
     if not records or not all(r.has_truth for r in records):
         raise MissingGroundTruth("trace lacks force_n/indent_mm ground truth")
@@ -376,8 +410,7 @@ def evaluate(records, cfg: EstimatorConfig,
     free = np.abs(f_true) <= NO_CONTACT_FORCE_N
     rmse_p = rmse(p_hat[free], p[free]) if free.any() else None
 
-    inside = np.zeros(len(t), bool) if contact_window is None else (
-        (contact_window[0] <= t) & (t <= contact_window[1]))
+    inside = np.zeros(len(t), bool) if ends is None else (ends[0] <= t) & (t <= ends[1])
     window = inside.any()
     return EvalReport(n_samples=len(records), n_null=len(records) - len(samples),
                       rmse_f=rmse_f, rmse_h2=rmse_h2, rmse_p=rmse_p,

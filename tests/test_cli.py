@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bma import config as cfgmod
+from bma import cli, config as cfgmod, harness
 from bma.cli import main
 from bma.config import load_config
 from bma.errors import BmaError
@@ -198,20 +198,45 @@ class TestCalibrate:
         assert cfg.read_bytes() == before
 
 
-    def test_failed_write_leaves_the_config_whole(self, workdir, monkeypatch):
-        # the config used to be opened with "w" before the YAML was written, so
+    @pytest.mark.parametrize("command, out_name", [
+        ("calibrate", "config.yaml"), ("estimate", "out.csv"), ("simulate", "out.csv"),
+        ("predict-pressure", "out.csv"), ("export-shape", "shape.csv"),
+        ("export-shape", "shape.svg")],
+        ids=["calibrate", "estimate", "simulate", "predict-pressure", "export-shape-csv",
+             "export-shape-svg"])
+    def test_failed_write_leaves_the_old_file_whole(self, workdir, monkeypatch, command,
+                                                    out_name):
+        # an --out file used to be opened with "w" before its text was written, so
         # a full disk left the first bytes of the new text in place of the old
-        cfg = workdir / "config.yaml"
-        before, listing = cfg.read_bytes(), sorted(os.listdir(workdir))
+        cfg, trace, out = workdir / "config.yaml", workdir / "trace.csv", workdir / out_name
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["calibrate", workdir / "calibration.csv", "--config", cfg]) == 0
+            assert run(["simulate", workdir / "script.yaml", "--config", cfg,
+                        "--out", trace]) == 0
+        if out != cfg:
+            out.write_text("old text\n")
+        before, listing = out.read_bytes(), sorted(os.listdir(workdir))
 
-        def full_disk(data, stream, **kwargs):
-            stream.write("ring:\n")
-            stream.flush()
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        def full_disk_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            if set(mode) & set("wxa"):   # a read opens as it did
+                def write(text, write=fh.write):
+                    write(text[:8])
+                    fh.flush()
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                fh.write = write
+            return fh
 
-        monkeypatch.setattr(cfgmod.yaml, "safe_dump", full_disk)
-        assert run(["calibrate", workdir / "calibration.csv", "--config", cfg]) == 2
-        assert cfg.read_bytes() == before
+        for module in (harness, cli, cfgmod):
+            monkeypatch.setattr(module, "open", full_disk_open, raising=False)
+        args = {"calibrate": ["calibrate", workdir / "calibration.csv"],
+                "estimate": ["estimate", trace, "--out", out],
+                "simulate": ["simulate", workdir / "script.yaml", "--out", out],
+                "predict-pressure": ["predict-pressure", trace, "--out", out],
+                "export-shape": ["export-shape", "--volume-ml", 0.5, "--indent-mm", 3.0,
+                                 "--out", out]}[command]
+        assert run([*args, "--config", cfg]) == 2
+        assert out.read_bytes() == before
         assert sorted(os.listdir(workdir)) == listing
 
     def test_writes_through_a_symlink_and_keeps_the_mode(self, workdir):
@@ -223,8 +248,45 @@ class TestCalibrate:
         assert run(["calibrate", workdir / "calibration.csv", "--config", plain]) == 0
         assert link.is_symlink() and cfg.read_bytes() == plain.read_bytes()
         assert stat.S_IMODE(cfg.stat().st_mode) == 0o640
+        # an --out file is replaced by the same rule as the config
+        trace, out, out_link, out_plain = (
+            workdir / name for name in ("trace.csv", "out.csv", "out_link.csv", "plain.csv"))
+        assert run(["simulate", workdir / "script.yaml", "--config", cfg, "--out", trace]) == 0
+        out.write_text("old text\n")
+        out.chmod(0o640)
+        out_link.symlink_to(out.name)
+        assert run(["estimate", trace, "--config", cfg, "--out", out_link]) == 0
+        assert run(["estimate", trace, "--config", cfg, "--out", out_plain]) == 0
+        assert out_link.is_symlink() and out.read_bytes() == out_plain.read_bytes()
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
         assert sorted(os.listdir(workdir)) == sorted(
-            ["calibration.csv", "config.yaml", "link.yaml", "plain.yaml", "script.yaml"])
+            ["calibration.csv", "config.yaml", "link.yaml", "plain.yaml", "script.yaml",
+             "trace.csv", "out.csv", "out_link.csv", "plain.csv"])
+
+    def test_new_file_gets_the_umask_bits(self, workdir):
+        # as plain open gives them; a config that save_raw created used to be 0o600
+        cfg, trace, new_cfg = workdir / "config.yaml", workdir / "trace.csv", workdir / "new.yaml"
+        umask = os.umask(0o027)
+        try:
+            assert run(["calibrate", workdir / "calibration.csv", "--config", cfg]) == 0
+            assert run(["simulate", workdir / "script.yaml", "--config", cfg,
+                        "--out", trace]) == 0
+            cfgmod.save_raw(new_cfg, cfgmod.load_raw(cfg))
+        finally:
+            os.umask(umask)
+        for path in (trace, new_cfg):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
+        assert new_cfg.read_bytes() == cfg.read_bytes()
+
+    def test_device_out_is_written_in_place(self, workdir):
+        # a rename onto os.devnull would, run as root, swap the device for a regular file
+        cfg, trace = workdir / "config.yaml", workdir / "trace.csv"
+        assert run(["calibrate", workdir / "calibration.csv", "--config", cfg]) == 0
+        assert run(["simulate", workdir / "script.yaml", "--config", cfg, "--out", trace]) == 0
+        listing = sorted(os.listdir(workdir))
+        assert run(["estimate", trace, "--config", cfg, "--out", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert sorted(os.listdir(workdir)) == listing
 
     def test_negative_degree_rejected(self, workdir, capsys):
         cfg = workdir / "config.yaml"
@@ -434,6 +496,20 @@ class TestExportShape:
         err = assert_refused(capsys, ["export-shape", *args, "--config", cfg, "--out", out])
         indent_mm = args[3] if len(args) > 2 else 0
         assert err.startswith(f"error: volume_ml {args[1]}, indent_mm {indent_mm}: {reason}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", [10 ** 13, 10 ** 20])
+    @pytest.mark.parametrize("indent_mm", [0.0, 3.0])
+    def test_huge_point_count_names_the_option(self, workdir, capsys, points, indent_mm):
+        # numpy's own refusal, "Unable to allocate 72.8 TiB for an array ..." or
+        # "Maximum allowed size exceeded", named neither the option nor its value
+        cfg = workdir / "config.yaml"
+        run(["calibrate", workdir / "calibration.csv", "--config", cfg])
+        out = workdir / "shape.svg"
+        err = assert_refused(capsys, ["export-shape", "--volume-ml", 0.5, "--indent-mm",
+                                      indent_mm, f"--points={points}", "--config", cfg,
+                                      "--out", out])
+        assert err.startswith(f"error: --points {points}: ")
         assert not out.exists()
 
 
@@ -743,8 +819,14 @@ class TestExitCodes:
 EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, 1e-300])
 
 
+# option text that is no number: argparse's own refusal quoted it whole, so
+# 5 000 nines gave a 5 065-character error line
+BAD_TEXT = st.sampled_from(["abc", "", "9" * 5000])
+
+
 def float_arg(ordinary):
-    return st.one_of(EDGE_FLOATS, ordinary, st.floats(allow_nan=False, allow_infinity=False))
+    return st.one_of(EDGE_FLOATS, ordinary, st.floats(allow_nan=False, allow_infinity=False),
+                     BAD_TEXT)
 
 
 @st.composite
@@ -756,14 +838,19 @@ def cli_arguments(draw, root: Path):
         out = root / draw(st.sampled_from(["shape.csv", "shape.svg"]))
         volume = draw(float_arg(st.floats(0.0, 1.2)))
         indent = draw(float_arg(st.floats(0.0, 6.0)))
-        return ["export-shape", f"--volume-ml={volume!r}", f"--indent-mm={indent!r}",
-                f"--points={draw(st.integers(-5, 2000))}", "--out", str(out), *config], out
+        # numpy refused 10**13 and 10**20 points in its own words, naming no option
+        points = draw(st.one_of(st.integers(-5, 2000), st.sampled_from([10 ** 13, 10 ** 20]),
+                                BAD_TEXT))
+        return ["export-shape", f"--volume-ml={volume}", f"--indent-mm={indent}",
+                f"--points={points}", "--out", str(out), *config], out
     if command == "eval":
         window = draw(st.lists(st.one_of(st.sampled_from([math.nan, math.inf]), st.floats(0, 3),
-                                         st.floats(allow_nan=False, allow_infinity=False)),
+                                         st.floats(allow_nan=False, allow_infinity=False),
+                                         BAD_TEXT),
                                min_size=2, max_size=2))
-        return ["eval", str(root / "trace.csv"), "--window", *map(repr, window), *config], None
-    seed = draw(st.one_of(st.sampled_from([-1, 0, 2 ** 64]), st.integers(-2 ** 70, 2 ** 70)))
+        return ["eval", str(root / "trace.csv"), "--window", *map(str, window), *config], None
+    seed = draw(st.one_of(st.sampled_from([-1, 0, 2 ** 64]), st.integers(-2 ** 70, 2 ** 70),
+                          BAD_TEXT))
     out = root / "simulated.csv"
     return ["simulate", str(root / "script.yaml"), f"--seed={seed}", "--out", str(out),
             *config], out

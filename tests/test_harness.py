@@ -970,6 +970,12 @@ class TestEvaluate:
             evaluate(records, cfg, contact_window=window)
         assert "\n" not in str(exc.value) and len(str(exc.value)) <= 200
 
+    def test_int_end_past_the_float_range_reads_as_infinite(self, cfg):
+        # it used to escape the window mask as numpy's OverflowError
+        records = simulate_trace(basic_script(), cfg, seed=0)
+        assert evaluate(records, cfg, contact_window=(0.0, 10 ** 400)) == evaluate(
+            records, cfg, contact_window=(0.0, math.inf))
+
     def test_point_window_accepted(self, cfg):
         records = simulate_trace(basic_script(), cfg, seed=0)
         t = records[50].t
