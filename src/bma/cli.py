@@ -2,9 +2,11 @@
 
 Subcommands: calibrate, estimate, simulate, predict-pressure, eval,
 export-shape.  Exit codes: 0 success, 1 validation, model or configuration
-error or a request that does not fit in memory, 2 I/O error.  The config path comes from --config or the
-BMA_CONFIG environment variable.  Every CSV file is read and written by
-`harness`, and every file written is replaced whole by `harness.replacing`.
+error or a request that does not fit in memory, 2 I/O error or argparse's usage
+error (a missing --out, an option value that is not a number).  The config path
+comes from --config or the BMA_CONFIG environment variable.  Every CSV file is
+read and written by `harness`, and every file written is replaced whole by
+`harness.replacing`.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .calibration import HeightFit, evaluate_height
-from .errors import BmaError, DegenerateGeometry, LengthMismatch, as_float
+from .errors import BmaError, DegenerateGeometry, LengthMismatch, OutOfRange, as_float
 from .geometry import RingSpec, solve_axes
 from .material import YeohCoeffs, perimeter, yeoh_energy_density
 
@@ -53,12 +53,14 @@ _INF = math.inf
 class EstimatorConfig:
     ring: RingSpec
     coeffs: YeohCoeffs
-    fit: HeightFit
+    fit: HeightFit | None   # None as parsed with require_fit=False: no model is built
     # minimum modeled injected volume, 0.1 ml [m3]; the model is unreliable below it
     v_min_model: ClassVar[float] = 0.1e-6
 
     @cached_property
     def _model(self) -> _Model:
+        if self.fit is None:
+            raise OutOfRange("config has no height fit; run `bma calibrate` first")
         return _Model(self.ring, self.coeffs, self.fit, self.v_min_model)
 
     def __reduce__(self):   # a copy or an unpickled config starts with a cold `_model`

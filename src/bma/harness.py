@@ -293,10 +293,13 @@ def _hold_equilibrium(v_f: float, force: float, cfg: EstimatorConfig) -> float:
     F upward: not always the first where F_eq - F changes sign more than once, as on a
     softening material.  The update must contract at the root: |slope| < 1 over [lo, lo + tol].
     """
-    g = reconstruct(v_f, 0.0, cfg)   # a volume outside the model raises here
-    if indent(g, v_f, balance_pressure(g, v_f, force))[0] <= SIM_ROOT_TOL:
+    def update(h2):   # where the update h2 <- `indent` moves h2, from one reconstruction
+        g = reconstruct(v_f, h2, cfg)   # a volume outside the model raises here
+        return indent(g, v_f, balance_pressure(g, v_f, force))[0]
+
+    if update(0.0) <= SIM_ROOT_TOL:
         return 0.0
-    lo, hi, f_lo, f_hi, side = 0.0, g.h1, -force, math.inf, 0
+    lo, hi, f_lo, f_hi, side = 0.0, reconstruct(v_f, 0.0, cfg).h1, -force, math.inf, 0
     while hi - lo > SIM_ROOT_TOL:
         h2 = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)   # NaN while the upper end is refused
         h2 = h2 if lo < h2 < hi else (lo + hi) / 2
@@ -310,9 +313,7 @@ def _hold_equilibrium(v_f: float, force: float, cfg: EstimatorConfig) -> float:
             lo, f_lo, f_hi, side = h2, f, f_hi / 2 if side < 0 else f_hi, -1
     if f_hi == math.inf:
         raise DegenerateGeometry(f"no indentation in [0, h1) balances F={force} at V_f={v_f}")
-    phi = [indent(g, v_f, balance_pressure(g, v_f, force))[0]
-           for g in (reconstruct(v_f, h, cfg) for h in (lo, lo + SIM_ROOT_TOL))]
-    if not abs(phi[1] - phi[0]) < SIM_ROOT_TOL:
+    if not abs(update(lo + SIM_ROOT_TOL) - update(lo)) < SIM_ROOT_TOL:
         raise NoConvergence(f"unstable equilibrium h2={lo} for V_f={v_f}, F={force}")
     return lo
 
@@ -321,23 +322,16 @@ def simulate_trace(script: SimScript, cfg: EstimatorConfig,
                    seed: int) -> list[TraceRecord]:
     """Generate a synthetic trace by running the model forward.
 
-    Every hold is checked first (`_hold_equilibrium`); a refused hold raises
-    its model error prefixed with the step's index, volume_ml and force_n.
-    Then each sample reconstructs the shape once at the carried indentation,
-    a bare float h2: the energy balance inverted on it at the scripted
-    (volume, force) gives the pressure, and `estimator.indent`, the core of
-    `step`, advances h2 from the same reconstruction, building no estimate
-    or state.  h2 and the scripted
-    force are the ground truth of a loop closed on the model itself.  Script
-    values enter as floats, so numpy scalars give the same records.
+    Each hold is checked (`_hold_equilibrium`), then emitted; a refusal in either, as
+    one met at the indentation carried in from the hold before, raises its model error
+    prefixed with the step's index, volume_ml and force_n.  Each sample reconstructs
+    the shape once at the carried indentation, a bare float h2: the energy balance
+    inverted on it at the scripted (volume, force) gives the pressure, and
+    `estimator.indent`, the core of `step`, advances h2 from the same reconstruction,
+    building no estimate or state.  h2 and the scripted force are the ground truth of
+    a loop closed on the model itself.  Script values enter as floats, so numpy
+    scalars give the same records.
     """
-    for i, s in enumerate(script.steps):
-        try:
-            _hold_equilibrium(float(s.v_f), float(s.force), cfg)
-        except (DegenerateGeometry, NoConvergence, OutOfRange) as exc:   # SI units, no step
-            raise type(exc)(f"step {i} (volume_ml {s.v_f / ML_TO_M3:.6g}, "
-                            f"force_n {s.force:.6g}): {exc}") from exc
-
     rng = np.random.default_rng(seed)
     records = []
     h2 = 0.0
@@ -345,15 +339,20 @@ def simulate_trace(script: SimScript, cfg: EstimatorConfig,
     period = float(script.sample_period)
     # the sample loop's callables, looked up once per trace, not once per sample
     shape, pressure, update, emit = reconstruct, balance_pressure, indent, records.append
-    for s in script.steps:
-        v_f, force = float(s.v_f), float(s.force)
-        # one draw per hold: the same values as n scalar draws, in order
-        for dp in rng.normal(0.0, script.noise_pa, max(1, round(s.hold / period))).tolist():
-            g = shape(v_f, h2, cfg)
-            p_clean = pressure(g, v_f, force)
-            h2 = update(g, v_f, p_clean)[0]
-            emit(TraceRecord(t, v_f, p_clean + dp, force, h2))
-            t += period
+    for i, s in enumerate(script.steps):
+        try:
+            v_f, force = float(s.v_f), float(s.force)
+            _hold_equilibrium(v_f, force, cfg)
+            # one draw per hold: the same values as n scalar draws, in order
+            for dp in rng.normal(0.0, script.noise_pa, max(1, round(s.hold / period))).tolist():
+                g = shape(v_f, h2, cfg)
+                p_clean = pressure(g, v_f, force)
+                h2 = update(g, v_f, p_clean)[0]
+                emit(TraceRecord(t, v_f, p_clean + dp, force, h2))
+                t += period
+        except (DegenerateGeometry, NoConvergence, OutOfRange) as exc:   # SI units, no step
+            raise type(exc)(f"step {i} (volume_ml {s.v_f / ML_TO_M3:.6g}, "
+                            f"force_n {s.force:.6g}): {exc}") from exc
     return records
 
 

@@ -13,6 +13,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from bma import cli, config as cfgmod, harness
@@ -829,6 +830,22 @@ def float_arg(ordinary):
                      BAD_TEXT)
 
 
+# Two holds that each simulate on their own: hold 0 ends at h2 = 4.27 mm,
+# which leaves h3 = 0.70 mm at 0.22 ml, where the deformed spheroid solves
+# flat, so hold 1's first sample is refused; that refusal named no step
+CARRY_HOLDS = ((0.30, 0.05, 0.5), (0.22, 0.0, 0.5))
+
+
+def simulate_arguments(root: Path, holds, seed):
+    """(args, out) of a simulate call on a script of (volume_ml, force_n, hold_s) holds."""
+    script = root / "script.yaml"
+    script.write_text(yaml.safe_dump({"sample_period_s": 0.01, "steps": [
+        {"volume_ml": v, "force_n": f, "hold_s": h} for v, f, h in holds]}))
+    out = root / "simulated.csv"
+    return ["simulate", str(script), f"--seed={seed}", "--out", str(out),
+            "--config", str(root / "config.yaml")], out
+
+
 @st.composite
 def cli_arguments(draw, root: Path):
     """(args, out): one subcommand's argument list and its --out file, or None."""
@@ -836,11 +853,12 @@ def cli_arguments(draw, root: Path):
     command = draw(st.sampled_from(["export-shape", "eval", "simulate"]))
     if command == "export-shape":
         out = root / draw(st.sampled_from(["shape.csv", "shape.svg"]))
-        volume = draw(float_arg(st.floats(0.0, 1.2)))
-        indent = draw(float_arg(st.floats(0.0, 6.0)))
-        # numpy refused 10**13 and 10**20 points in its own words, naming no option
-        points = draw(st.one_of(st.integers(-5, 2000), st.sampled_from([10 ** 13, 10 ** 20]),
-                                BAD_TEXT))
+        if draw(st.booleans()):
+            volume = draw(float_arg(st.floats(0.0, 1.2)))
+            indent = draw(float_arg(st.floats(0.0, 6.0)))
+            points = draw(st.one_of(st.integers(-5, 2000), BAD_TEXT))
+        else:   # numpy refused these point counts in its own words, naming no option
+            volume, indent, points = 0.4, 0, draw(st.sampled_from([10 ** 13, 10 ** 20]))
         return ["export-shape", f"--volume-ml={volume}", f"--indent-mm={indent}",
                 f"--points={points}", "--out", str(out), *config], out
     if command == "eval":
@@ -851,19 +869,16 @@ def cli_arguments(draw, root: Path):
         return ["eval", str(root / "trace.csv"), "--window", *map(str, window), *config], None
     seed = draw(st.one_of(st.sampled_from([-1, 0, 2 ** 64]), st.integers(-2 ** 70, 2 ** 70),
                           BAD_TEXT))
-    out = root / "simulated.csv"
-    return ["simulate", str(root / "script.yaml"), f"--seed={seed}", "--out", str(out),
-            *config], out
+    hold = st.tuples(float_arg(st.floats(0.0, 1.2)), float_arg(st.floats(-0.1, 1.0)),
+                     st.just(0.05))
+    return simulate_arguments(root, draw(st.tuples(hold, hold)), seed)
 
 
 @pytest.fixture(scope="module")
 def argument_dir(tmp_path_factory):
-    """A calibrated sample config, a two-hold script and a ground-truth trace."""
+    """A calibrated sample config and a ground-truth trace."""
     root = tmp_path_factory.mktemp("arguments")
     shutil.copy(SAMPLE_CONFIG, root / "config.yaml")
-    (root / "script.yaml").write_text("sample_period_s: 0.01\nsteps:\n"
-                                      "  - {volume_ml: 0.4, force_n: 0.0, hold_s: 0.05}\n"
-                                      "  - {volume_ml: 0.5, force_n: 0.2, hold_s: 0.05}\n")
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["calibrate", SAMPLE_CALIBRATION, "--config", root / "config.yaml"]) == 0
         assert run(["simulate", SAMPLE_SCRIPT, "--config", root / "config.yaml",
@@ -871,11 +886,8 @@ def argument_dir(tmp_path_factory):
     return root
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_argument_values_exit_cleanly(argument_dir, data):
-    # one-value options are passed as --opt=value, so argparse never reads -inf as an option
-    args, out = data.draw(cli_arguments(argument_dir))
+def assert_exits_cleanly(args, out):
+    """Run the CLI on args: exit 0, 1 or 2, and a refusal is one short line naming its value."""
     if out is not None and out.exists():
         out.unlink()
     err, stdout = io.StringIO(), io.StringIO()
@@ -892,7 +904,7 @@ def test_argument_values_exit_cleanly(argument_dir, data):
         assert "Traceback" not in err
         # a refusal of a value names what it refuses: numpy's "expected
         # non-negative integer" for a negative seed named nothing
-        assert status == 2 or re.search(r"volume|indent|points|window|seed", errors[0]), err
+        assert status == 2 or re.search(r"volume|indent|points|window|seed|step", errors[0]), err
         assert out is None or not out.exists()
     elif args[0] == "export-shape" and out.suffix == ".csv":
         with open(out) as fh:
@@ -902,9 +914,22 @@ def test_argument_values_exit_cleanly(argument_dir, data):
     elif args[0] == "export-shape":
         assert ET.parse(out).getroot().tag.endswith("svg")
     elif args[0] == "simulate":
-        assert len(ingest_trace(out)) == 10
+        script = cfgmod.load_script(args[1])
+        assert len(ingest_trace(out)) == sum(round(s.hold / script.sample_period)
+                                             for s in script.steps)
     else:
         assert stdout.getvalue().startswith("samples:")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_argument_values_exit_cleanly(argument_dir, data):
+    # one-value options are passed as --opt=value, so argparse never reads -inf as an option
+    assert_exits_cleanly(*data.draw(cli_arguments(argument_dir)))
+
+
+def test_carried_indentation_refusal_exits_cleanly(argument_dir):
+    assert_exits_cleanly(*simulate_arguments(argument_dir, CARRY_HOLDS, seed=7))
 
 
 def test_import_leaves_scipy_integrate_unloaded():

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from bma import (BmaError, EstimatorConfig, IllConditioned, InsufficientData, evaluate_height,
-                 fit_height_poly)
+from bma import (BmaError, EstimatorConfig, IllConditioned, InsufficientData, OutOfRange,
+                 TraceRecord, evaluate_height, fit_height_poly, predict_pressure, run_trace)
 from bma.cli import main
 from bma.config import (ConfigError, height_fit_to_dict, load_config, load_raw, load_script,
                         save_raw)
@@ -41,6 +41,17 @@ def test_sample_config_loads():
     assert cfg.coeffs.c1 == 30000.0
     assert cfg.v_min_model == 1e-07
     assert cfg.fit is None
+
+
+def test_config_without_fit_refuses_the_model():
+    # a config parsed without its height fit builds no model: `step` flags each
+    # sample as a model error, so run_trace does not abort, and predict_pressure
+    # raises one, both OutOfRange naming the calibration to run
+    cfg = load_config(SAMPLE_CONFIG, require_fit=False)
+    (est,) = run_trace([TraceRecord(0.0, 0.5e-6, 1e4)], cfg)
+    assert est.is_null and est.flags == {"step_error", "OutOfRange"}
+    with pytest.raises(OutOfRange, match="run `bma calibrate`"):
+        predict_pressure(0.5e-6, cfg)
 
 
 def test_volume_floor_is_a_model_constant():

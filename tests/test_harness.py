@@ -641,7 +641,7 @@ class TestSimulate:
 
 
 class TestHoldCheck:
-    """Each hold is checked on the equilibrium curve before any sample."""
+    """Each hold is checked on the equilibrium curve before its own samples."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(v_ml=st.floats(0.30, 0.95), force=st.floats(0.0, 0.5, exclude_min=True))
@@ -702,6 +702,19 @@ class TestHoldCheck:
             simulate_trace(script, cfg, seed=0)
         assert type(sim.value) is error
         assert str(sim.value) == f"step 1 (volume_ml {v_ml:g}, force_n {force:g}): {hold.value}"
+
+    def test_refusal_met_while_emitting_names_its_step(self, cfg):
+        # each hold simulates on its own, but hold 0 ends at h2 = 4.27 mm, which
+        # leaves h3 = 0.70 mm at 0.22 ml, where the deformed spheroid solves flat:
+        # the first sample of hold 1, reconstructed at that carried indentation,
+        # is refused
+        script = SimScript((SimStep(0.30e-6, 0.05, 0.5), SimStep(0.22e-6, 0.0, 0.5)), 0.01)
+        for s in script.steps:
+            simulate_trace(SimScript((s,), 0.01), cfg, seed=0)
+        assert harness._hold_equilibrium(0.22e-6, 0.0, cfg) == 0.0
+        with pytest.raises(DegenerateGeometry) as sim:
+            simulate_trace(script, cfg, seed=0)
+        assert str(sim.value).startswith("step 1 (volume_ml 0.22, force_n 0): flat-membrane")
 
     @pytest.mark.parametrize("force", [0.0, -0.1, 1e-285, 1e-12])
     def test_no_push_needs_no_solve(self, cfg, monkeypatch, force):
@@ -778,24 +791,29 @@ class TestSimulateReconstructsOnce:
         built, handed = [], []
 
         def counting_reconstruct(*args):
-            built.append(reconstruct(*args))
-            return built[-1]
+            g = reconstruct(*args)
+            if not checking:   # count only the emission loop's reconstructions
+                built.append(g)
+            return g
 
         def recording_indent(g, *args):
-            handed.append(g)
+            if not checking:
+                handed.append(g)
             return indent(g, *args)
 
         def no_step(*args):
             raise AssertionError("the simulator rebuilds through step")
 
         def checked_hold(*args):
-            # the hold checks run before the first sample; count only the
-            # emission loop's reconstructions
-            h2 = hold_equilibrium(*args)
-            built.clear()
-            handed.clear()
-            return h2
+            # each hold's check runs before its own samples, through the same names
+            nonlocal checking
+            checking = True
+            try:
+                return hold_equilibrium(*args)
+            finally:
+                checking = False
 
+        checking = False
         hold_equilibrium = harness._hold_equilibrium
         monkeypatch.setattr(harness, "reconstruct", counting_reconstruct)
         monkeypatch.setattr(harness, "indent", recording_indent)
